@@ -7,8 +7,8 @@
 //! reporting AccuracyL / AccuracyHP for each combination.
 
 use bench::{pct, train_moscons, Scale};
-use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_lenient};
-use moscons::syntax::{correct, SyntaxConfig};
+use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_zoo};
+use moscons::syntax::{correct_graph, SyntaxConfig};
 use moscons::{score_structure, LabeledTrace};
 
 fn main() {
@@ -33,12 +33,12 @@ fn main() {
     for (name, classes) in variants {
         let runs = collapse(classes);
         let boundary = forward_boundary(classes);
-        let base_layers = parse_forward_layers_lenient(&runs, boundary);
+        let base = parse_forward_layers_zoo(&runs, boundary);
 
         // Hyper-parameters from the already-extracted layers where sample
         // positions coincide; this ablation focuses on the class stream, so
         // reuse the extraction's HP assignments by position.
-        let assign_hp = |layers: &mut Vec<moscons::RecoveredLayer>| {
+        let assign_hp = |layers: &mut [moscons::RecoveredLayer]| {
             for l in layers.iter_mut() {
                 if let Some(src) = extraction
                     .layers
@@ -56,14 +56,14 @@ fn main() {
             }
         };
 
-        let mut raw_layers = base_layers.clone();
-        assign_hp(&mut raw_layers);
-        let raw_score = score_structure(&model, &raw_layers, extraction.optimizer);
+        let mut raw = base.clone();
+        assign_hp(&mut raw.layers);
+        let raw_score = score_structure(&model, &raw.layers, extraction.optimizer);
 
-        let mut corrected = base_layers.clone();
-        assign_hp(&mut corrected);
-        correct(&mut corrected, &SyntaxConfig::default());
-        let syn_score = score_structure(&model, &corrected, extraction.optimizer);
+        let mut corrected = base;
+        assign_hp(&mut corrected.layers);
+        correct_graph(&mut corrected, &SyntaxConfig::default());
+        let syn_score = score_structure(&model, &corrected.layers, extraction.optimizer);
 
         println!(
             "{:<18} {:>10} {:>10} {:>10} {:>10}",

@@ -21,8 +21,8 @@ use crate::gap::{GapConfig, GapModel};
 use crate::hyperparams::{HpKind, HpModel};
 use crate::long_ops::{LongClass, LongOpModel, LstmTrainConfig, QuantizedLongOpModel};
 use crate::opseq::{
-    collapse, forward_boundary, merge_predictions, parse_forward_layers_lenient,
-    parse_forward_layers_zoo, structure_string, RecoveredGraph, RecoveredKind, RecoveredLayer,
+    collapse, forward_boundary, merge_predictions, parse_forward_layers_zoo, structure_string,
+    RecoveredKind, RecoveredLayer,
 };
 use crate::other_ops::{OpVocab, OtherClass, OtherOpModel, QuantizedOtherOpModel};
 use crate::syntax::{correct_graph, SyntaxConfig};
@@ -556,17 +556,12 @@ impl Moscons {
         );
 
         // Collapse + parse the forward prefix (boundary-bounded, lenient).
-        // Classic keeps the linear-chain parser verbatim; Zoo uses the
-        // graph-aware parser, which degenerates to the same layer list on
-        // traces without zoo ops.
+        // One grammar for both vocabularies: the classic `Mop` alphabet
+        // never emits a zoo class, so classic traces parse to a skip-free
+        // chain of conv, dense and pooling layers.
         let runs = collapse(&fused);
         let boundary = forward_boundary(&fused);
-        let mut graph = match self.config.vocab {
-            OpVocab::Classic => {
-                RecoveredGraph::linear(parse_forward_layers_lenient(&runs, boundary))
-            }
-            OpVocab::Zoo => parse_forward_layers_zoo(&runs, boundary),
-        };
+        let mut graph = parse_forward_layers_zoo(&runs, boundary);
 
         // Hyper-parameters at each layer's last forward sample.
         for layer in graph.layers.iter_mut() {

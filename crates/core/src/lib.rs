@@ -88,6 +88,6 @@ pub use spy::{sampler_retry_policy, SpyKernelKind};
 pub use stream::{
     AttackStream, GapStream, SegmentSplitter, SplitEvent, StreamLabel, StreamOutcome,
 };
-pub use syntax::{correct, correct_graph, SyntaxConfig};
+pub use syntax::{correct_graph, SyntaxConfig};
 pub use trace::{collect_trace, CollectionConfig, RawTrace};
 pub use voting::{majority_vote, VotingModel};

@@ -5,9 +5,10 @@
 //! parses the *forward-pass prefix* into layers: a `conv` followed by
 //! `BiasAdd` and an activation is a convolutional layer, a `MatMul` group is
 //! a fully-connected layer, `Pool` stands alone (§IV "combinations of
-//! consecutive ops can be deterministically mapped to layers"). Parsing
-//! stops where the pattern breaks — which is exactly where back-propagation
-//! begins, since its mirrored op order cannot start a new layer.
+//! consecutive ops can be deterministically mapped to layers"). One grammar,
+//! [`parse_forward_layers_zoo`], serves every vocabulary: parsing stops at
+//! the estimated start of back-propagation ([`forward_boundary`]) and skips
+//! stray runs that cannot start a layer.
 
 use dnn_sim::{Activation, OpClass};
 use serde::{Deserialize, Serialize};
@@ -167,67 +168,6 @@ fn act_of(class: OpClass) -> Option<Activation> {
     }
 }
 
-/// Parses the forward-pass prefix of a collapsed run sequence into layers.
-///
-/// Grammar (greedy): `Conv [BiasAdd] [act]` → conv layer; `MatMul [BiasAdd]
-/// [act]` → dense layer; `Pool` → pooling layer. The first run that cannot
-/// begin a layer ends the forward pass.
-pub fn parse_forward_layers(runs: &[OpRun]) -> Vec<RecoveredLayer> {
-    let mut layers = Vec::new();
-    let mut i = 0;
-    while i < runs.len() {
-        match runs[i].class {
-            OpClass::Conv | OpClass::MatMul => {
-                let kind = if runs[i].class == OpClass::Conv {
-                    RecoveredKind::Conv
-                } else {
-                    RecoveredKind::Dense
-                };
-                let mut last = runs[i].end;
-                i += 1;
-                // Optional BiasAdd.
-                let mut had_bias = false;
-                if i < runs.len() && runs[i].class == OpClass::BiasAdd {
-                    last = runs[i].end;
-                    had_bias = true;
-                    i += 1;
-                }
-                // Optional activation.
-                let mut activation = None;
-                if i < runs.len() {
-                    if let Some(a) = act_of(runs[i].class) {
-                        activation = Some(a);
-                        last = runs[i].end;
-                        i += 1;
-                    }
-                }
-                // A bare MatMul (no BiasAdd, no activation) after the dense
-                // head has started is the signature of back-propagation's
-                // adjacent weight/input-gradient pair: it ends the forward
-                // pass instead of producing a layer. (The first dense layer
-                // is kept even when bare — its BiasAdd/activation may simply
-                // have been too short to sample.)
-                if kind == RecoveredKind::Dense
-                    && !had_bias
-                    && activation.is_none()
-                    && layers.iter().any(|l: &RecoveredLayer| {
-                        l.kind == RecoveredKind::Dense && l.activation.is_some()
-                    })
-                {
-                    break;
-                }
-                layers.push(RecoveredLayer::new(kind, activation, last));
-            }
-            OpClass::Pool => {
-                layers.push(RecoveredLayer::new(RecoveredKind::Pool, None, runs[i].end));
-                i += 1;
-            }
-            _ => break, // back-propagation boundary
-        }
-    }
-    layers
-}
-
 /// Estimates the sample index where back-propagation begins.
 ///
 /// Every trainable layer's backward pass re-runs its long op with roughly
@@ -278,47 +218,6 @@ pub fn forward_boundary(classes: &[OpClass]) -> usize {
     i
 }
 
-/// Lenient forward parse: like [`parse_forward_layers`], but restricted to
-/// runs that start before `boundary` (from [`forward_boundary`]) and
-/// *skipping* runs that cannot start a layer instead of stopping — a single
-/// misclassified sample no longer truncates the whole structure.
-pub fn parse_forward_layers_lenient(runs: &[OpRun], boundary: usize) -> Vec<RecoveredLayer> {
-    let mut layers = Vec::new();
-    let mut i = 0;
-    while i < runs.len() && runs[i].start < boundary {
-        match runs[i].class {
-            OpClass::Conv | OpClass::MatMul => {
-                let kind = if runs[i].class == OpClass::Conv {
-                    RecoveredKind::Conv
-                } else {
-                    RecoveredKind::Dense
-                };
-                let mut last = runs[i].end;
-                i += 1;
-                if i < runs.len() && runs[i].start < boundary && runs[i].class == OpClass::BiasAdd {
-                    last = runs[i].end;
-                    i += 1;
-                }
-                let mut activation = None;
-                if i < runs.len() && runs[i].start < boundary {
-                    if let Some(a) = act_of(runs[i].class) {
-                        activation = Some(a);
-                        last = runs[i].end;
-                        i += 1;
-                    }
-                }
-                layers.push(RecoveredLayer::new(kind, activation, last));
-            }
-            OpClass::Pool => {
-                layers.push(RecoveredLayer::new(RecoveredKind::Pool, None, runs[i].end));
-                i += 1;
-            }
-            _ => i += 1, // skip a stray run instead of aborting
-        }
-    }
-    layers
-}
-
 /// A recovered skip connection: layers `from..=to` sit on a residual
 /// branch whose input (the output of layer `from - 1`, or the model input
 /// when `from == 0`) is element-wise added to the output of layer `to`.
@@ -351,9 +250,15 @@ impl RecoveredGraph {
     }
 }
 
-/// Zoo-aware lenient forward parse: extends [`parse_forward_layers_lenient`]
-/// with the model-zoo grammar and returns graph form.
+/// Forward parse of a collapsed run sequence, in graph form.
 ///
+/// Only runs that start before `boundary` (from [`forward_boundary`]) are
+/// parsed, and a run that cannot start a layer is skipped rather than
+/// ending the parse — a single misclassified sample does not truncate the
+/// structure. Grammar (greedy):
+///
+/// - `Conv [BiasAdd] [act]` → conv layer; `MatMul [BiasAdd] [act]` → dense
+///   layer; `Pool` → pooling layer;
 /// - `MatMul Softmax [MatMul] [LayerNorm]` → one attention layer;
 /// - `Depthwise [Conv] [BiasAdd] [act]` → one separable-conv layer (the
 ///   pointwise `Conv` is part of the layer, not a layer of its own);
@@ -362,8 +267,8 @@ impl RecoveredGraph {
 ///   branch of a [`Skip`] edge, and the post-merge activation attaches to
 ///   the merge-point layer.
 ///
-/// On a trace with none of the zoo classes this parses exactly like
-/// [`parse_forward_layers_lenient`] and returns an empty skip list.
+/// A classic trace (no `Add`, `Softmax`, `LayerNorm` or `Depthwise` run)
+/// yields only conv, dense and pooling layers and no skip edges.
 pub fn parse_forward_layers_zoo(runs: &[OpRun], boundary: usize) -> RecoveredGraph {
     let mut layers: Vec<RecoveredLayer> = Vec::new();
     let mut skips = Vec::new();
@@ -485,6 +390,14 @@ pub fn parse_forward_layers_zoo(runs: &[OpRun], boundary: usize) -> RecoveredGra
     RecoveredGraph { layers, skips }
 }
 
+/// The layers of [`parse_forward_layers_zoo`], without the skip edges.
+///
+/// Kept only because the benchmark's bitwise replica of the attack path
+/// imports it; new code should call [`parse_forward_layers_zoo`].
+pub fn parse_forward_layers_lenient(runs: &[OpRun], boundary: usize) -> Vec<RecoveredLayer> {
+    parse_forward_layers_zoo(runs, boundary).layers
+}
+
 /// Formats a recovered structure as the paper's Table IX strings, e.g.
 /// `C3,64,1,R-P-M4096,X-OptimizerAdam`.
 pub fn structure_string(
@@ -565,7 +478,7 @@ mod tests {
             BiasAdd, MatMul, MatMul, Pool, Relu, BiasAdd, Conv, // backward
         ];
         let runs = collapse(&classes);
-        let layers = parse_forward_layers(&runs);
+        let layers = parse_forward_layers_zoo(&runs, 7).layers;
         assert_eq!(layers.len(), 3);
         assert_eq!(layers[0].kind, RecoveredKind::Conv);
         assert_eq!(layers[0].activation, Some(Activation::Relu));
@@ -574,27 +487,31 @@ mod tests {
         // Layer boundaries carry the last forward sample index.
         assert_eq!(layers[0].last_sample, 2);
         assert_eq!(layers[2].last_sample, 6);
+        // The boundary is what ends the parse: without it the backward
+        // runs parse as further layers.
+        assert!(parse_forward_layers_zoo(&runs, usize::MAX).layers.len() > 3);
     }
 
     #[test]
     fn parse_tolerates_missing_bias_or_activation() {
-        let classes = vec![Conv, Relu, MatMul, BiasAdd, Tanh, MatMul];
-        let layers = parse_forward_layers(&collapse(&classes));
-        // The trailing bare MatMul is a backward weight/input-gradient pair
-        // (a dense layer already exists), so only two layers parse.
+        let classes = vec![Conv, Relu, MatMul, BiasAdd, Tanh];
+        let layers = parse_forward_layers_zoo(&collapse(&classes), classes.len()).layers;
         assert_eq!(layers.len(), 2);
         assert_eq!(layers[0].activation, Some(Activation::Relu));
         assert_eq!(layers[1].activation, Some(Activation::Tanh));
+        assert_eq!(layers[1].last_sample, 4);
     }
 
     #[test]
     fn parse_keeps_first_bare_dense_layer() {
         // VGG-style: convs then a bare MatMul whose BiasAdd/act were too
-        // short to sample — the first dense layer is kept.
+        // short to sample — the dense layer is kept without an activation.
         let classes = vec![Conv, BiasAdd, Relu, Pool, MatMul, MatMul];
-        let layers = parse_forward_layers(&collapse(&classes));
+        let layers = parse_forward_layers_zoo(&collapse(&classes), classes.len()).layers;
         assert_eq!(layers.len(), 3);
         assert_eq!(layers[2].kind, RecoveredKind::Dense);
+        assert_eq!(layers[2].activation, None);
+        assert_eq!(layers[2].last_sample, 5);
     }
 
     #[test]
@@ -604,7 +521,7 @@ mod tests {
             // backward
             BiasAdd, MatMul, MatMul,
         ];
-        let layers = parse_forward_layers(&collapse(&classes));
+        let layers = parse_forward_layers_zoo(&collapse(&classes), 9).layers;
         assert_eq!(layers.len(), 3);
         assert!(layers.iter().all(|l| l.kind == RecoveredKind::Dense));
         let acts: Vec<_> = layers.iter().map(|l| l.activation).collect();
@@ -616,18 +533,6 @@ mod tests {
                 Some(Activation::Sigmoid)
             ]
         );
-    }
-
-    #[test]
-    fn zoo_parse_matches_lenient_on_classic_traces() {
-        let classes = vec![
-            Conv, BiasAdd, Relu, Pool, MatMul, BiasAdd, Relu, BiasAdd, MatMul, MatMul,
-        ];
-        let runs = collapse(&classes);
-        let boundary = forward_boundary(&classes);
-        let graph = parse_forward_layers_zoo(&runs, boundary);
-        assert_eq!(graph.layers, parse_forward_layers_lenient(&runs, boundary));
-        assert!(graph.skips.is_empty());
     }
 
     #[test]

@@ -74,22 +74,12 @@ fn majority_activation(layers: &[&RecoveredLayer]) -> Option<(Activation, usize,
     Some((act, counts[best], total))
 }
 
-/// Applies the syntax corrections in place, returning the number of edits.
+/// Applies the syntax corrections in place, returning the number of edits
+/// (§IV-D, extended to the model zoo). Correct a bare layer chain by
+/// wrapping it in [`RecoveredGraph::linear`].
 ///
-/// Thin linear-chain adapter over [`correct_graph`]: the chain is wrapped
-/// in a skip-free [`RecoveredGraph`], which routes to the original chain
-/// corrector byte-for-byte.
-pub fn correct(layers: &mut Vec<RecoveredLayer>, config: &SyntaxConfig) -> usize {
-    let mut graph = RecoveredGraph::linear(std::mem::take(layers));
-    let edits = correct_graph(&mut graph, config);
-    *layers = graph.layers;
-    edits
-}
-
-/// DAG-aware syntax correction (§IV-D extended to the model zoo).
-///
-/// A graph without skip edges is corrected by the original chain rules —
-/// bitwise-identical to the pre-graph [`correct`]. With skip edges:
+/// A graph without skip edges is corrected by the chain rules. With skip
+/// edges:
 ///
 /// - the drop rules run with *in-branch protection*: a layer on a residual
 ///   branch is structural (the skip edge proves it executed) and is never
@@ -185,7 +175,7 @@ pub fn correct_graph(graph: &mut RecoveredGraph, config: &SyntaxConfig) -> usize
     edits + activation_pass(&mut graph.layers, config)
 }
 
-/// The original linear-chain corrector ([`correct`]'s pre-graph body).
+/// The chain rules [`correct_graph`] applies to a graph without skip edges.
 fn correct_chain(layers: &mut Vec<RecoveredLayer>, config: &SyntaxConfig) -> usize {
     let mut edits = 0usize;
 
@@ -344,57 +334,58 @@ mod tests {
 
     #[test]
     fn fills_missing_activation_with_majority() {
-        let mut layers = vec![
+        let mut graph = RecoveredGraph::linear(vec![
             conv(Some(Activation::Relu)),
             conv(Some(Activation::Relu)),
             conv(None),
-        ];
-        let edits = correct(&mut layers, &SyntaxConfig::default());
+        ]);
+        let edits = correct_graph(&mut graph, &SyntaxConfig::default());
         assert_eq!(edits, 1);
-        assert_eq!(layers[2].activation, Some(Activation::Relu));
+        assert_eq!(graph.layers[2].activation, Some(Activation::Relu));
     }
 
     #[test]
     fn harmonizes_clear_majority_but_not_mixed_mlps() {
         // Conv stack: 4 ReLU + 1 Tanh → harmonized.
-        let mut layers = vec![
+        let mut graph = RecoveredGraph::linear(vec![
             conv(Some(Activation::Relu)),
             conv(Some(Activation::Relu)),
             conv(Some(Activation::Relu)),
             conv(Some(Activation::Relu)),
             conv(Some(Activation::Tanh)),
-        ];
-        correct(&mut layers, &SyntaxConfig::default());
-        assert!(layers
+        ]);
+        correct_graph(&mut graph, &SyntaxConfig::default());
+        assert!(graph
+            .layers
             .iter()
             .all(|l| l.activation == Some(Activation::Relu)));
 
         // Balanced MLP activations (no 2/3 majority) stay untouched.
-        let mut layers = vec![
+        let before = vec![
             dense(Some(Activation::Relu)),
             dense(Some(Activation::Tanh)),
             dense(Some(Activation::Sigmoid)),
             dense(Some(Activation::Relu)),
             dense(Some(Activation::Tanh)),
         ];
-        let before = layers.clone();
-        correct(&mut layers, &SyntaxConfig::default());
-        assert_eq!(layers, before);
+        let mut graph = RecoveredGraph::linear(before.clone());
+        correct_graph(&mut graph, &SyntaxConfig::default());
+        assert_eq!(graph.layers, before);
     }
 
     #[test]
     fn leading_dense_misclassifications_do_not_delete_the_conv_stack() {
         // Regression: a stray dense prediction ahead of the conv stack used
         // to set `seen_dense` and wipe every conv layer.
-        let mut layers = vec![
+        let mut graph = RecoveredGraph::linear(vec![
             dense(Some(Activation::Relu)), // artifact
             conv(Some(Activation::Relu)),
             conv(Some(Activation::Relu)),
             pool(),
             dense(Some(Activation::Relu)), // the real head
-        ];
-        correct(&mut layers, &SyntaxConfig::default());
-        let kinds: Vec<RecoveredKind> = layers.iter().map(|l| l.kind).collect();
+        ]);
+        correct_graph(&mut graph, &SyntaxConfig::default());
+        let kinds: Vec<RecoveredKind> = graph.layers.iter().map(|l| l.kind).collect();
         assert_eq!(
             kinds,
             vec![
@@ -408,37 +399,24 @@ mod tests {
 
     #[test]
     fn drops_orphan_pools() {
-        let mut layers = vec![
+        let mut graph = RecoveredGraph::linear(vec![
             pool(), // leading pool: artifact
             conv(Some(Activation::Relu)),
             pool(), // legitimate
             dense(Some(Activation::Relu)),
             pool(), // after dense: artifact
-        ];
-        let edits = correct(&mut layers, &SyntaxConfig::default());
+        ]);
+        let edits = correct_graph(&mut graph, &SyntaxConfig::default());
         assert_eq!(edits, 2);
-        assert_eq!(layers.len(), 3);
-        assert_eq!(layers[0].kind, RecoveredKind::Conv);
-        assert_eq!(layers[1].kind, RecoveredKind::Pool);
-        assert_eq!(layers[2].kind, RecoveredKind::Dense);
-    }
-
-    #[test]
-    fn graph_without_skips_is_bitwise_the_chain_corrector() {
-        let layers = vec![
-            dense(Some(Activation::Relu)), // artifact ahead of the stack
-            conv(Some(Activation::Relu)),
-            conv(None),
-            pool(),
-            dense(None),
-        ];
-        let mut chain = layers.clone();
-        let chain_edits = correct(&mut chain, &SyntaxConfig::default());
-        let mut graph = RecoveredGraph::linear(layers);
-        let graph_edits = correct_graph(&mut graph, &SyntaxConfig::default());
-        assert_eq!(graph_edits, chain_edits);
-        assert_eq!(graph.layers, chain);
-        assert!(graph.skips.is_empty());
+        let kinds: Vec<RecoveredKind> = graph.layers.iter().map(|l| l.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                RecoveredKind::Conv,
+                RecoveredKind::Pool,
+                RecoveredKind::Dense
+            ]
+        );
     }
 
     #[test]
@@ -495,9 +473,9 @@ mod tests {
                 dense(Some(Activation::Relu)),
             ]
         };
-        let mut chain = recovered();
-        correct(&mut chain, &SyntaxConfig::default());
-        let chain_score = score_structure(&truth, &chain, Some(Optimizer::Adam));
+        let mut chain = RecoveredGraph::linear(recovered());
+        correct_graph(&mut chain, &SyntaxConfig::default());
+        let chain_score = score_structure(&truth, &chain.layers, Some(Optimizer::Adam));
 
         let mut graph = RecoveredGraph {
             layers: recovered(),
@@ -532,15 +510,15 @@ mod tests {
         assert_eq!(graph.layers.len(), 5, "branch layers are protected");
 
         // Without the skip, the same chain loses its convs.
-        let mut chain = vec![
+        let mut chain = RecoveredGraph::linear(vec![
             dense(Some(Activation::Relu)),
             dense(Some(Activation::Relu)),
             conv(Some(Activation::Relu)),
             conv(Some(Activation::Relu)),
             dense(Some(Activation::Relu)),
-        ];
-        correct(&mut chain, &SyntaxConfig::default());
-        assert_eq!(chain.len(), 3);
+        ]);
+        correct_graph(&mut chain, &SyntaxConfig::default());
+        assert_eq!(chain.layers.len(), 3);
     }
 
     #[test]
@@ -568,10 +546,10 @@ mod tests {
             drop_orphan_pools: false,
             drop_conv_after_dense: false,
         };
-        let mut layers = vec![pool(), conv(None)];
-        let edits = correct(&mut layers, &cfg);
+        let mut graph = RecoveredGraph::linear(vec![pool(), conv(None)]);
+        let edits = correct_graph(&mut graph, &cfg);
         assert_eq!(edits, 0);
-        assert_eq!(layers.len(), 2);
-        assert_eq!(layers[1].activation, None);
+        assert_eq!(graph.layers.len(), 2);
+        assert_eq!(graph.layers[1].activation, None);
     }
 }

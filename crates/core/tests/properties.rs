@@ -1,157 +1,196 @@
 //! Property-based tests for the attack pipeline's pure stages.
 
+use std::fmt::Debug;
+
 use dnn_sim::OpClass;
 use moscons::dataset::{counter_features, filter_valid_iterations, split_on_nop_runs};
-use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_lenient};
+use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_zoo};
 use moscons::report::lcs_pairs;
-use proptest::prelude::*;
+use testkit::gen::{bool_with, choice, f32_in, u64_in, usize_in, vec_of, zip2, Gen};
+use testkit::prop::holds;
+use testkit::Config;
 
-fn class_strategy() -> impl Strategy<Value = OpClass> {
-    prop_oneof![
-        Just(OpClass::Conv),
-        Just(OpClass::MatMul),
-        Just(OpClass::BiasAdd),
-        Just(OpClass::Relu),
-        Just(OpClass::Tanh),
-        Just(OpClass::Sigmoid),
-        Just(OpClass::Pool),
-        Just(OpClass::Optimizer),
-        Just(OpClass::Nop),
-    ]
+/// Runs `prop` over 128 cases — these stages are cheap, so twice the
+/// testkit default — and panics with the replayable report on failure.
+fn check<T: Clone + Debug + 'static>(
+    name: &str,
+    gen: &Gen<T>,
+    prop: impl Fn(&T) -> Result<(), String>,
+) {
+    let cfg = Config {
+        cases: 128,
+        ..Config::from_env()
+    };
+    if let Err(failure) = testkit::check_with(name, &cfg, gen, prop) {
+        panic!("{}", failure.report());
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn classes() -> Gen<Vec<OpClass>> {
+    let class = choice(vec![
+        OpClass::Conv,
+        OpClass::MatMul,
+        OpClass::BiasAdd,
+        OpClass::Relu,
+        OpClass::Tanh,
+        OpClass::Sigmoid,
+        OpClass::Pool,
+        OpClass::Optimizer,
+        OpClass::Nop,
+    ]);
+    vec_of(class, 0, 199)
+}
 
-    #[test]
-    fn split_segments_are_sorted_disjoint_and_busy_bounded(
-        nops in prop::collection::vec(any::<bool>(), 0..300),
-        th in 1usize..8,
-    ) {
-        let segs = split_on_nop_runs(&nops, th);
+#[test]
+fn split_segments_are_sorted_disjoint_and_busy_bounded() {
+    let cases = zip2(vec_of(bool_with(0.5), 0, 299), usize_in(1, 7));
+    check("split_segments", &cases, |(nops, th)| {
+        let segs = split_on_nop_runs(nops, *th);
         let mut prev_end = 0usize;
         for s in &segs {
-            prop_assert!(s.start >= prev_end, "segments overlap or unsorted");
-            prop_assert!(s.end <= nops.len());
-            prop_assert!(s.start < s.end);
+            holds(s.start >= prev_end, "segments overlap or unsorted")?;
+            holds(s.end <= nops.len(), "segment past the end")?;
+            holds(s.start < s.end, "empty segment")?;
             // Segments start and end on busy samples.
-            prop_assert!(!nops[s.start]);
-            prop_assert!(!nops[s.end - 1]);
+            holds(!nops[s.start], "segment starts on a NOP")?;
+            holds(!nops[s.end - 1], "segment ends on a NOP")?;
             // No NOP run of >= th inside a segment.
             let mut run = 0usize;
             for i in s.clone() {
-                if nops[i] { run += 1; prop_assert!(run < th); } else { run = 0; }
+                if nops[i] {
+                    run += 1;
+                    holds(run < *th, "long NOP run inside a segment")?;
+                } else {
+                    run = 0;
+                }
             }
             prev_end = s.end;
         }
-        // Every busy sample outside segments is adjacent to a long NOP run
-        // boundary artifact-free check: total busy samples inside segments
-        // equals total busy samples minus those trimmed at the edges.
-        let busy_in_segments: usize = segs.iter().map(|s| nops[s.clone()].iter().filter(|&&n| !n).count()).sum();
+        // Splitting drops only NOPs: every busy sample lies in a segment.
+        let busy_in_segments: usize = segs
+            .iter()
+            .map(|s| nops[s.clone()].iter().filter(|&&n| !n).count())
+            .sum();
         let busy_total = nops.iter().filter(|&&n| !n).count();
-        prop_assert_eq!(busy_in_segments, busy_total);
-    }
+        holds(
+            busy_in_segments == busy_total,
+            format!("{busy_in_segments} of {busy_total} busy samples in segments"),
+        )
+    });
+}
 
-    #[test]
-    fn filter_keeps_only_banded_segments(
-        lens in prop::collection::vec(1usize..200, 1..20),
-    ) {
-        let mut segs = Vec::new();
-        let mut start = 0usize;
-        for l in &lens {
-            segs.push(start..start + l);
-            start += l;
-        }
-        let kept = filter_valid_iterations(segs.clone(), 0.8, 1.2);
-        let mut sorted: Vec<usize> = lens.clone();
-        sorted.sort_unstable();
-        let median = sorted[sorted.len() / 2] as f64;
-        for s in &kept {
-            let l = s.len() as f64;
-            prop_assert!(l >= 0.8 * median && l <= 1.2 * median);
-        }
-        // Everything in-band is kept.
-        let expected = segs.iter().filter(|s| {
-            let l = s.len() as f64;
-            l >= 0.8 * median && l <= 1.2 * median
-        }).count();
-        prop_assert_eq!(kept.len(), expected);
-    }
+#[test]
+fn filter_keeps_only_banded_segments() {
+    check(
+        "filter_banded_segments",
+        &vec_of(usize_in(1, 199), 1, 19),
+        |lens| {
+            let mut segs = Vec::new();
+            let mut start = 0usize;
+            for l in lens {
+                segs.push(start..start + l);
+                start += l;
+            }
+            let kept = filter_valid_iterations(segs.clone(), 0.8, 1.2);
+            let mut sorted = lens.clone();
+            sorted.sort_unstable();
+            let median = sorted[sorted.len() / 2] as f64;
+            let in_band = |s: &std::ops::Range<usize>| {
+                let l = s.len() as f64;
+                l >= 0.8 * median && l <= 1.2 * median
+            };
+            holds(kept.iter().all(in_band), "kept an out-of-band segment")?;
+            // Everything in-band is kept.
+            let expected = segs.iter().filter(|s| in_band(s)).count();
+            holds(
+                kept.len() == expected,
+                format!("kept {} of {expected} in-band segments", kept.len()),
+            )
+        },
+    );
+}
 
-    #[test]
-    fn collapse_runs_partition_the_busy_samples(
-        classes in prop::collection::vec(class_strategy(), 0..200)
-    ) {
-        let runs = collapse(&classes);
+#[test]
+fn collapse_runs_partition_the_busy_samples() {
+    check("collapse_partition", &classes(), |classes| {
+        let runs = collapse(classes);
         let mut covered = vec![false; classes.len()];
         let mut prev_end: Option<usize> = None;
         for r in &runs {
-            prop_assert!(r.start <= r.end);
-            prop_assert!(r.end < classes.len());
-            prop_assert!(r.class != OpClass::Nop);
+            holds(r.start <= r.end, "inverted run")?;
+            holds(r.end < classes.len(), "run past the end")?;
+            holds(r.class != OpClass::Nop, "NOP run")?;
             if let Some(pe) = prev_end {
-                prop_assert!(r.start > pe, "runs out of order");
+                holds(r.start > pe, "runs out of order")?;
             }
             prev_end = Some(r.end);
             // Run endpoints carry the run's class.
-            prop_assert_eq!(classes[r.start], r.class);
-            prop_assert_eq!(classes[r.end], r.class);
+            holds(
+                classes[r.start] == r.class && classes[r.end] == r.class,
+                "run endpoint of another class",
+            )?;
             covered[r.start..=r.end].fill(true);
         }
         // Every non-NOP sample is inside some run.
-        for (i, &c) in classes.iter().enumerate() {
-            if c != OpClass::Nop {
-                prop_assert!(covered[i], "busy sample {} uncovered", i);
-            }
+        match (0..classes.len()).find(|&i| classes[i] != OpClass::Nop && !covered[i]) {
+            Some(i) => Err(format!("busy sample {i} uncovered")),
+            None => Ok(()),
         }
-    }
+    });
+}
 
-    #[test]
-    fn forward_boundary_is_a_valid_index_and_parse_is_sane(
-        classes in prop::collection::vec(class_strategy(), 0..200)
-    ) {
-        let boundary = forward_boundary(&classes);
-        prop_assert!(boundary <= classes.len());
-        let runs = collapse(&classes);
-        let layers = parse_forward_layers_lenient(&runs, boundary);
+#[test]
+fn forward_boundary_is_a_valid_index_and_parse_is_sane() {
+    check("boundary_and_parse", &classes(), |classes| {
+        let boundary = forward_boundary(classes);
+        holds(boundary <= classes.len(), "boundary past the end")?;
+        let runs = collapse(classes);
+        let layers = parse_forward_layers_zoo(&runs, boundary).layers;
         // Layers never exceed the run count and their sample anchors are
         // within the boundary region (anchors may trail into the last run).
-        prop_assert!(layers.len() <= runs.len());
-        for l in &layers {
-            prop_assert!(l.last_sample < classes.len().max(1));
-        }
-    }
+        holds(layers.len() <= runs.len(), "more layers than runs")?;
+        holds(
+            layers.iter().all(|l| l.last_sample < classes.len().max(1)),
+            "layer anchor past the end",
+        )
+    });
+}
 
-    #[test]
-    fn lcs_is_symmetric_in_length_and_bounded(
-        a in prop::collection::vec(0u8..4, 0..40),
-        b in prop::collection::vec(0u8..4, 0..40),
-    ) {
-        let ab = lcs_pairs(&a, &b, |x, y| x == y);
-        let ba = lcs_pairs(&b, &a, |x, y| x == y);
-        prop_assert_eq!(ab.len(), ba.len());
-        prop_assert!(ab.len() <= a.len().min(b.len()));
+#[test]
+fn lcs_is_symmetric_in_length_and_bounded() {
+    let seq = || vec_of(u64_in(0, 3), 0, 39);
+    check("lcs_symmetric", &zip2(seq(), seq()), |(a, b)| {
+        let ab = lcs_pairs(a, b, |x, y| x == y);
+        let ba = lcs_pairs(b, a, |x, y| x == y);
+        holds(ab.len() == ba.len(), "asymmetric LCS length")?;
+        holds(ab.len() <= a.len().min(b.len()), "LCS longer than an input")?;
         // Pairs are strictly increasing in both coordinates and match.
-        for w in ab.windows(2) {
-            prop_assert!(w[1].0 > w[0].0 && w[1].1 > w[0].1);
-        }
-        for (i, j) in ab {
-            prop_assert_eq!(a[i], b[j]);
-        }
-    }
+        holds(
+            ab.windows(2).all(|w| w[1].0 > w[0].0 && w[1].1 > w[0].1),
+            "pairs not strictly increasing",
+        )?;
+        holds(ab.iter().all(|&(i, j)| a[i] == b[j]), "mismatched pair")
+    });
+}
 
-    #[test]
-    fn counter_features_are_finite_and_width_stable(
-        raw in prop::collection::vec(0f32..1e9, 10)
-    ) {
-        let f = counter_features(&raw);
-        prop_assert_eq!(f.len(), moscons::dataset::FEATURE_WIDTH);
-        prop_assert!(f.iter().all(|v| v.is_finite()));
-        // Log features are monotone in the raw counters.
-        let mut bigger = raw.clone();
-        bigger[2] *= 2.0;
-        bigger[2] += 1.0;
-        let f2 = counter_features(&bigger);
-        prop_assert!(f2[2] > f[2]);
-    }
+#[test]
+fn counter_features_are_finite_and_width_stable() {
+    check(
+        "counter_features",
+        &vec_of(f32_in(0.0, 1e9), 10, 10),
+        |raw| {
+            let f = counter_features(raw);
+            holds(
+                f.len() == moscons::dataset::FEATURE_WIDTH,
+                "feature width changed",
+            )?;
+            holds(f.iter().all(|v| v.is_finite()), "non-finite feature")?;
+            // Log features are monotone in the raw counters.
+            let mut bigger = raw.clone();
+            bigger[2] *= 2.0;
+            bigger[2] += 1.0;
+            let f2 = counter_features(&bigger);
+            holds(f2[2] > f[2], "log feature not monotone")
+        },
+    );
 }

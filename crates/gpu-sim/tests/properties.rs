@@ -2,129 +2,138 @@
 
 use gpu_sim::cache::{InsertKind, OccupancyL2, SetAssocCache};
 use gpu_sim::{Gpu, GpuConfig, KernelDesc, KernelFootprint, SchedulerMode};
-use proptest::prelude::*;
+use testkit::gen::{bool_with, f64_in, u64_in, usize_in, vec_of, zip3, zip4};
+use testkit::prop::holds;
 
-#[derive(Debug, Clone)]
-enum CacheOp {
-    Insert { ctx: usize, kind: u8, bytes: f64 },
-    Drain { ctx: usize, bytes: f64 },
-}
-
-fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
-    prop::collection::vec(
-        prop_oneof![
-            (0usize..3, 0u8..3, 0.0f64..2e6).prop_map(|(ctx, kind, bytes)| CacheOp::Insert {
-                ctx,
-                kind,
-                bytes
-            }),
-            (0usize..3, 0.0f64..2e6).prop_map(|(ctx, bytes)| CacheOp::Drain { ctx, bytes }),
-        ],
-        1..60,
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn occupancy_model_invariants_hold_under_any_op_sequence(ops in cache_ops()) {
+#[test]
+fn occupancy_model_invariants_hold_under_any_op_sequence() {
+    // One op per tuple `(drain, ctx, kind, bytes)`: a drain of `bytes` from
+    // `ctx` when `drain` is set, otherwise an insert of the given kind.
+    let op = zip4(
+        bool_with(0.5),
+        usize_in(0, 2),
+        usize_in(0, 2),
+        f64_in(0.0, 2e6),
+    );
+    testkit::check("occupancy_invariants", &vec_of(op, 1, 59), |ops| {
         let capacity = 1_000_000.0;
         let mut l2 = OccupancyL2::new(capacity);
         for _ in 0..3 {
             l2.add_context();
         }
-        for op in ops {
-            match op {
-                CacheOp::Insert { ctx, kind, bytes } => {
-                    let kind = match kind {
-                        0 => InsertKind::GlobalClean,
-                        1 => InsertKind::GlobalDirty,
-                        _ => InsertKind::Tex,
-                    };
-                    let report = l2.insert(ctx, kind, bytes);
-                    // Evicted dirty bytes are non-negative and bounded.
-                    for (_, b) in &report.dirty_evicted {
-                        prop_assert!(*b >= 0.0 && *b <= capacity + 1.0);
-                    }
-                }
-                CacheOp::Drain { ctx, bytes } => {
-                    let drained = l2.drain_dirty(ctx, bytes);
-                    prop_assert!(drained >= 0.0 && drained <= bytes + 1e-6);
-                }
+        for &(drain, ctx, kind, bytes) in ops {
+            if drain {
+                let drained = l2.drain_dirty(ctx, bytes);
+                holds(
+                    drained >= 0.0 && drained <= bytes + 1e-6,
+                    format!("drained {drained} of {bytes}"),
+                )?;
+            } else {
+                let kind = match kind {
+                    0 => InsertKind::GlobalClean,
+                    1 => InsertKind::GlobalDirty,
+                    _ => InsertKind::Tex,
+                };
+                let report = l2.insert(ctx, kind, bytes);
+                // Evicted dirty bytes are non-negative and bounded.
+                holds(
+                    report
+                        .dirty_evicted
+                        .iter()
+                        .all(|&(_, b)| b >= 0.0 && b <= capacity + 1.0),
+                    "dirty eviction out of bounds",
+                )?;
             }
             // Global invariants after every step.
-            prop_assert!(l2.total() <= capacity * (1.0 + 1e-9), "over capacity: {}", l2.total());
+            holds(
+                l2.total() <= capacity * (1.0 + 1e-9),
+                format!("over capacity: {}", l2.total()),
+            )?;
             for c in 0..3 {
                 let occ = l2.occupancy(c);
-                prop_assert!(occ.global_clean >= -1e-6);
-                prop_assert!(occ.global_dirty >= -1e-6);
-                prop_assert!(occ.tex >= -1e-6);
+                holds(
+                    occ.global_clean >= -1e-6 && occ.global_dirty >= -1e-6 && occ.tex >= -1e-6,
+                    format!("negative occupancy in context {c}"),
+                )?;
             }
         }
-    }
+        Ok(())
+    });
+}
 
-    #[test]
-    fn set_assoc_cache_never_exceeds_capacity(
-        addrs in prop::collection::vec((0u16..3, 0u64..1_000_000, any::<bool>()), 1..400)
-    ) {
+#[test]
+fn set_assoc_cache_never_exceeds_capacity() {
+    let access = zip3(usize_in(0, 2), u64_in(0, 999_999), bool_with(0.5));
+    testkit::check("set_assoc_capacity", &vec_of(access, 1, 399), |accesses| {
         let mut cache = SetAssocCache::new(64, 4, 32);
         let max_sectors = 64 * 4;
-        for (owner, addr, write) in addrs {
-            cache.access(owner, addr, write);
+        for &(owner, addr, write) in accesses {
+            cache.access(owner as u16, addr, write);
             let resident: usize = (0..3).map(|o| cache.resident_sectors(o)).sum();
-            prop_assert!(resident <= max_sectors);
+            holds(
+                resident <= max_sectors,
+                format!("{resident} sectors resident"),
+            )?;
         }
         let (hits, misses, writebacks) = cache.stats();
-        prop_assert!(writebacks <= misses);
-        prop_assert!(hits + misses > 0);
-    }
+        holds(writebacks <= misses, "more writebacks than misses")?;
+        holds(hits + misses > 0, "no accesses counted")
+    });
+}
 
-    #[test]
-    fn engine_time_is_monotone_and_kernels_complete(
-        work_us in 100.0f64..5_000.0,
-        n_kernels in 1usize..6,
-        seed in 0u64..500,
-    ) {
-        let mut cfg = GpuConfig::gtx_1080_ti().with_seed(seed);
-        cfg.counter_noise = 0.02;
-        let mut gpu = Gpu::new(cfg.clone(), SchedulerMode::TimeSliced);
-        let ctx = gpu.add_context("v");
-        for i in 0..n_kernels {
-            let fp = KernelFootprint {
-                flops: cfg.compute_throughput * work_us,
-                read_bytes: 1e5,
-                write_bytes: 1e4,
-                tex_read_bytes: 0.0,
-                working_set: 1e5,
-                tex_working_set: 0.0,
-            };
-            gpu.enqueue(ctx, KernelDesc::new(format!("k{}", i), 56, 1024, fp));
-        }
-        let mut last = gpu.now_us();
-        for _ in 0..200 {
-            gpu.run_for(1_000.0);
-            prop_assert!(gpu.now_us() >= last);
-            last = gpu.now_us();
-            if !gpu.has_pending_work() {
-                break;
+#[test]
+fn engine_time_is_monotone_and_kernels_complete() {
+    let cases = zip3(f64_in(100.0, 5_000.0), usize_in(1, 5), u64_in(0, 499));
+    testkit::check(
+        "engine_monotone_time",
+        &cases,
+        |&(work_us, n_kernels, seed)| {
+            let mut cfg = GpuConfig::gtx_1080_ti().with_seed(seed);
+            cfg.counter_noise = 0.02;
+            let mut gpu = Gpu::new(cfg.clone(), SchedulerMode::TimeSliced);
+            let ctx = gpu.add_context("v");
+            for i in 0..n_kernels {
+                let fp = KernelFootprint {
+                    flops: cfg.compute_throughput * work_us,
+                    read_bytes: 1e5,
+                    write_bytes: 1e4,
+                    tex_read_bytes: 0.0,
+                    working_set: 1e5,
+                    tex_working_set: 0.0,
+                };
+                gpu.enqueue(ctx, KernelDesc::new(format!("k{}", i), 56, 1024, fp));
             }
-        }
-        gpu.run_until_queues_drain();
-        // All kernels completed exactly once, in order.
-        prop_assert_eq!(gpu.kernels_completed(ctx), n_kernels as u64);
-        let log = gpu.kernel_log();
-        prop_assert_eq!(log.len(), n_kernels);
-        for w in log.windows(2) {
-            prop_assert!(w[1].start_us >= w[0].end_us - 1e-6, "kernels overlap on one stream");
-        }
-        // Counters are non-negative.
-        let c = gpu.context_counters(ctx);
-        prop_assert!(c.as_array().iter().all(|&v| v >= 0.0));
-    }
+            let mut last = gpu.now_us();
+            for _ in 0..200 {
+                gpu.run_for(1_000.0);
+                holds(gpu.now_us() >= last, "simulated time went backwards")?;
+                last = gpu.now_us();
+                if !gpu.has_pending_work() {
+                    break;
+                }
+            }
+            gpu.run_until_queues_drain();
+            // All kernels completed exactly once, in order.
+            holds(
+                gpu.kernels_completed(ctx) == n_kernels as u64,
+                "kernel completion count",
+            )?;
+            let log = gpu.kernel_log();
+            holds(log.len() == n_kernels, "kernel log length")?;
+            holds(
+                log.windows(2).all(|w| w[1].start_us >= w[0].end_us - 1e-6),
+                "kernels overlap on one stream",
+            )?;
+            // Counters are non-negative.
+            let c = gpu.context_counters(ctx);
+            holds(c.as_array().iter().all(|&v| v >= 0.0), "negative counter")
+        },
+    );
+}
 
-    #[test]
-    fn counter_slices_are_well_formed(seed in 0u64..200) {
+#[test]
+fn counter_slices_are_well_formed() {
+    testkit::check("counter_slices", &u64_in(0, 199), |&seed| {
         let cfg = GpuConfig::gtx_1080_ti().with_seed(seed);
         let mut gpu = Gpu::new(cfg.clone(), SchedulerMode::TimeSliced);
         let a = gpu.add_context("a");
@@ -143,11 +152,18 @@ proptest! {
         gpu.run_for(20_000.0);
         let mut last_end = 0.0f64;
         for s in gpu.counter_trace() {
-            prop_assert_eq!(s.ctx.index(), b.index());
-            prop_assert!(s.end_us >= s.start_us);
-            prop_assert!(s.start_us >= last_end - 1e-6, "slices out of order");
+            holds(
+                s.ctx.index() == b.index(),
+                "slice of an unmonitored context",
+            )?;
+            holds(s.end_us >= s.start_us, "inverted slice")?;
+            holds(s.start_us >= last_end - 1e-6, "slices out of order")?;
             last_end = s.end_us;
-            prop_assert!(s.delta.as_array().iter().all(|&v| v >= 0.0));
+            holds(
+                s.delta.as_array().iter().all(|&v| v >= 0.0),
+                "negative counter delta",
+            )?;
         }
-    }
+        Ok(())
+    });
 }

@@ -960,19 +960,25 @@ mod tests {
 
     #[test]
     fn fused_paths_match_naive_bitwise() {
+        // The worker count is part of the input: the fused paths promise
+        // the naive bit patterns at every pool size.
+        let cases = testkit::gen::zip2(lstm_shape(), testkit::gen::usize_in(1, 4));
         testkit::check(
             "lstm_fused_vs_naive",
-            &lstm_shape(),
-            |&(in_dim, hidden, t_len)| {
+            &cases,
+            |&((in_dim, hidden, t_len), threads)| {
                 let mut rng = shape_rng(99, (in_dim, hidden, t_len));
                 let layer = LstmLayer::new(in_dim, hidden, &mut rng);
                 let xs = Matrix::uniform(t_len, in_dim, 1.0, &mut rng);
-                let fused = layer.forward(&xs);
+                let dh = Matrix::uniform(t_len, hidden, 1.0, &mut rng);
+                let (fused, (gf, dxf)) = crate::par::with_threads(threads, || {
+                    let fused = layer.forward(&xs);
+                    let grads = layer.backward(&fused, &dh);
+                    (fused, grads)
+                });
                 let naive = layer.forward_naive(&xs);
                 testkit::prop::holds(fused.h == naive.h, "forward h differs")?;
                 testkit::prop::holds(fused.c == naive.c, "forward c differs")?;
-                let dh = Matrix::uniform(t_len, hidden, 1.0, &mut rng);
-                let (gf, dxf) = layer.backward(&fused, &dh);
                 let (gn, dxn) = layer.backward_naive(&naive, &dh);
                 testkit::prop::holds(gf.wx == gn.wx, "wx grads differ")?;
                 testkit::prop::holds(gf.wh == gn.wh, "wh grads differ")?;

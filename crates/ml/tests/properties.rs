@@ -1,197 +1,159 @@
 //! Property-based tests for the ML substrate's core invariants.
+//!
+//! The bitwise fast-path-vs-naive GEMM and LSTM properties live beside the
+//! kernels, in `matrix.rs` and `lstm.rs`.
 
 use ml::activation::{argmax, softmax};
 use ml::gbdt::{GbdtBinaryClassifier, GbdtConfig};
 use ml::loss::{inverse_frequency_weights, softmax_cross_entropy};
-use ml::lstm::LstmLayer;
 use ml::matrix::Matrix;
 use ml::scale::MinMaxScaler;
 use ml::tree::BinMapper;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use testkit::gen::{f32_in, u64_in, usize_in, vec_of, zip2, zip3, Gen};
+use testkit::prop::holds;
 
-fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
-    prop::collection::vec(-1e4f32..1e4, len)
+fn finite_vec(len: usize) -> Gen<Vec<f32>> {
+    vec_of(f32_in(-1e4, 1e4), len, len)
 }
 
-/// Builds an `r x c` matrix with entries drawn from the given RNG.
-fn random_matrix(r: usize, c: usize, rng: &mut StdRng) -> Matrix {
-    let data: Vec<f32> = (0..r * c).map(|_| rng.gen_range(-2.0..2.0)).collect();
-    let rows: Vec<&[f32]> = data.chunks(c).collect();
-    Matrix::from_rows(&rows)
+#[test]
+fn softmax_is_a_distribution() {
+    testkit::check(
+        "softmax_distribution",
+        &vec_of(f32_in(-50.0, 50.0), 1, 15),
+        |logits| {
+            let p = softmax(logits);
+            let sum: f32 = p.iter().sum();
+            holds((sum - 1.0).abs() < 1e-4, format!("sum {sum}"))?;
+            holds(
+                p.iter().all(|&v| (0.0..=1.0).contains(&v)),
+                "probability out of [0, 1]",
+            )?;
+            // argmax of probabilities equals argmax of logits.
+            holds(argmax(&p) == argmax(logits), "argmax moved")
+        },
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn softmax_is_a_distribution(logits in prop::collection::vec(-50f32..50.0, 1..16)) {
-        let p = softmax(&logits);
-        let sum: f32 = p.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-4);
-        prop_assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        // argmax of probabilities equals argmax of logits.
-        prop_assert_eq!(argmax(&p), argmax(&logits));
-    }
-
-    #[test]
-    fn cross_entropy_gradient_sums_to_zero(
-        logits in prop::collection::vec(-10f32..10.0, 2..8),
-        target_raw in 0usize..8,
-    ) {
+#[test]
+fn cross_entropy_gradient_sums_to_zero() {
+    let cases = zip2(vec_of(f32_in(-10.0, 10.0), 2, 7), usize_in(0, 7));
+    testkit::check("ce_gradient_sum", &cases, |(logits, target_raw)| {
         let target = target_raw % logits.len();
         let w = vec![1.0; logits.len()];
-        let eval = softmax_cross_entropy(&logits, target, &w, false);
+        let eval = softmax_cross_entropy(logits, target, &w, false);
         let g: f32 = eval.dlogits.iter().sum();
         // Softmax CE gradient components always sum to zero.
-        prop_assert!(g.abs() < 1e-4, "gradient sum {}", g);
-        prop_assert!(eval.loss >= 0.0);
-    }
+        holds(g.abs() < 1e-4, format!("gradient sum {g}"))?;
+        holds(eval.loss >= 0.0, "negative loss")
+    });
+}
 
-    #[test]
-    fn inverse_frequency_weights_are_positive_and_mean_one(
-        labels in prop::collection::vec(0usize..5, 1..200)
-    ) {
-        let w = inverse_frequency_weights(labels.iter().copied(), 5);
-        prop_assert_eq!(w.len(), 5);
-        prop_assert!(w.iter().all(|&x| x > 0.0 && x.is_finite()));
-        let mean: f32 = w.iter().sum::<f32>() / 5.0;
-        prop_assert!((mean - 1.0).abs() < 1e-3);
-    }
+#[test]
+fn inverse_frequency_weights_are_positive_and_mean_one() {
+    testkit::check(
+        "inverse_frequency_weights",
+        &vec_of(usize_in(0, 4), 1, 199),
+        |labels| {
+            let w = inverse_frequency_weights(labels.iter().copied(), 5);
+            holds(w.len() == 5, "weight count")?;
+            holds(
+                w.iter().all(|&x| x > 0.0 && x.is_finite()),
+                "non-positive weight",
+            )?;
+            let mean: f32 = w.iter().sum::<f32>() / 5.0;
+            holds((mean - 1.0).abs() < 1e-3, format!("mean {mean}"))
+        },
+    );
+}
 
-    #[test]
-    fn matmul_distributes_over_addition(
-        a_data in finite_vec(6),
-        b_data in finite_vec(6),
-        c_data in finite_vec(6),
-    ) {
+#[test]
+fn matmul_distributes_over_addition() {
+    let cases = zip3(finite_vec(6), finite_vec(6), finite_vec(6));
+    testkit::check("matmul_distributes", &cases, |(a_data, b_data, c_data)| {
         let a = Matrix::from_rows(&[&a_data[..3], &a_data[3..]]);
         let b = Matrix::from_rows(&[&b_data[..2], &b_data[2..4], &b_data[4..]]);
         let c = Matrix::from_rows(&[&c_data[..2], &c_data[2..4], &c_data[4..]]);
         // a * (b + c) == a*b + a*c (within fp tolerance).
         let lhs = a.matmul(&b.add(&c));
         let rhs = a.matmul(&b).add(&a.matmul(&c));
-        for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
-            prop_assert!((x - y).abs() <= 1e-2 * (1.0 + x.abs().max(y.abs())));
-        }
-    }
+        holds(
+            lhs.as_slice()
+                .iter()
+                .zip(rhs.as_slice())
+                .all(|(x, y)| (x - y).abs() <= 1e-2 * (1.0 + x.abs().max(y.abs()))),
+            "a(b + c) != ab + ac",
+        )
+    });
+}
 
-    #[test]
-    fn transpose_is_involutive(data in finite_vec(12)) {
+#[test]
+fn transpose_is_involutive() {
+    testkit::check("transpose_involutive", &finite_vec(12), |data| {
         let m = Matrix::from_rows(&[&data[..4], &data[4..8], &data[8..]]);
-        let tt = m.transposed().transposed();
-        prop_assert_eq!(m, tt);
-    }
+        holds(
+            m.transposed().transposed() == m,
+            "transpose twice changed m",
+        )
+    });
+}
 
-    #[test]
-    fn minmax_scaler_output_is_unit_bounded(
-        rows in prop::collection::vec(prop::collection::vec(-1e6f32..1e6, 4), 1..40),
-        probe in prop::collection::vec(-2e6f32..2e6, 4),
-    ) {
-        let s = MinMaxScaler::fit(&rows);
-        for r in &rows {
-            let t = s.transform_row(r);
-            prop_assert!(t.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        }
+#[test]
+fn minmax_scaler_output_is_unit_bounded() {
+    let cases = zip2(
+        vec_of(vec_of(f32_in(-1e6, 1e6), 4, 4), 1, 39),
+        vec_of(f32_in(-2e6, 2e6), 4, 4),
+    );
+    testkit::check("minmax_unit_bounded", &cases, |(rows, probe)| {
+        let s = MinMaxScaler::fit(rows);
+        let unit = |t: Vec<f32>| t.iter().all(|&v| (0.0..=1.0).contains(&v));
+        holds(
+            rows.iter().all(|r| unit(s.transform_row(r))),
+            "fitted row escaped [0, 1]",
+        )?;
         // Out-of-range probes clamp, never escape [0, 1].
-        let t = s.transform_row(&probe);
-        prop_assert!(t.iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
+        holds(unit(s.transform_row(probe)), "probe escaped [0, 1]")
+    });
+}
 
-    #[test]
-    fn bin_mapper_is_monotone_for_any_data(
-        mut vals in prop::collection::vec(-1e5f32..1e5, 2..200)
-    ) {
-        let rows: Vec<Vec<f32>> = vals.iter().map(|&v| vec![v]).collect();
-        let mapper = BinMapper::fit(&rows, 32);
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut prev = 0u16;
-        for v in vals {
-            let b = mapper.bin_value(0, v);
-            prop_assert!(b >= prev);
-            prev = b;
-        }
-    }
+#[test]
+fn bin_mapper_is_monotone_for_any_data() {
+    testkit::check(
+        "bin_mapper_monotone",
+        &vec_of(f32_in(-1e5, 1e5), 2, 199),
+        |vals| {
+            let rows: Vec<Vec<f32>> = vals.iter().map(|&v| vec![v]).collect();
+            let mapper = BinMapper::fit(&rows, 32);
+            let mut sorted = vals.clone();
+            sorted.sort_by(f32::total_cmp);
+            let bins: Vec<u16> = sorted.iter().map(|&v| mapper.bin_value(0, v)).collect();
+            holds(bins.windows(2).all(|w| w[0] <= w[1]), "bins not monotone")
+        },
+    );
+}
 
-    #[test]
-    fn gbdt_probabilities_are_probabilities(
-        seed in 0u64..1000,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let rows: Vec<Vec<f32>> = (0..60).map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]).collect();
+#[test]
+fn gbdt_probabilities_are_probabilities() {
+    testkit::check("gbdt_probabilities", &u64_in(0, 999), |&seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f32>> = (0..60)
+            .map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)])
+            .collect();
         let labels: Vec<bool> = rows.iter().map(|r| r[0] > 0.0).collect();
         if labels.iter().all(|&l| l) || labels.iter().all(|&l| !l) {
             return Ok(()); // degenerate single-class draw
         }
-        let cfg = GbdtConfig { rounds: 5, ..GbdtConfig::default() };
+        let cfg = GbdtConfig {
+            rounds: 5,
+            ..GbdtConfig::default()
+        };
         let model = GbdtBinaryClassifier::fit(&rows, &labels, &cfg);
         for r in &rows {
             let p = model.predict_proba(r);
-            prop_assert!((0.0..=1.0).contains(&p), "p = {}", p);
+            holds((0.0..=1.0).contains(&p), format!("p = {p}"))?;
         }
-    }
-
-    // The fast GEMM paths promise *bitwise* equality with their reference
-    // implementations, independent of worker-pool size — exact `==` on the
-    // raw f32 buffers, no tolerance.
-
-    #[test]
-    fn blocked_matmul_is_bitwise_equal_to_naive(
-        seed in 0u64..1000,
-        m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
-        threads in 1usize..5,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_matrix(m, k, &mut rng);
-        let b = random_matrix(k, n, &mut rng);
-        let fast = ml::par::with_threads(threads, || a.matmul(&b));
-        prop_assert_eq!(fast, a.matmul_naive(&b));
-    }
-
-    #[test]
-    fn blocked_t_matmul_is_bitwise_equal_to_naive(
-        seed in 0u64..1000,
-        m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
-        threads in 1usize..5,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = random_matrix(k, m, &mut rng);
-        let b = random_matrix(k, n, &mut rng);
-        let fast = ml::par::with_threads(threads, || a.t_matmul(&b));
-        prop_assert_eq!(fast, a.t_matmul_naive(&b));
-    }
-
-    #[test]
-    fn fused_lstm_step_is_bitwise_equal_to_naive(
-        seed in 0u64..500,
-        t_len in 1usize..16,
-        input in 1usize..8,
-        hidden in 1usize..8,
-        threads in 1usize..5,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let layer = LstmLayer::new(input, hidden, &mut rng);
-        let xs = random_matrix(t_len, input, &mut rng);
-        let dh = random_matrix(t_len, hidden, &mut rng);
-
-        let (cache, grads, dx) = ml::par::with_threads(threads, || {
-            let cache = layer.forward(&xs);
-            let (grads, dx) = layer.backward(&cache, &dh);
-            (cache, grads, dx)
-        });
-        let ref_cache = layer.forward_naive(&xs);
-        let (ref_grads, ref_dx) = layer.backward_naive(&ref_cache, &dh);
-
-        prop_assert_eq!(cache.h, ref_cache.h);
-        prop_assert_eq!(grads.wx, ref_grads.wx);
-        prop_assert_eq!(grads.wh, ref_grads.wh);
-        prop_assert_eq!(grads.b, ref_grads.b);
-        prop_assert_eq!(dx, ref_dx);
-    }
+        Ok(())
+    });
 }
