@@ -27,7 +27,6 @@ use gpu_sim::FaultPlan;
 use moscons::report::{overall_op_accuracy, score_structure};
 use moscons::LabeledTrace;
 use serde::Serialize;
-use serde_json::Value;
 
 /// Composite fault rates swept, in increasing hostility. `0.0` is the clean
 /// baseline; `FaultPlan::uniform` splits each rate across the individual
@@ -261,27 +260,14 @@ fn main() {
         );
     }
 
-    // Merge into BENCH_pipeline.json without clobbering pipeline_perf's
-    // sections.
     let path = "BENCH_pipeline.json";
-    let mut fields = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-    {
-        Some(Value::Object(fields)) => fields,
-        _ => Vec::new(),
-    };
-    fields.retain(|(k, _)| k != "fault_curve" && k != "fault_curve_families");
-    fields.push((
-        "fault_curve".to_string(),
-        serde_json::to_value(&curve).expect("curve serializes"),
-    ));
-    fields.push((
-        "fault_curve_families".to_string(),
-        serde_json::to_value(&family_curve).expect("family curve serializes"),
-    ));
-    let json = serde_json::to_string_pretty(&Value::Object(fields)).expect("bench serializes");
-    std::fs::write(path, json).expect("write BENCH_pipeline.json");
+    bench::merge_bench_json(
+        path,
+        &[
+            ("fault_curve", &curve),
+            ("fault_curve_families", &family_curve),
+        ],
+    );
     println!(
         "fault_curve ({} points) + fault_curve_families ({} points) -> {path}",
         curve.len(),

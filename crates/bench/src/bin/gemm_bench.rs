@@ -22,7 +22,6 @@ use std::time::Instant;
 
 use ml::matrix::Matrix;
 use serde::Serialize;
-use serde_json::Value;
 
 /// Bench GEMM shape, chosen to look like the packed LSTM input projection
 /// at smoke scale: (T*B) rows × input width, times input width × 4H.
@@ -166,26 +165,7 @@ fn main() {
         packing.per_seq_secs_per_epoch, packing.packed_secs_per_epoch, packing.speedup
     );
 
-    // Merge into BENCH_pipeline.json without clobbering the other bench
-    // binaries' sections.
     let path = "BENCH_pipeline.json";
-    let mut fields = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-    {
-        Some(Value::Object(fields)) => fields,
-        _ => Vec::new(),
-    };
-    fields.retain(|(k, _)| k != "gemm" && k != "lstm_packing");
-    fields.push((
-        "gemm".to_string(),
-        serde_json::to_value(&gemm).expect("gemm serializes"),
-    ));
-    fields.push((
-        "lstm_packing".to_string(),
-        serde_json::to_value(&packing).expect("packing serializes"),
-    ));
-    let json = serde_json::to_string_pretty(&Value::Object(fields)).expect("bench serializes");
-    std::fs::write(path, json).expect("write BENCH_pipeline.json");
+    bench::merge_bench_json(path, &[("gemm", &gemm), ("lstm_packing", &packing)]);
     println!("gemm + lstm_packing -> {path}");
 }

@@ -1,5 +1,6 @@
 //! Pipeline performance bench: times each attack stage under a 1-worker and
-//! an N-worker pool and writes `BENCH_pipeline.json`.
+//! an N-worker pool and merges its top-level fields into
+//! `BENCH_pipeline.json`, keeping the other bench binaries' sections.
 //!
 //! Because the execution engine is deterministic (see `ml::par`), the two
 //! configurations produce bitwise-identical models and extractions — this
@@ -18,6 +19,7 @@ use moscons::attack::{AttackConfig, Moscons};
 use moscons::trace::collect_trace;
 use moscons::LabeledTrace;
 use serde::Serialize;
+use serde_json::Value;
 
 #[derive(Serialize)]
 struct StageTiming {
@@ -223,8 +225,14 @@ fn main() {
         cache_speedup: cache_cold / cache_warm,
         lstm_secs_per_epoch,
     };
-    let json = serde_json::to_string_pretty(&bench).expect("bench serializes");
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
+    let Value::Object(fields) = serde_json::to_value(&bench).expect("bench serializes") else {
+        unreachable!("a struct serializes to a JSON object")
+    };
+    let sections: Vec<(&str, &dyn Serialize)> = fields
+        .iter()
+        .map(|(name, value)| (name.as_str(), value as &dyn Serialize))
+        .collect();
+    bench::merge_bench_json("BENCH_pipeline.json", &sections);
     println!(
         "total: 1-thread {:.3}s, {}-thread {:.3}s ({:.2}x) -> BENCH_pipeline.json",
         total_1,

@@ -1,51 +1,40 @@
-//! Worker-pool dispatch bench: persistent pool vs scoped-spawn fallback.
+//! Worker-pool dispatch bench.
 //!
-//! The `ml::par` backends are bitwise identical (asserted here before any
-//! timing is trusted); what differs is the cost of *starting* a parallel
-//! region. The scoped path pays a fresh `thread::scope` spawn per worker
-//! per call; the pool pays an enqueue + condvar wake against resident
-//! workers. This bench measures that per-dispatch overhead directly — a
-//! tiny fixed-work `par_map` repeated many times, so per-item work is noise
-//! and the dispatch machinery dominates — plus the small-work `par_map`
-//! dispatch rate the retuned `MIN_PARALLEL_*` thresholds are calibrated
+//! Results of `ml::par` are bitwise identical at any worker count (asserted
+//! here before any timing is trusted); what a parallel region adds is the
+//! cost of *starting* it: an enqueue + condvar wake against the resident
+//! pool workers. This bench measures that per-dispatch overhead directly —
+//! a tiny fixed-work `par_map` repeated many times, so per-item work is
+//! noise and the dispatch machinery dominates — plus the small-work
+//! `par_map` dispatch rate the `MIN_PARALLEL_*` thresholds are calibrated
 //! against (`ml::par::thresholds` documents the numbers).
 //!
 //! Merges a `pool` section into `BENCH_pipeline.json` without touching the
-//! other binaries' sections. CI gates `dispatch_speedup_vs_scoped >= 1`;
-//! the measured ratio on the tuning box was well above the 5x the
-//! threshold retune assumes (see DESIGN.md §15).
+//! other binaries' sections. CI gates `pool_dispatch_us < 50`, below every
+//! recorded per-call scoped-spawn dispatch (85–122 us, DESIGN.md §15).
 //!
 //! Run: `cargo run -p bench --release --bin pool_bench`
-//! (honours `LEAKY_DNN_THREADS`; the worker count is forced to 4 via
-//! `ml::par::with_threads` so the parallel backends engage even on a
-//! single-core CI box).
+//! (the worker count is forced to 4 via `ml::par::with_threads` so the pool
+//! engages even on a single-core CI box).
 
 use std::time::Instant;
 
 use serde::Serialize;
-use serde_json::Value;
 
 #[derive(Serialize)]
 struct PoolBench {
     /// Worker count forced for every measurement.
     workers: usize,
-    /// Dispatches timed per backend for the overhead numbers.
+    /// Dispatches timed for the overhead numbers.
     dispatches: usize,
-    /// Mean microseconds per tiny-work `par_map` dispatch, scoped backend.
-    scoped_dispatch_us: f64,
-    /// Mean microseconds per tiny-work `par_map` dispatch, pool backend.
+    /// Mean microseconds per tiny-work `par_map` dispatch — CI gates `< 50`.
     pool_dispatch_us: f64,
-    /// `scoped_dispatch_us / pool_dispatch_us` — CI gates `>= 1`, the
-    /// threshold retune assumes `>= 5`.
-    dispatch_speedup_vs_scoped: f64,
     /// Items per small-work dispatch in the throughput measurement.
     small_work_items: usize,
     /// Small-work `par_map` dispatches per second through the pool.
     small_work_dispatches_per_sec: f64,
     /// Mean microseconds per `join` through the pool.
     join_pool_us: f64,
-    /// Mean microseconds per `join` on the scoped backend.
-    join_scoped_us: f64,
 }
 
 /// Mean seconds per iteration of `f` over `iters` runs.
@@ -63,92 +52,41 @@ fn main() {
     let small: Vec<f32> = (0..64).map(|i| i as f32 * 0.31).collect();
     let tiny_map = |items: &[f32]| ml::par::par_map(items, |i, &x| x.mul_add(1.0009, i as f32));
 
-    // Backend equality first: timing a divergent backend would be
+    // Pool-vs-serial equality first: timing a divergent dispatch would be
     // meaningless. Also warms the pool (first dispatch spawns workers) so
     // lazy-init cost stays out of the steady-state numbers.
-    let pooled = ml::par::with_threads(WORKERS, || ml::par::with_pool(true, || tiny_map(&items)));
-    let scoped = ml::par::with_threads(WORKERS, || ml::par::with_pool(false, || tiny_map(&items)));
-    assert_eq!(pooled, scoped, "pool and scoped backends diverged");
+    let pooled = ml::par::with_threads(WORKERS, || tiny_map(&items));
+    let serial = ml::par::with_threads(1, || tiny_map(&items));
+    assert_eq!(pooled, serial, "pooled dispatch diverged from serial");
 
-    // Scoped spawning costs tens of microseconds per call, so it gets a
-    // smaller iteration budget than the pool path.
-    let scoped_iters = 400;
-    let pool_iters = 4000;
-    let (scoped_dispatch, pool_dispatch, join_scoped, join_pool, small_rate) =
-        ml::par::with_threads(WORKERS, || {
-            let scoped_dispatch = ml::par::with_pool(false, || {
-                per_call_secs(scoped_iters, || {
-                    std::hint::black_box(tiny_map(&items));
-                })
-            });
-            let pool_dispatch = ml::par::with_pool(true, || {
-                per_call_secs(pool_iters, || {
-                    std::hint::black_box(tiny_map(&items));
-                })
-            });
-            let join_scoped = ml::par::with_pool(false, || {
-                per_call_secs(scoped_iters, || {
-                    std::hint::black_box(ml::par::join(|| 1 + 1, || 2 + 2));
-                })
-            });
-            let join_pool = ml::par::with_pool(true, || {
-                per_call_secs(pool_iters, || {
-                    std::hint::black_box(ml::par::join(|| 1 + 1, || 2 + 2));
-                })
-            });
-            let small_secs = ml::par::with_pool(true, || {
-                per_call_secs(pool_iters, || {
-                    std::hint::black_box(tiny_map(&small));
-                })
-            });
-            (
-                scoped_dispatch,
-                pool_dispatch,
-                join_scoped,
-                join_pool,
-                1.0 / small_secs,
-            )
+    let iters = 4000;
+    let (pool_dispatch, join_pool, small_rate) = ml::par::with_threads(WORKERS, || {
+        let pool_dispatch = per_call_secs(iters, || {
+            std::hint::black_box(tiny_map(&items));
         });
+        let join_pool = per_call_secs(iters, || {
+            std::hint::black_box(ml::par::join(|| 1 + 1, || 2 + 2));
+        });
+        let small_secs = per_call_secs(iters, || {
+            std::hint::black_box(tiny_map(&small));
+        });
+        (pool_dispatch, join_pool, 1.0 / small_secs)
+    });
 
     let bench = PoolBench {
         workers: WORKERS,
-        dispatches: pool_iters,
-        scoped_dispatch_us: scoped_dispatch * 1e6,
+        dispatches: iters,
         pool_dispatch_us: pool_dispatch * 1e6,
-        dispatch_speedup_vs_scoped: scoped_dispatch / pool_dispatch,
         small_work_items: small.len(),
         small_work_dispatches_per_sec: small_rate,
         join_pool_us: join_pool * 1e6,
-        join_scoped_us: join_scoped * 1e6,
     };
     println!(
-        "pool dispatch: {:.1} us scoped vs {:.1} us pooled ({:.1}x), \
-         join {:.1} us scoped vs {:.1} us pooled, \
-         {:.0} small-work dispatches/s",
-        bench.scoped_dispatch_us,
-        bench.pool_dispatch_us,
-        bench.dispatch_speedup_vs_scoped,
-        bench.join_scoped_us,
-        bench.join_pool_us,
-        bench.small_work_dispatches_per_sec,
+        "pool dispatch: {:.1} us, join {:.1} us, {:.0} small-work dispatches/s",
+        bench.pool_dispatch_us, bench.join_pool_us, bench.small_work_dispatches_per_sec,
     );
 
-    // Merge into BENCH_pipeline.json without clobbering the other bench
-    // binaries' sections.
     let path = "BENCH_pipeline.json";
-    let mut fields = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-    {
-        Some(Value::Object(fields)) => fields,
-        _ => Vec::new(),
-    };
-    fields.retain(|(k, _)| k != "pool");
-    fields.push((
-        "pool".to_string(),
-        serde_json::to_value(&bench).expect("pool serializes"),
-    ));
-    let json = serde_json::to_string_pretty(&Value::Object(fields)).expect("bench serializes");
-    std::fs::write(path, json).expect("write BENCH_pipeline.json");
+    bench::merge_bench_json(path, &[("pool", &bench)]);
     println!("pool -> {path}");
 }

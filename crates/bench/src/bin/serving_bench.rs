@@ -30,7 +30,6 @@ use std::time::Instant;
 use ml::matrix::Matrix;
 use ml::{QuantizedSequenceClassifier, SeqClassifierConfig, SeqExample, SequenceClassifier};
 use serde::Serialize;
-use serde_json::Value;
 
 /// Eval fleet: sequences classified per timed repetition.
 const EVAL_SEQS: usize = 64;
@@ -217,22 +216,7 @@ fn main() {
         bench.simd_gemm_speedup,
     );
 
-    // Merge into BENCH_pipeline.json without clobbering the other bench
-    // binaries' sections.
     let path = "BENCH_pipeline.json";
-    let mut fields = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-    {
-        Some(Value::Object(fields)) => fields,
-        _ => Vec::new(),
-    };
-    fields.retain(|(k, _)| k != "serving");
-    fields.push((
-        "serving".to_string(),
-        serde_json::to_value(&bench).expect("serving serializes"),
-    ));
-    let json = serde_json::to_string_pretty(&Value::Object(fields)).expect("bench serializes");
-    std::fs::write(path, json).expect("write BENCH_pipeline.json");
+    bench::merge_bench_json(path, &[("serving", &bench)]);
     println!("serving -> {path}");
 }

@@ -10,9 +10,13 @@
 // determinism contract is easier to audit with zero unsafe code.
 #![forbid(unsafe_code)]
 
+use std::path::Path;
+
 use dnn_sim::{zoo, InputSpec, Model, TrainingConfig, TrainingSession};
 use moscons::attack::{AttackConfig, Moscons};
 use moscons::{hp_sweep_variants, CollectionConfig};
+use serde::Serialize;
+use serde_json::Value;
 
 /// Experiment scale. The paper runs 224x224 images for 500 iterations on
 /// real hardware; the simulated runs default to 112x112 and 8 iterations,
@@ -183,6 +187,30 @@ pub fn print_header(title: &str, cells: &[&str], widths: &[usize]) {
 /// Formats a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
+}
+
+/// Writes `sections` into the JSON object at `path` (the performance bins
+/// share `BENCH_pipeline.json`): a section already present is replaced in
+/// place, a new one is appended, and every other section is kept, so the
+/// bins can run in any order. A missing or unparseable file starts empty.
+pub fn merge_bench_json(path: impl AsRef<Path>, sections: &[(&str, &dyn Serialize)]) {
+    let path = path.as_ref();
+    let mut fields = match std::fs::read_to_string(path)
+        .ok()
+        .and_then(|s| serde_json::from_str(&s).ok())
+    {
+        Some(Value::Object(fields)) => fields,
+        _ => Vec::new(),
+    };
+    for &(name, section) in sections {
+        let value = serde_json::to_value(&section).expect("bench section serializes");
+        match fields.iter_mut().find(|(key, _)| key == name) {
+            Some((_, slot)) => *slot = value,
+            None => fields.push((name.to_string(), value)),
+        }
+    }
+    let json = serde_json::to_string_pretty(&Value::Object(fields)).expect("bench serializes");
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 // ---------------------------------------------------------------------------
@@ -489,5 +517,18 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.984), "98.4%");
+    }
+
+    #[test]
+    fn merge_bench_json_replaces_named_sections_and_keeps_the_rest() {
+        let path = std::env::temp_dir().join(format!("bench-merge-{}.json", std::process::id()));
+        std::fs::write(&path, r#"{"a": 1, "b": {"x": 2}, "c": 3}"#).expect("write fixture");
+        merge_bench_json(&path, &[("b", &5u32), ("d", &"new")]);
+        let merged = std::fs::read_to_string(&path).expect("read merged");
+        std::fs::remove_file(&path).expect("remove fixture");
+        assert_eq!(
+            serde_json::from_str(&merged).expect("merged parses"),
+            serde_json::from_str(r#"{"a": 1, "b": 5, "c": 3, "d": "new"}"#).expect("parses"),
+        );
     }
 }

@@ -33,11 +33,11 @@
 //! Memory is bounded while streaming: the splitter holds back at most
 //! `nop_bridge` busy samples plus `th_gap - 1` undecided NOPs, the gap
 //! detector one sample of lookahead, and each open segment at most one
-//! classification chunk of prepared rows ([`STREAM_CHUNK_ENV`], default
-//! [`DEFAULT_STREAM_CHUNK`]). Only the per-segment *label* sequences are
-//! retained to the end — they are what [`AttackStream::finish`] feeds the
-//! shared assembly — so label latency is bounded by
-//! `th_gap + nop_bridge + chunk + 2` samples.
+//! classification chunk of prepared rows ([`DEFAULT_STREAM_CHUNK`], or the
+//! size given to [`AttackStream::with_chunk_rows`]). Only the per-segment
+//! *label* sequences are retained to the end — they are what
+//! [`AttackStream::finish`] feeds the shared assembly — so label latency is
+//! bounded by `th_gap + nop_bridge + chunk + 2` samples.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -51,22 +51,12 @@ use crate::hyperparams::HpKind;
 use crate::long_ops::LongClass;
 use crate::other_ops::OtherClass;
 
-/// Environment knob: rows per stateful classification chunk. Smaller chunks
-/// lower label latency, larger chunks amortize GEMM setup. Any value yields
-/// bitwise-identical labels (chunking invariance is the `ml::seq` streaming
-/// contract); the knob trades only latency against throughput.
-pub const STREAM_CHUNK_ENV: &str = "LEAKY_DNN_STREAM_CHUNK";
-
-/// Default classification chunk when [`STREAM_CHUNK_ENV`] is unset.
+/// Rows per stateful classification chunk of [`AttackStream::new`].
+/// Smaller chunks lower label latency, larger chunks amortize GEMM setup.
+/// Any value yields bitwise-identical labels (chunking invariance is the
+/// `ml::seq` streaming contract), so the size trades only latency against
+/// throughput.
 pub const DEFAULT_STREAM_CHUNK: usize = 32;
-
-fn env_chunk_rows() -> usize {
-    std::env::var(STREAM_CHUNK_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_STREAM_CHUNK)
-}
 
 /// One incremental splitting decision, emitted by [`SegmentSplitter`].
 ///
@@ -424,11 +414,10 @@ pub struct AttackStream<'a> {
 }
 
 impl<'a> AttackStream<'a> {
-    /// A fresh stream over a trained [`Moscons`], with the classification
-    /// chunk taken from [`STREAM_CHUNK_ENV`] (default
-    /// [`DEFAULT_STREAM_CHUNK`]).
+    /// A fresh stream over a trained [`Moscons`], classifying every
+    /// [`DEFAULT_STREAM_CHUNK`] rows.
     pub fn new(moscons: &'a Moscons) -> Self {
-        Self::with_chunk_rows(moscons, env_chunk_rows())
+        Self::with_chunk_rows(moscons, DEFAULT_STREAM_CHUNK)
     }
 
     /// A fresh stream with an explicit classification chunk.
@@ -769,12 +758,5 @@ mod tests {
         // All BUSY: one segment covering everything.
         let ev = run_splitter(&[false; 10], 3, 1);
         assert_eq!(segments_of(&ev), vec![0..10]);
-    }
-
-    #[test]
-    fn env_chunk_parsing_rejects_garbage() {
-        // Not an env-mutating test: just the parse contract of the default.
-        assert_eq!(DEFAULT_STREAM_CHUNK, 32);
-        assert!("0".parse::<usize>().ok().filter(|&n| n > 0).is_none());
     }
 }

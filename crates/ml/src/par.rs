@@ -1,32 +1,31 @@
 //! Deterministic data-parallel execution primitives.
 //!
-//! Dispatch runs on a lazily-initialized persistent worker pool
-//! ([`pool`]) by default — workers spawn once and park on a condvar, so a
-//! call costs an enqueue + wake instead of fresh `std::thread::scope`
-//! spawns. The legacy scoped-spawn path is kept behind `LEAKY_DNN_POOL=off`
-//! (or [`with_pool`]) for differential testing; both backends are bitwise
-//! identical. The core guarantee is that results are **thread-count
-//! invariant**: [`par_map`] returns results in input order regardless of
-//! how work was distributed, so any caller that combines them in that order
-//! is bitwise reproducible across `1..=N` threads. Callers that need
-//! associativity-sensitive reductions (e.g. floating-point sums) must
-//! therefore fold the returned `Vec` serially. All `unsafe` in the
-//! workspace's parallel machinery lives in [`pool`] (leaky-lint rule D5
-//! enforces the confinement).
+//! Parallel calls run on a lazily-initialized persistent worker pool
+//! ([`pool`]): workers spawn once and park on a condvar, so a dispatch
+//! costs an enqueue + wake. The core guarantee is that results are
+//! **thread-count invariant**: [`par_map`] returns results in input order
+//! regardless of how work was distributed, so any caller that combines them
+//! in that order is bitwise reproducible across `1..=N` threads. Callers
+//! that need associativity-sensitive reductions (e.g. floating-point sums)
+//! must therefore fold the returned `Vec` serially. With one worker every
+//! call runs serially on the calling thread; that serial path is the
+//! reference the determinism tests compare the pool against. All `unsafe`
+//! in the workspace's parallel machinery lives in [`pool`] (leaky-lint rule
+//! D5 enforces the confinement).
 //!
-//! The worker count is resolved per call by [`threads`]:
+//! The worker count is resolved by [`threads`]:
 //!
-//! 1. a process-local override installed by [`set_threads`] / [`with_threads`];
-//! 2. the `LEAKY_DNN_THREADS` environment variable, capped at
-//!    [`std::thread::available_parallelism`] — every workload here is
-//!    CPU-bound and bitwise thread-count invariant, so workers beyond the
-//!    core count can only add context-switch and cache-thrash overhead,
-//!    never speed;
-//! 3. [`std::thread::available_parallelism`].
+//! 1. a [`with_threads`] scope on the calling thread;
+//! 2. the process default, resolved once: the `LEAKY_DNN_THREADS`
+//!    environment variable capped at the detected hardware parallelism, or
+//!    that parallelism when the variable is unset or invalid. Every
+//!    workload here is CPU-bound and bitwise thread-count invariant, so
+//!    workers beyond the core count can only add context-switch and
+//!    cache-thrash overhead, never speed.
 //!
-//! The explicit overrides are *not* capped: tests use them to force the
-//! parallel code paths on single-core machines, which the invariance
-//! guarantee makes safe.
+//! [`with_threads`] is *not* capped: tests use it to force the parallel
+//! code paths on single-core machines, which the invariance guarantee makes
+//! safe.
 //!
 //! # Examples
 //!
@@ -36,14 +35,15 @@
 //! ```
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 pub mod pool;
 pub mod thresholds;
 
-/// Process-wide thread-count override; 0 means "not set".
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+/// The process default worker count (module docs, step 2). Cached because
+/// every dispatch and every GEMM asks for it, and std re-probes the host
+/// (on Linux possibly reading cgroup files) on each call.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 thread_local! {
     /// Per-thread scope override installed by [`with_threads`]; 0 = unset.
@@ -58,29 +58,21 @@ thread_local! {
 }
 
 /// Resolves the worker count for subsequent parallel calls on this thread:
-/// [`with_threads`] scope, then [`set_threads`], then the
-/// `LEAKY_DNN_THREADS` environment variable (capped at the detected
-/// hardware parallelism, see the module docs), then
-/// [`std::thread::available_parallelism`]. On a pool worker thread this is
-/// always 1 (nested parallelism is serialized).
+/// 1 on a pool worker (nested parallelism is serialized), else the
+/// [`with_threads`] scope, else the process default (module docs).
 pub fn threads() -> usize {
     if IN_POOL.with(Cell::get) {
         return 1;
     }
-    let scoped = SCOPE_OVERRIDE.with(Cell::get);
-    if scoped > 0 {
-        return scoped;
-    }
-    let o = OVERRIDE.load(Ordering::Relaxed);
-    if o > 0 {
-        return o;
-    }
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    match std::env::var("LEAKY_DNN_THREADS") {
-        Ok(v) => resolve_env_threads(&v, hw).unwrap_or(hw),
-        Err(_) => hw,
+    match SCOPE_OVERRIDE.with(Cell::get) {
+        0 => *DEFAULT_THREADS.get_or_init(|| {
+            let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+            std::env::var("LEAKY_DNN_THREADS")
+                .ok()
+                .and_then(|v| resolve_env_threads(&v, hw))
+                .unwrap_or(hw)
+        }),
+        scoped => scoped,
     }
 }
 
@@ -88,19 +80,13 @@ pub fn threads() -> usize {
 /// parallelism `hw`. Returns `None` for unparseable or zero values (callers
 /// fall back to `hw`); positive values are capped at `hw` — the env var
 /// tunes real machines, so oversubscription is never useful there, unlike
-/// the uncapped [`set_threads`] / [`with_threads`] overrides tests use to
-/// force multi-worker paths on small boxes (see the module docs).
+/// the uncapped [`with_threads`] scopes tests use to force multi-worker
+/// paths on small boxes (see the module docs).
 fn resolve_env_threads(val: &str, hw: usize) -> Option<usize> {
     match val.trim().parse::<usize>() {
         Ok(n) if n > 0 => Some(n.min(hw)),
         _ => None,
     }
-}
-
-/// Installs a process-wide thread-count override (0 clears it, falling back
-/// to `LEAKY_DNN_THREADS` / detected parallelism).
-pub fn set_threads(n: usize) {
-    OVERRIDE.store(n, Ordering::Relaxed);
 }
 
 /// Runs `f` with this thread's worker count pinned to `n`, restoring the
@@ -113,25 +99,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
         }
     }
     let _restore = Restore(SCOPE_OVERRIDE.with(|c| c.replace(n)));
-    f()
-}
-
-/// Runs `f` with the dispatch backend pinned to the persistent pool
-/// (`true`) or the legacy scoped-spawn fallback (`false`), restoring the
-/// previous override afterwards (also on panic).
-///
-/// Process-wide rather than thread-local, like [`crate::simd::with_simd`]:
-/// pool workers do not inherit the caller's thread-locals, and since both
-/// backends are bitwise identical a concurrent caller observing the other
-/// backend is a scheduling detail, never an arithmetic one.
-pub fn with_pool<R>(enable: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            pool::set_override(self.0);
-        }
-    }
-    let _restore = Restore(pool::set_override(if enable { 2 } else { 1 }));
     f()
 }
 
@@ -158,13 +125,11 @@ fn enter_pool_scope() -> impl Drop {
 /// Maps `f` over `items` on up to [`threads`] workers, returning results in
 /// input order.
 ///
-/// On the default pool backend the items are divided into a static chunk
-/// partition (a pure function of worker count and item count) whose chunks
-/// are claimed dynamically in index order and write into pre-assigned
-/// output slots; the scoped fallback distributes single items by an atomic
-/// counter and sorts by input index. Either way the result is identical for
-/// any worker count. A panic inside `f` propagates to the caller once the
-/// whole dispatch has drained.
+/// The items are divided into a static chunk partition (a pure function of
+/// worker count and item count) whose chunks are claimed dynamically and
+/// write into pre-assigned output slots, so the result is identical for any
+/// worker count. A panic inside `f` propagates to the caller once the whole
+/// dispatch has drained.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -172,50 +137,10 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let workers = threads().min(items.len());
-    if workers <= 1 || IN_POOL.with(Cell::get) {
+    if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    if pool::enabled() {
-        return pool::par_map_pooled(items, &f, workers);
-    }
-    par_map_scoped(items, f, workers)
-}
-
-/// Scoped-spawn fallback backend of [`par_map`] (`LEAKY_DNN_POOL=off`),
-/// kept for differential testing against the pool.
-fn par_map_scoped<T, R, F>(items: &[T], f: F, workers: usize) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_POOL.with(|c| c.set(true));
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= items.len() {
-                        break;
-                    }
-                    local.push((idx, f(idx, &items[idx])));
-                }
-                // Poisoning only happens if another worker panicked while
-                // extending; our results are then discarded anyway because
-                // the scope re-raises that panic.
-                collected
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(local);
-            });
-        }
-    });
-    let mut merged = collected.into_inner().unwrap_or_else(|e| e.into_inner());
-    merged.sort_by_key(|&(i, _)| i);
-    merged.into_iter().map(|(_, r)| r).collect()
+    pool::par_map_pooled(items, &f, workers)
 }
 
 /// Like [`par_map`], but stays on the calling thread when `work` — any
@@ -223,11 +148,9 @@ where
 ///
 /// Even a pool dispatch is not free (enqueue, wake, completion latch —
 /// single-digit microseconds; the `pool` section of `BENCH_pipeline.json`
-/// tracks it, and the retired scoped-spawn backend cost tens of
-/// microseconds *per worker*, enough that the `attack_extract` stage once
-/// measured a 0.81× "speedup"); for small inputs the fan-out is still pure
-/// overhead. Results are bitwise identical on either path, so the gate is
-/// purely a scheduling decision.
+/// tracks it); for small inputs the fan-out is pure overhead. Results are
+/// bitwise identical on either path, so the gate is purely a scheduling
+/// decision.
 pub fn par_map_if_work<T, R, F>(work: usize, min_work: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -257,45 +180,10 @@ where
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let workers = threads().min(items.len());
-    if workers <= 1 || IN_POOL.with(Cell::get) {
+    if workers <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    if pool::enabled() {
-        return pool::par_map_mut_pooled(items, &f, workers);
-    }
-    par_map_mut_scoped(items, f, workers)
-}
-
-/// Scoped-spawn fallback backend of [`par_map_mut`] (`LEAKY_DNN_POOL=off`):
-/// one contiguous chunk per worker via safe `chunks_mut`.
-fn par_map_mut_scoped<T, R, F>(items: &mut [T], f: F, workers: usize) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let f = &f;
-                s.spawn(move || {
-                    IN_POOL.with(|c| c.set(true));
-                    slice
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(j, t)| f(ci * chunk + j, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
+    pool::par_map_mut_pooled(items, &f, workers)
 }
 
 /// Runs two closures, concurrently when more than one worker is available,
@@ -308,15 +196,7 @@ where
     if threads() <= 1 {
         return (a(), b());
     }
-    if pool::enabled() {
-        return pool::join_pooled(a, b);
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-        (ra, rb)
-    })
+    pool::join_pooled(a, b)
 }
 
 #[cfg(test)]
@@ -474,10 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_scoped_backends_agree_bitwise() {
+    fn pooled_and_serial_paths_agree_bitwise() {
         let items: Vec<f32> = (0..321).map(|i| i as f32 * 0.41).collect();
-        let run = || {
-            with_threads(4, || {
+        let run = |n| {
+            with_threads(n, || {
                 let mapped = par_map(&items, |i, &x| x.sin().mul_add(x.cos(), i as f32));
                 let mut state: Vec<f32> = items.clone();
                 let mutated = par_map_mut(&mut state, |_, x| {
@@ -488,19 +368,7 @@ mod tests {
                 (mapped, state, mutated, a, b)
             })
         };
-        let pooled = with_pool(true, run);
-        let scoped = with_pool(false, run);
-        assert_eq!(pooled, scoped);
-    }
-
-    #[test]
-    fn with_pool_restores_override_on_panic() {
-        let before = pool::set_override(0);
-        pool::set_override(before);
-        let result = std::panic::catch_unwind(|| with_pool(false, || panic!("boom")));
-        assert!(result.is_err());
-        let after = pool::set_override(before);
-        assert_eq!(after, before);
+        assert_eq!(run(4), run(1));
     }
 
     #[test]

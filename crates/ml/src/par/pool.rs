@@ -1,17 +1,15 @@
-//! Persistent deterministic worker pool — the dispatch backend behind
-//! [`super::par_map`], [`super::par_map_mut`] and [`super::join`].
+//! Persistent deterministic worker pool — the one parallel backend behind
+//! [`super::par_map`], [`super::par_map_mut`] and [`super::join`], and the
+//! only place in the workspace that creates threads (leaky-lint rule D3).
 //!
 //! # Why a pool
 //!
-//! The original engine spawned fresh `std::thread::scope` workers on every
-//! call, costing tens of microseconds per worker per call. That tax forced
-//! every small fan-out behind a work-size gate ([`super::thresholds`]),
-//! pushed intra-fit parallelism out to the cross-model layer, and — worst —
-//! was paid once per lockstep round by the fleet orchestrator
-//! (`moscons::fleet::run_fleet`), exactly the sustained-throughput path the
-//! streaming attack cares about. The pool spawns workers once, parks them on
-//! a condvar, and amortizes thread startup across the whole attack: a
-//! dispatch is an enqueue + wake, not N `clone(2)` syscalls.
+//! Spawning fresh threads per call costs tens of microseconds per worker,
+//! and the hot loops here — one fleet lockstep round
+//! (`moscons::fleet::run_fleet`), one GEMM row block, one fit minibatch —
+//! issue thousands of small dispatches. The pool spawns workers once, parks
+//! them on a condvar, and amortizes thread startup across the whole attack:
+//! a dispatch is an enqueue + wake, not N `clone(2)` syscalls.
 //!
 //! # Determinism by static partition
 //!
@@ -22,9 +20,7 @@
 //! scheduling accident, the `(index, item) -> slot` mapping never varies.
 //! Since every job closure is a pure function of its index and item (the
 //! [`super`] contract), results are bitwise identical for any worker count
-//! and any claim interleaving — the same argument that made the scoped path
-//! thread-count invariant, now held *by construction* rather than by a
-//! post-hoc sort.
+//! and any claim interleaving, by construction.
 //!
 //! # Lifetime erasure and the safety argument
 //!
@@ -53,21 +49,16 @@
 //! state for every later dispatch) and must not deadlock the dispatcher.
 //! Each chunk runs under `catch_unwind`; the first payload is parked in the
 //! job and re-raised on the *dispatching* thread once the whole job has
-//! drained, so a panic propagates exactly as it did on the scoped path while
-//! the workers live on. Output slots written before a panic are leaked, not
-//! dropped — the completion state does not record which individual slots
-//! were initialized, and leaking on the panic path is strictly safer than
-//! guessing.
-//!
-//! The pool is enabled by default; `LEAKY_DNN_POOL=off` (or `0` / `false`)
-//! falls back to the scoped-spawn path in [`super`], kept for differential
-//! testing — both backends are bitwise identical, which
-//! `tests/determinism.rs` pins on the full pipeline.
+//! drained, so a panic reaches the caller as if the closure had run on its
+//! thread, while the workers live on. Output slots written before a panic
+//! are leaked, not dropped — the completion state does not record which
+//! individual slots were initialized, and leaking on the panic path is
+//! strictly safer than guessing.
 
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Target chunks per requested worker. More chunks than workers lets the
@@ -81,41 +72,6 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// the cap only exists so a pathological override cannot spawn unbounded
 /// OS threads.
 const MAX_POOL_THREADS: usize = 256;
-
-/// Process-wide backend override installed by [`super::with_pool`]:
-/// 0 = unset (env probe), 1 = force scoped fallback, 2 = force pool.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Cached result of the `LEAKY_DNN_POOL` probe.
-static DETECTED: OnceLock<bool> = OnceLock::new();
-
-fn detect() -> bool {
-    match std::env::var("LEAKY_DNN_POOL") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "off" || v == "0" || v == "false")
-        }
-        Err(_) => true,
-    }
-}
-
-/// Whether dispatches go to the persistent pool (default) or the legacy
-/// scoped-spawn fallback (`LEAKY_DNN_POOL=off`). Resolution order: the
-/// [`super::with_pool`] override, then the cached environment probe. Like
-/// [`crate::simd::enabled`], the override is process-wide because both
-/// backends are bitwise-equal — a concurrent caller observing the other
-/// backend is a scheduling detail, never an arithmetic one.
-pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *DETECTED.get_or_init(detect),
-    }
-}
-
-pub(super) fn set_override(mode: u8) -> u8 {
-    OVERRIDE.swap(mode, Ordering::Relaxed)
-}
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 

@@ -253,37 +253,13 @@ fn fleet_is_worker_count_and_order_invariant() {
 }
 
 #[test]
-fn pool_and_scoped_backends_agree_on_attack_report() {
-    // The persistent pool and the `LEAKY_DNN_POOL=off` scoped-spawn
-    // fallback are differential twins: the full pipeline must produce a
-    // bitwise-identical AttackReport on either backend, at one worker and
-    // at eight. (`with_pool` installs the same override the env knob does.)
-    for workers in [1usize, 8] {
-        moscons::cache::clear_memory();
-        let pooled = ml::par::with_pool(true, || ml::par::with_threads(workers, run_pipeline));
-        moscons::cache::clear_memory();
-        let scoped = ml::par::with_pool(false, || ml::par::with_threads(workers, run_pipeline));
-        assert_eq!(
-            pooled, scoped,
-            "pool and scoped backends diverged at {} workers",
-            workers
-        );
-        assert!(!pooled.iterations.is_empty(), "no iterations recovered");
-    }
-}
-
-#[test]
 fn pool_is_reused_across_sequential_attacks() {
     // Pool workers outlive a dispatch: the second attack reuses the threads
     // the first one spawned (same process-wide pool) and must reproduce the
     // same report bit for bit once the trace memo is dropped.
     let (moscons, victim) = common::quick_attack_setup(FaultPlan::none(), 4);
     let gpu = moscons.config().gpu.clone();
-    let run = || {
-        ml::par::with_pool(true, || {
-            ml::par::with_threads(8, || moscons.attack_on(&victim, 4242, &gpu).0.report())
-        })
-    };
+    let run = || ml::par::with_threads(8, || moscons.attack_on(&victim, 4242, &gpu).0.report());
     let first = run();
     moscons::cache::clear_memory();
     let second = run();
@@ -300,23 +276,19 @@ fn worker_panic_does_not_poison_later_dispatches() {
     // workers must keep serving later dispatches, up to a full pipeline.
     let items: Vec<usize> = (0..64).collect();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ml::par::with_pool(true, || {
-            ml::par::with_threads(8, || {
-                ml::par::par_map(&items, |i, _| {
-                    if i == 40 {
-                        panic!("poisoned job");
-                    }
-                    i
-                })
+        ml::par::with_threads(8, || {
+            ml::par::par_map(&items, |i, _| {
+                if i == 40 {
+                    panic!("poisoned job");
+                }
+                i
             })
         })
     }));
     assert!(result.is_err(), "worker panic must reach the dispatcher");
-    let doubled = ml::par::with_pool(true, || {
-        ml::par::with_threads(8, || ml::par::par_map(&items, |_, &x| x * 2))
-    });
+    let doubled = ml::par::with_threads(8, || ml::par::par_map(&items, |_, &x| x * 2));
     assert_eq!(doubled, (0..128).step_by(2).collect::<Vec<usize>>());
-    let report = ml::par::with_pool(true, || ml::par::with_threads(8, run_pipeline));
+    let report = ml::par::with_threads(8, run_pipeline);
     assert!(
         !report.iterations.is_empty(),
         "pipeline degenerated after a worker panic"
