@@ -12,10 +12,9 @@
 //!   (one `predict_batch` per op model per round).
 //!
 //! Label latency is measured in *samples* (distance between a row entering
-//! the classifier and its label being emitted) — a deterministic quantity —
-//! and also reported in microseconds of simulated trace time
-//! (`samples x poll_period_us`). Throughput numbers (`sessions_per_sec`,
-//! `labels_per_sec`) are host wall-clock and vary run to run.
+//! the classifier and its label being emitted) — a deterministic quantity.
+//! Throughput numbers (`sessions_per_sec`, `labels_per_sec`) are host
+//! wall-clock and vary run to run.
 //!
 //! A third pass runs one streamed session per model-zoo conformance family
 //! (`dnn_sim::zoo::FAMILIES`) under the zoo op vocabulary and scores each
@@ -57,10 +56,6 @@ struct FleetBench {
     label_latency_samples_p50: usize,
     /// p99 label latency in samples (deterministic).
     label_latency_samples_p99: usize,
-    /// p50 label latency in simulated microseconds.
-    label_latency_us_p50: f64,
-    /// p99 label latency in simulated microseconds.
-    label_latency_us_p99: f64,
     /// Fraction of sessions whose streamed extraction report is bitwise
     /// equal to the batch attack's — CI gates this at 1.0.
     streaming_vs_batch_agreement: f64,
@@ -250,7 +245,6 @@ fn main() {
     latencies.sort_unstable();
     let p50 = percentile(&latencies, 50);
     let p99 = percentile(&latencies, 99);
-    let poll_us = moscons.config().collection.poll_period_us;
 
     let bench = FleetBench {
         sessions: specs.len(),
@@ -262,8 +256,6 @@ fn main() {
         int8_labels_per_sec: int8_labels as f64 / int8_secs,
         label_latency_samples_p50: p50,
         label_latency_samples_p99: p99,
-        label_latency_us_p50: p50 as f64 * poll_us,
-        label_latency_us_p99: p99 as f64 * poll_us,
         streaming_vs_batch_agreement: agreement,
         overflow_dropped_total: f32_run
             .sessions
@@ -274,8 +266,7 @@ fn main() {
     };
     println!(
         "fleet ({} sessions, {} rounds): {:.2} sessions/s, {:.0} labels/s f32, \
-         {:.0} labels/s int8, latency p50 {} / p99 {} samples \
-         ({:.0} / {:.0} us), agreement {:.2}",
+         {:.0} labels/s int8, latency p50 {} / p99 {} samples, agreement {:.2}",
         bench.sessions,
         bench.rounds,
         bench.sessions_per_sec,
@@ -283,8 +274,6 @@ fn main() {
         bench.int8_labels_per_sec,
         bench.label_latency_samples_p50,
         bench.label_latency_samples_p99,
-        bench.label_latency_us_p50,
-        bench.label_latency_us_p99,
         bench.streaming_vs_batch_agreement,
     );
     assert!(

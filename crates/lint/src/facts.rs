@@ -1,10 +1,11 @@
 //! Per-file fact extraction for the semantic rules (A1–A4).
 //!
 //! Facts are deliberately *config-independent*: everything here is derived
-//! from one file's tokens alone, which is what makes the per-file
-//! incremental cache sound (same content ⇒ same facts, whatever `lint.toml`
-//! says today). Policy — which roots matter, which paths are exempt — is
-//! applied later by the rule engine over the whole-workspace [`crate::graph`].
+//! from one file's tokens alone (same content ⇒ same facts, whatever
+//! `lint.toml` says). Policy — which roots matter, which paths are exempt —
+//! is applied later by the rule engine over the whole-workspace
+//! [`crate::graph`], so `--check-config` can re-evaluate it under edited
+//! configs without re-lexing.
 //!
 //! Per function we record:
 //! * **calls** — free-path and method calls, with just enough receiver

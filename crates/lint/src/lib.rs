@@ -19,12 +19,11 @@
 //!   workspace call graph ([`graph`]), and check reachability from
 //!   configured roots.
 //!
-//! Per-file work (lex → parse → facts → token findings) is content-hash
-//! cached under `target/leaky-lint-cache/` ([`cache`]); the graph passes are
-//! recomputed every run. Severities and path scoping live in the checked-in
-//! `lint.toml` at the workspace root; the lexer is a hand-rolled token
-//! scanner (no `syn` — the workspace builds offline against std-only
-//! stand-ins). Run it as:
+//! Every run analyses every file from scratch (lex → parse → facts → token
+//! findings), then builds the call graph and applies policy. Severities and
+//! path scoping live in the checked-in `lint.toml` at the workspace root;
+//! the lexer is a hand-rolled token scanner (no `syn` — the workspace
+//! builds offline against std-only stand-ins). Run it as:
 //!
 //! ```text
 //! cargo run -p lint                  # human-readable report
@@ -40,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arules;
-pub mod cache;
 pub mod config;
 pub mod diag;
 pub mod facts;
@@ -54,23 +52,16 @@ pub mod walk;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use cache::FileAnalysis;
 use config::Config;
 use diag::Diagnostic;
 use graph::{FileUnit, Graph};
-use rules::Waivers;
+use rules::{RawAnalysis, Waivers};
 
-/// Counters from one full run, surfaced in `--json` output and the
-/// `lint_bench` pipeline benchmark.
+/// Counters from one run, surfaced in `--json` output.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct RunStats {
-    /// Files lexed/parsed or loaded from cache this run.
+    /// Files lexed and parsed this run.
     pub files_analyzed: usize,
-    /// Files whose per-file analysis came from the warm cache.
-    pub cache_hits: usize,
-    /// Files analyzed from scratch (cold cache, changed content, or
-    /// caching disabled).
-    pub cache_misses: usize,
     /// Call sites the graph could not resolve to a workspace function or
     /// plausibly attribute to std (see `graph::Graph::unresolved`).
     pub unresolved_calls: usize,
@@ -85,72 +76,80 @@ pub struct RunOutput {
     pub stats: RunStats,
 }
 
-/// Lints every configured file under `root`: token rules per file, then
-/// the semantic A-rules over the workspace call graph. When `cache_dir`
-/// is given, per-file analyses are loaded/stored there keyed by content
-/// hash; graph construction and policy always run fresh.
-pub fn run_full(
-    root: &Path,
-    config: &Config,
-    cache_dir: Option<&Path>,
-) -> std::io::Result<RunOutput> {
-    let crate_dirs = discover_crates(root);
-    let mut out = RunOutput::default();
-    let mut units: Vec<FileUnit> = Vec::new();
-    let mut waivers: Vec<Waivers> = Vec::new();
-
-    for rel in walk::rust_files(root, config)? {
-        let src = std::fs::read_to_string(root.join(&rel))?;
-        let hash = cache::fnv1a64(src.as_bytes());
-        let analysis = match cache_dir.and_then(|d| cache::load(d, &rel, hash)) {
-            Some(a) => {
-                out.stats.cache_hits += 1;
-                a
-            }
-            None => {
-                out.stats.cache_misses += 1;
-                let lexed = lexer::lex(&src);
-                let parsed = parser::parse(&lexed);
-                let facts = facts::extract(&lexed, &parsed);
-                let a = FileAnalysis {
-                    raw: rules::raw_check(&lexed),
-                    parsed,
-                    facts,
-                    waivers: Waivers::harvest(&lexed),
-                };
-                if let Some(d) = cache_dir {
-                    cache::store(d, &rel, hash, &a);
-                }
-                a
-            }
-        };
-        out.stats.files_analyzed += 1;
-        out.diags.extend(rules::report(
-            &rel,
-            &analysis.raw,
-            &analysis.waivers,
-            config,
-        ));
-        units.push(FileUnit {
-            rel,
-            parsed: analysis.parsed,
-            facts: analysis.facts,
-        });
-        waivers.push(analysis.waivers);
-    }
-
-    let graph = Graph::build(&units, &crate_dirs);
-    out.stats.unresolved_calls = graph.unresolved.len();
-    out.stats.fns_indexed = graph.nodes.len();
-    out.diags
-        .extend(arules::check(&units, &waivers, &graph, &crate_dirs, config));
-    diag::sort(&mut out.diags);
-    Ok(out)
+/// Everything the linter derives from the files under `root`, before any
+/// `lint.toml` policy: per file (in walk order) the item skeleton and
+/// facts, the config-free token findings and the waiver table, plus the
+/// call graph stitched from them. Each per-file part is a pure function of
+/// that file's bytes, so [`check_config`] can re-apply policy under edited
+/// configs without re-lexing.
+struct FileAnalysis {
+    crate_dirs: BTreeMap<String, String>,
+    units: Vec<FileUnit>,
+    raws: Vec<RawAnalysis>,
+    waivers: Vec<Waivers>,
+    graph: Graph,
 }
 
-/// Compatibility wrapper: diagnostics only, no cache.
-pub fn run(root: &Path, config: &Config) -> std::io::Result<Vec<Diagnostic>> {
-    run_full(root, config, None).map(|o| o.diags)
+impl FileAnalysis {
+    /// Lexes, parses and extracts facts from every configured file.
+    fn of(root: &Path, config: &Config) -> std::io::Result<FileAnalysis> {
+        let mut units = Vec::new();
+        let mut raws = Vec::new();
+        let mut waivers = Vec::new();
+        for rel in walk::rust_files(root, config)? {
+            let src = std::fs::read_to_string(root.join(&rel))?;
+            let lexed = lexer::lex(&src);
+            let parsed = parser::parse(&lexed);
+            let facts = facts::extract(&lexed, &parsed);
+            raws.push(rules::raw_check(&lexed));
+            waivers.push(Waivers::harvest(&lexed));
+            units.push(FileUnit { rel, parsed, facts });
+        }
+        let crate_dirs = discover_crates(root);
+        let graph = Graph::build(&units, &crate_dirs);
+        Ok(FileAnalysis {
+            crate_dirs,
+            units,
+            raws,
+            waivers,
+            graph,
+        })
+    }
+
+    /// Applies `config`: token findings per file, then the A-rules over the
+    /// call graph, in canonical report order.
+    fn diagnostics(&self, config: &Config) -> Vec<Diagnostic> {
+        let mut diags: Vec<Diagnostic> = self
+            .units
+            .iter()
+            .zip(&self.raws)
+            .zip(&self.waivers)
+            .flat_map(|((u, raw), w)| rules::report(&u.rel, raw, w, config))
+            .collect();
+        diags.extend(arules::check(
+            &self.units,
+            &self.waivers,
+            &self.graph,
+            &self.crate_dirs,
+            config,
+        ));
+        diag::sort(&mut diags);
+        diags
+    }
+}
+
+/// Lints every configured file under `root`: token rules per file, then
+/// the semantic A-rules over the workspace call graph.
+pub fn run(root: &Path, config: &Config) -> std::io::Result<RunOutput> {
+    let analysis = FileAnalysis::of(root, config)?;
+    Ok(RunOutput {
+        diags: analysis.diagnostics(config),
+        stats: RunStats {
+            files_analyzed: analysis.units.len(),
+            unresolved_calls: analysis.graph.unresolved.len(),
+            fns_indexed: analysis.graph.nodes.len(),
+        },
+    })
 }
 
 /// Maps workspace member directories (`crates/core`) to package names
@@ -192,45 +191,20 @@ pub fn discover_crates(root: &Path) -> BTreeMap<String, String> {
 /// (it suppresses nothing — for D5, no `unsafe` left under it; for A4, no
 /// gate lives there). Returns human-readable problems, empty when clean.
 ///
-/// Analyses are computed once; only the (cheap) policy passes re-run per
+/// The files are analysed once; only the policy passes re-run per
 /// candidate entry.
 pub fn check_config(root: &Path, config: &Config) -> std::io::Result<Vec<String>> {
-    let crate_dirs = discover_crates(root);
-    let files = walk::rust_files(root, config)?;
-    let mut units: Vec<FileUnit> = Vec::new();
-    let mut waivers: Vec<Waivers> = Vec::new();
-    let mut raws: Vec<rules::RawAnalysis> = Vec::new();
-    for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))?;
-        let lexed = lexer::lex(&src);
-        let parsed = parser::parse(&lexed);
-        let facts = facts::extract(&lexed, &parsed);
-        raws.push(rules::raw_check(&lexed));
-        waivers.push(Waivers::harvest(&lexed));
-        units.push(FileUnit {
-            rel: rel.clone(),
-            parsed,
-            facts,
-        });
-    }
-    let graph = Graph::build(&units, &crate_dirs);
-    let eval = |cfg: &Config| -> Vec<Diagnostic> {
-        let mut d: Vec<Diagnostic> = units
-            .iter()
-            .zip(&raws)
-            .zip(&waivers)
-            .flat_map(|((u, raw), w)| rules::report(&u.rel, raw, w, cfg))
-            .collect();
-        d.extend(arules::check(&units, &waivers, &graph, &crate_dirs, cfg));
-        diag::sort(&mut d);
-        d
-    };
-    let baseline = eval(config);
+    let analysis = FileAnalysis::of(root, config)?;
+    let baseline = analysis.diagnostics(config);
 
     let mut problems = Vec::new();
     for (id, rc) in &config.rules {
         for entry in &rc.allow {
-            if !files.iter().any(|f| f.starts_with(entry.as_str())) {
+            if !analysis
+                .units
+                .iter()
+                .any(|u| u.rel.starts_with(entry.as_str()))
+            {
                 problems.push(format!(
                     "rules.{id}.allow entry `{entry}` matches zero linted files"
                 ));
@@ -240,7 +214,7 @@ pub fn check_config(root: &Path, config: &Config) -> std::io::Result<Vec<String>
             if let Some(rc2) = cfg2.rules.get_mut(id) {
                 rc2.allow.retain(|e| e != entry);
             }
-            if eval(&cfg2) == baseline {
+            if analysis.diagnostics(&cfg2) == baseline {
                 problems.push(format!(
                     "rules.{id}.allow entry `{entry}` suppresses zero findings (stale)"
                 ));

@@ -172,7 +172,7 @@ impl FileCtx<'_> {
 }
 
 /// The line-local waiver table, extracted from comments once per file so
-/// report-time filtering works from the cache without re-lexing.
+/// report-time filtering works without re-lexing.
 #[derive(Debug, Clone, Default)]
 pub struct Waivers {
     /// `(comment line, rule id)` for each `// lint: allow(<rule>)`.
@@ -229,7 +229,8 @@ pub struct RawFinding {
 
 /// Everything the token rules can say about a file *before* policy:
 /// findings for D1–D4/D6–D8, and the raw `unsafe` site list for D5 (whose
-/// message depends on the config's allowlist). Content-addressed cacheable.
+/// message depends on the config's allowlist). A pure function of the
+/// file's tokens.
 #[derive(Debug, Clone, Default)]
 pub struct RawAnalysis {
     pub findings: Vec<RawFinding>,

@@ -28,7 +28,9 @@ fn load(config_name: &str) -> Config {
 /// fixture must trip exactly the rule it is named for.
 #[test]
 fn every_rule_fires_on_its_bad_fixture() {
-    let diags = lint::run(&fixtures_root(), &load("lint-bad.toml")).expect("lint runs");
+    let diags = lint::run(&fixtures_root(), &load("lint-bad.toml"))
+        .expect("lint runs")
+        .diags;
     let fired: BTreeSet<&str> = diags.iter().map(|d| d.rule).collect();
     let all: BTreeSet<&str> = lint::rules::RULES
         .iter()
@@ -55,7 +57,9 @@ fn every_rule_fires_on_its_bad_fixture() {
 /// SAFETY-comment-in-allowlisted-file case — produces no findings at all.
 #[test]
 fn good_fixtures_are_clean() {
-    let diags = lint::run(&fixtures_root(), &load("lint-good.toml")).expect("lint runs");
+    let diags = lint::run(&fixtures_root(), &load("lint-good.toml"))
+        .expect("lint runs")
+        .diags;
     assert!(
         diags.is_empty(),
         "good fixtures flagged: {:#?}",
@@ -108,7 +112,7 @@ fn cli_exit_codes_and_json() {
 fn live_workspace_is_clean() {
     let root = workspace_root();
     let config = lint::load_config(&root).expect("workspace lint.toml parses");
-    let diags = lint::run(&root, &config).expect("lint runs");
+    let diags = lint::run(&root, &config).expect("lint runs").diags;
     let errors: Vec<String> = diags
         .iter()
         .filter(|d| d.severity == Severity::Error)
@@ -149,7 +153,7 @@ fn cli_sarif_shape() {
     let bin = env!("CARGO_BIN_EXE_leaky-lint");
     let root = fixtures_root();
     let out = Command::new(bin)
-        .args(["--sarif", "--no-cache", "--root"])
+        .args(["--sarif", "--root"])
         .arg(&root)
         .arg("--config")
         .arg(root.join("lint-bad.toml"))
@@ -209,25 +213,81 @@ fn cli_explain() {
     assert_eq!(out.status.code(), Some(2), "unknown rule id exits 2");
 }
 
-/// The incremental cache is an optimization, never an observable: a warm
-/// run reproduces the cold run's diagnostics exactly and satisfies every
-/// file from the cache.
+/// Linting is read-only: a run over a tree leaves that tree's file list
+/// exactly as it found it.
 #[test]
-fn warm_cache_run_matches_cold() {
-    let cache = std::env::temp_dir().join(format!("leaky-lint-selftest-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-    let root = fixtures_root();
-    let config = load("lint-bad.toml");
-    let cold = lint::run_full(&root, &config, Some(&cache)).expect("cold run");
-    let warm = lint::run_full(&root, &config, Some(&cache)).expect("warm run");
-    assert_eq!(cold.diags, warm.diags, "cache changed the diagnostics");
-    assert_eq!(cold.stats.cache_hits, 0, "first run must be all misses");
+fn cli_writes_nothing_under_the_root() {
+    let dir = std::env::temp_dir().join(format!("leaky-lint-readonly-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("bad")).expect("create temp tree");
+    std::fs::copy(
+        fixtures_root().join("bad/d1_wallclock.rs"),
+        dir.join("bad/d1_wallclock.rs"),
+    )
+    .expect("copy fixture");
+    std::fs::write(dir.join("lint.toml"), "[paths]\ninclude = [\"bad\"]\n").expect("write config");
+
+    fn list(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                list(&path, out);
+            }
+            out.push(path);
+        }
+    }
+    let mut before = Vec::new();
+    list(&dir, &mut before);
+    before.sort();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_leaky-lint"))
+        .args(["--json", "--root"])
+        .arg(&dir)
+        .arg("--config")
+        .arg(dir.join("lint.toml"))
+        .output()
+        .expect("spawn leaky-lint");
     assert_eq!(
-        warm.stats.cache_hits, warm.stats.files_analyzed,
-        "warm run missed the cache on {} files",
-        warm.stats.cache_misses
+        out.status.code(),
+        Some(1),
+        "the copied D1 fixture still fires"
     );
-    let _ = std::fs::remove_dir_all(&cache);
+
+    let mut after = Vec::new();
+    list(&dir, &mut after);
+    after.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(before, after, "leaky-lint wrote under its root");
+}
+
+/// `--check-config` names both kinds of stale entry, in config order: one
+/// that matches a linted file but suppresses nothing, and one that matches
+/// no file at all.
+#[test]
+fn check_config_reports_stale_entries() {
+    let root = fixtures_root();
+    let mut config = load("lint-good.toml");
+    assert_eq!(
+        lint::check_config(&root, &config).expect("check runs"),
+        Vec::<String>::new(),
+        "the good fixture config is clean"
+    );
+    config
+        .rules
+        .get_mut("D8")
+        .expect("lint-good.toml configures D8")
+        .allow
+        .extend([
+            "good/d2_btree.rs".to_string(),
+            "good/missing.rs".to_string(),
+        ]);
+    assert_eq!(
+        lint::check_config(&root, &config).expect("check runs"),
+        vec![
+            "rules.D8.allow entry `good/d2_btree.rs` suppresses zero findings (stale)".to_string(),
+            "rules.D8.allow entry `good/missing.rs` matches zero linted files".to_string(),
+        ]
+    );
 }
 
 /// The checked-in workspace config carries no stale allowlist entries —

@@ -820,44 +820,21 @@ impl SequenceClassifier {
     ///
     /// Routes through [`SequenceClassifier::predict_proba_batch`] with a
     /// single-sequence bucket; bitwise identical to
-    /// [`SequenceClassifier::predict_proba_reference`] (property-tested).
+    /// [`SequenceClassifier::predict_proba_naive`] (property-tested).
     pub fn predict_proba(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
         self.predict_proba_batch(&[features])
             .pop()
             .expect("one result per input sequence")
     }
 
-    /// Reference per-sequence inference: the plain allocating forward walk.
-    /// Kept as the ground truth the packed
-    /// [`SequenceClassifier::predict_proba_batch`] must match bitwise
-    /// (property-tested over ragged lengths, len-0/len-1 sequences and
-    /// bucket-boundary sizes).
-    pub fn predict_proba_reference(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        if features.is_empty() {
-            return Vec::new();
-        }
-        assert_eq!(
-            features[0].len(),
-            self.config.input_size,
-            "feature width mismatch"
-        );
-        let mut cur = Self::features_to_matrix(features);
-        for layer in &self.layers {
-            cur = layer.forward(&cur).h;
-        }
-        let logits = self.head.forward(&cur);
-        (0..logits.rows())
-            .map(|t| crate::activation::softmax(logits.row(t)))
-            .collect()
-    }
-
     /// Fully scalar per-sequence inference: walks [`LstmLayer::forward_naive`]
     /// — per-gate horizontal dot products, no fused GEMM, no batching —
     /// through the stack. This is the serving benchmark's "f32-scalar"
     /// baseline (the per-label cost before any of the batching/tiling/SIMD
-    /// work), and one more bitwise anchor: it must agree with
-    /// [`SequenceClassifier::predict_proba`] exactly, because the fused
-    /// paths preserve per-element summation order (property-tested).
+    /// work), and the inference oracle: [`SequenceClassifier::predict_proba`]
+    /// and [`SequenceClassifier::predict_proba_batch`] must agree with it
+    /// bitwise, because the fused paths preserve per-element summation
+    /// order (property-tested).
     pub fn predict_proba_naive(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
         if features.is_empty() {
             return Vec::new();
@@ -894,7 +871,7 @@ impl SequenceClassifier {
     /// is deterministic) and each bucket runs the packed batched forward —
     /// one fused GEMM per timestep across the bucket — instead of one
     /// recurrence per sequence. Results come back in input order, each
-    /// bitwise identical to [`SequenceClassifier::predict_proba_reference`]
+    /// bitwise identical to [`SequenceClassifier::predict_proba_naive`]
     /// on that sequence alone: packed GEMM rows are independent, so bucket
     /// composition cannot change any sequence's values. Empty sequences
     /// yield empty predictions.
@@ -1362,7 +1339,7 @@ mod tests {
             let refs: Vec<&[Vec<f32>]> = seqs.iter().map(|s| s.as_slice()).collect();
             let packed = clf.predict_proba_batch(&refs);
             for (i, seq) in seqs.iter().enumerate() {
-                let solo = clf.predict_proba_reference(seq);
+                let solo = clf.predict_proba_naive(seq);
                 testkit::prop::holds(
                     packed[i] == solo,
                     format!("sequence {i} (len {}) differs from reference", seq.len()),
@@ -1370,10 +1347,6 @@ mod tests {
                 testkit::prop::holds(
                     clf.predict_proba(seq) == solo,
                     format!("predict_proba for sequence {i} differs from reference"),
-                )?;
-                testkit::prop::holds(
-                    clf.predict_proba_naive(seq) == solo,
-                    format!("predict_proba_naive for sequence {i} differs from reference"),
                 )?;
             }
             let labels = clf.predict_batch(&refs);
