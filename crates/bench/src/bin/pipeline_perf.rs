@@ -85,10 +85,6 @@ fn lstm_epoch_bench() -> f64 {
 }
 
 fn main() {
-    // The staged 1-vs-N timings below measure *simulation and training*
-    // cost; run them with the trace cache off so the N-thread pass cannot
-    // be flattered by hits left behind by the serial pass.
-    std::env::set_var("LEAKY_DNN_CACHE", "off");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = ml::par::threads();
     let scale = bench::Scale::from_env();
@@ -131,12 +127,18 @@ fn main() {
     };
     // Stage 2: full profiling (Mgap + Mlong/Mop + voting + Mhp training).
     // Stage 3: attack-time extraction on the victim stream.
+    // Each stage starts from an empty trace memo, so it measures simulation
+    // and training rather than hits left behind by an earlier stage (profiling
+    // collects stage 1's traces again) or by the serial pass.
     let mut stages = Vec::new();
     let run = |threads: usize| -> (f64, f64, f64, moscons::AttackReport) {
         ml::par::with_threads(threads, || {
+            moscons::cache::clear_memory();
             let (t_collect, traces) = timed(|| collect(&sessions));
             drop(traces);
+            moscons::cache::clear_memory();
             let (t_profile, moscons) = timed(|| Moscons::profile(&sessions, config.clone()));
+            moscons::cache::clear_memory();
             let (t_extract, (extraction, _)) = timed(|| moscons.attack(&victim, 4242));
             (t_collect, t_profile, t_extract, extraction.report())
         })
@@ -189,7 +191,6 @@ fn main() {
 
     // Cold-vs-warm trace cache: the same collection fan-out, first against
     // an empty memo, then again with every trace already resident.
-    std::env::set_var("LEAKY_DNN_CACHE", "mem");
     moscons::cache::clear_memory();
     let (cache_cold, _) = ml::par::with_threads(1, || timed(|| collect(&sessions)));
     let (cache_warm, _) = ml::par::with_threads(1, || timed(|| collect(&sessions)));

@@ -56,11 +56,27 @@ impl Scale {
         }
     }
 
-    /// Reads `LEAKY_SCALE` from the environment (`quick` or `full`).
+    /// Reads `LEAKY_SCALE` from the environment; see [`Scale::parse`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `LEAKY_SCALE` is set to anything but `quick` or `full`.
     pub fn from_env() -> Self {
-        match std::env::var("LEAKY_SCALE").as_deref() {
-            Ok("quick") => Scale::quick(),
-            _ => Scale::full(),
+        let value = std::env::var_os("LEAKY_SCALE");
+        let name = value.as_ref().map(|v| v.to_string_lossy());
+        Scale::parse(name.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The scale a `LEAKY_SCALE` value names: unset or `full` is
+    /// [`Scale::full`] and `quick` is [`Scale::quick`]. Any other value is
+    /// an error, so a typo cannot silently run at full scale.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("full") => Ok(Scale::full()),
+            Some("quick") => Ok(Scale::quick()),
+            Some(other) => Err(format!(
+                "LEAKY_SCALE={other:?} is not a scale: use `quick` or `full`"
+            )),
         }
     }
 
@@ -495,6 +511,17 @@ mod tests {
         let cnn = zoo::vgg16();
         assert_eq!(full.batch_for(&mlp), full.batch_mlp);
         assert_eq!(full.batch_for(&cnn), full.batch_cnn);
+    }
+
+    #[test]
+    fn scale_names_parse_strictly() {
+        assert_eq!(Scale::parse(None), Ok(Scale::full()));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::full()));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::quick()));
+        for typo in ["Quick", "FULL", "fast", ""] {
+            let err = Scale::parse(Some(typo)).expect_err(typo);
+            assert!(err.contains("`quick`") && err.contains("`full`"), "{err}");
+        }
     }
 
     #[test]

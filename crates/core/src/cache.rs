@@ -1,85 +1,28 @@
-//! Content-addressed trace and feature cache.
+//! Content-addressed trace and feature memo.
 //!
 //! Collecting one profiling trace means simulating an entire training run —
 //! tens of thousands of scheduler slices — yet the result is a pure function
 //! of its inputs: the GPU configuration, the victim's model and training
 //! loop, the spy/slow-down/sampling configuration and the CUPTI session
-//! shape. This module memoizes [`crate::trace::collect_trace`] on a stable
-//! 64-bit key over exactly those inputs, and memoizes the derived
-//! [`crate::dataset::counter_features`] matrices on the content of the
-//! sample stream they came from.
+//! shape. This module memoizes [`crate::trace::collect_trace`] for the
+//! lifetime of the process on a 64-bit key over exactly those inputs, and
+//! memoizes the derived [`crate::dataset::counter_features`] matrices on the
+//! content of the sample stream they came from.
 //!
-//! Three modes, selected by the `LEAKY_DNN_CACHE` environment variable:
-//!
-//! * `off` — every collection simulates from scratch (the pre-cache
-//!   behaviour);
-//! * `mem` (default) — traces are memoized for the lifetime of the process;
-//! * `disk` — additionally persisted under `target/leaky-dnn-cache/`
-//!   (override the directory with `LEAKY_DNN_CACHE_DIR`), so repeated bench
-//!   and experiment runs skip collection entirely.
-//!
-//! Because the simulator is deterministic, a cache hit is *bitwise*
-//! identical to a fresh collection — the disk codec round-trips every `f64`
-//! through its bit pattern rather than decimal text, and
-//! `tests/determinism.rs` asserts `off` vs `disk` end-to-end report
-//! equality. Keys mix in schema/extractor version constants, so changing
-//! either the trace layout or the feature definition invalidates old
-//! entries instead of replaying them.
+//! Because the simulator is deterministic, a hit is *bitwise* identical to
+//! a fresh collection. Entries live only as long as the process, so none can
+//! outlive the simulator and feature code that produced it. [`clear_memory`]
+//! empties the memo for cold-start timings.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cupti_sim::CuptiSample;
 use dnn_sim::TrainingSession;
-use gpu_sim::{ContextId, CounterId, CounterValues, GpuConfig, KernelRecord};
+use gpu_sim::GpuConfig;
 use serde::{Serialize, Value};
 
 use crate::dataset::counter_features;
 use crate::trace::{CollectionConfig, RawTrace};
-
-/// Bump when the [`RawTrace`] layout or collection semantics change.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
-/// Bump when [`counter_features`] changes (it is baked into cached feature
-/// matrices).
-pub const EXTRACTOR_VERSION: u32 = 1;
-
-// ---------------------------------------------------------------------------
-// mode
-// ---------------------------------------------------------------------------
-
-/// Cache behaviour, from `LEAKY_DNN_CACHE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// Always recollect.
-    Off,
-    /// Memoize in-process.
-    Mem,
-    /// Memoize in-process and persist to disk.
-    Disk,
-}
-
-impl CacheMode {
-    /// Reads the mode from the environment (`off` / `mem` / `disk`,
-    /// case-insensitive). Unset or unrecognized values mean [`CacheMode::Mem`].
-    pub fn from_env() -> Self {
-        match std::env::var("LEAKY_DNN_CACHE") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "off" | "0" | "none" => CacheMode::Off,
-                "disk" => CacheMode::Disk,
-                _ => CacheMode::Mem,
-            },
-            Err(_) => CacheMode::Mem,
-        }
-    }
-}
-
-fn cache_dir() -> PathBuf {
-    match std::env::var("LEAKY_DNN_CACHE_DIR") {
-        Ok(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from("target").join("leaky-dnn-cache"),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // keys: FNV-1a over a canonical serialization
@@ -87,7 +30,8 @@ fn cache_dir() -> PathBuf {
 
 /// Incremental FNV-1a 64-bit hasher. FNV is not cryptographic; it is stable
 /// across platforms and Rust versions (unlike `DefaultHasher`), which is what
-/// an on-disk cache key needs.
+/// a digest compared across machines and builds needs: `leaky_bench` hashes
+/// every workload's outputs through it.
 #[derive(Debug, Clone)]
 pub struct KeyHasher {
     state: u64,
@@ -192,7 +136,6 @@ pub fn trace_key(
 ) -> u64 {
     let mut h = KeyHasher::new();
     h.write_str("leaky-dnn-trace");
-    h.write_u64(TRACE_SCHEMA_VERSION as u64);
     h.write_serialize(session.model());
     h.write_serialize(session.config());
     h.write_serialize(collection);
@@ -227,23 +170,13 @@ pub fn clear_memory() {
         .clear();
 }
 
-/// Number of traces currently memoized (diagnostics).
-pub fn memoized_traces() -> usize {
-    trace_store().lock().expect("trace cache poisoned").len()
-}
-
-/// Returns the trace for `key`, collecting it with `collect` on a miss.
+/// Returns the trace for `key`, collecting it with `collect` on a miss and
+/// memoizing it for the rest of the process.
 ///
-/// On [`CacheMode::Off`] this is a passthrough. On a miss both `mem` and
-/// `disk` insert the collected trace into the process-wide map; `disk` also
-/// persists it. Concurrent misses on the same key may collect twice — the
-/// simulator is deterministic, so both produce identical bytes and either
-/// may win the insert.
+/// Concurrent misses on the same key may collect twice — the simulator is
+/// deterministic, so both produce identical bytes and either may win the
+/// insert.
 pub fn trace_for(key: u64, collect: impl FnOnce() -> RawTrace) -> RawTrace {
-    let mode = CacheMode::from_env();
-    if mode == CacheMode::Off {
-        return collect();
-    }
     if let Some(hit) = trace_store()
         .lock()
         .expect("trace cache poisoned")
@@ -252,47 +185,21 @@ pub fn trace_for(key: u64, collect: impl FnOnce() -> RawTrace) -> RawTrace {
     {
         return (*hit).clone();
     }
-    if mode == CacheMode::Disk {
-        if let Some(trace) = disk_read(key) {
-            let arc = Arc::new(trace);
-            trace_store()
-                .lock()
-                .expect("trace cache poisoned")
-                .insert(key, Arc::clone(&arc));
-            return (*arc).clone();
-        }
-    }
     let trace = collect();
-    let arc = Arc::new(trace);
     trace_store()
         .lock()
         .expect("trace cache poisoned")
-        .insert(key, Arc::clone(&arc));
-    if mode == CacheMode::Disk {
-        disk_write(key, &arc);
-    }
-    (*arc).clone()
+        .insert(key, Arc::new(trace.clone()));
+    trace
 }
 
 /// The feature matrix of a trace's sample stream ([`counter_features`] per
-/// sample), memoized on the content of the samples plus
-/// [`EXTRACTOR_VERSION`]. Two traces with bitwise-equal sample streams (e.g.
-/// a cached and a fresh collection of the same run) share one matrix.
+/// sample), memoized on the content of the samples. Two traces with
+/// bitwise-equal sample streams (e.g. a cached and a fresh collection of the
+/// same run) share one matrix.
 pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
-    let compute = || -> FeatureMatrix {
-        Arc::new(
-            raw.samples
-                .iter()
-                .map(|s| counter_features(&s.to_features()))
-                .collect(),
-        )
-    };
-    if CacheMode::from_env() == CacheMode::Off {
-        return compute();
-    }
     let mut h = KeyHasher::new();
     h.write_str("leaky-dnn-features");
-    h.write_u64(EXTRACTOR_VERSION as u64);
     h.write_u64(raw.samples.len() as u64);
     for s in &raw.samples {
         h.write_f64(s.start_us);
@@ -310,7 +217,12 @@ pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
     {
         return hit;
     }
-    let matrix = compute();
+    let matrix: FeatureMatrix = Arc::new(
+        raw.samples
+            .iter()
+            .map(|s| counter_features(&s.to_features()))
+            .collect(),
+    );
     feature_store()
         .lock()
         .expect("feature cache poisoned")
@@ -318,201 +230,15 @@ pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
     matrix
 }
 
-// ---------------------------------------------------------------------------
-// disk codec
-// ---------------------------------------------------------------------------
-//
-// The vendored serde stand-in can serialize but not deserialize, so the
-// on-disk format is a small hand-written line codec. Every f64 travels as
-// its 16-hex-digit bit pattern (bitwise-exact round trip, including -0.0 and
-// subnormals); strings travel hex-encoded so names never fight the
-// whitespace framing.
-
-fn hex_str(s: &str) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(2 * s.len());
-    for b in s.as_bytes() {
-        write!(out, "{:02x}", b).expect("write to string");
-    }
-    out
-}
-
-fn unhex_str(s: &str) -> Option<String> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(s.len() / 2);
-    for i in (0..s.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(s.get(i..i + 2)?, 16).ok()?);
-    }
-    String::from_utf8(bytes).ok()
-}
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn unhex_f64(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// Encodes a trace (with its key, for integrity checking) into the cache
-/// file format.
-pub fn encode_trace(key: u64, trace: &RawTrace) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "leaky-dnn-trace v{}", TRACE_SCHEMA_VERSION).expect("write to string");
-    writeln!(out, "key {:016x}", key).expect("write to string");
-    // CollectionConfig is re-derivable from the key's inputs, but carrying it
-    // keeps RawTrace self-contained; SpyKernelKind travels by name.
-    writeln!(
-        out,
-        "collection {} {} {} {:016x}",
-        trace.collection.spy_kernel.name(),
-        trace.collection.slowdown.kernels,
-        f64_hex(trace.collection.poll_period_us),
-        trace.collection.seed,
-    )
-    .expect("write to string");
-    writeln!(
-        out,
-        "mean_iteration_us {}",
-        f64_hex(trace.mean_iteration_us)
-    )
-    .expect("write to string");
-    writeln!(out, "samples {}", trace.samples.len()).expect("write to string");
-    for s in &trace.samples {
-        write!(out, "{} {}", f64_hex(s.start_us), f64_hex(s.end_us)).expect("write to string");
-        for v in s.counters.as_array() {
-            write!(out, " {}", f64_hex(v)).expect("write to string");
-        }
-        out.push('\n');
-    }
-    writeln!(out, "victim_log {}", trace.victim_log.len()).expect("write to string");
-    for r in &trace.victim_log {
-        writeln!(
-            out,
-            "{} {} {} {} {}",
-            r.ctx.index(),
-            f64_hex(r.start_us),
-            f64_hex(r.end_us),
-            hex_str(&r.name),
-            r.op_tag.as_deref().map_or_else(|| "-".to_owned(), hex_str),
-        )
-        .expect("write to string");
-    }
-    out
-}
-
-/// Decodes a cache file produced by [`encode_trace`], checking the embedded
-/// key against `expect_key`. Any mismatch or corruption yields `None` (a
-/// cache miss, never an error).
-pub fn decode_trace(text: &str, expect_key: u64) -> Option<RawTrace> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    if header != format!("leaky-dnn-trace v{}", TRACE_SCHEMA_VERSION) {
-        return None;
-    }
-    let key_line = lines.next()?.strip_prefix("key ")?;
-    if u64::from_str_radix(key_line, 16).ok()? != expect_key {
-        return None;
-    }
-    let mut coll = lines.next()?.strip_prefix("collection ")?.split(' ');
-    let spy_kernel = {
-        let name = coll.next()?;
-        *crate::spy::SpyKernelKind::ALL
-            .iter()
-            .find(|k| k.name() == name)?
-    };
-    let slowdown = crate::slowdown::SlowdownConfig {
-        kernels: coll.next()?.parse().ok()?,
-    };
-    let poll_period_us = unhex_f64(coll.next()?)?;
-    let seed = u64::from_str_radix(coll.next()?, 16).ok()?;
-    let collection = CollectionConfig {
-        spy_kernel,
-        slowdown,
-        poll_period_us,
-        seed,
-    };
-    let mean_iteration_us = unhex_f64(lines.next()?.strip_prefix("mean_iteration_us ")?)?;
-
-    let n_samples: usize = lines.next()?.strip_prefix("samples ")?.parse().ok()?;
-    let mut samples = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        let mut parts = lines.next()?.split(' ');
-        let start_us = unhex_f64(parts.next()?)?;
-        let end_us = unhex_f64(parts.next()?)?;
-        let mut counters = CounterValues::zero();
-        for id in CounterId::ALL {
-            counters.add_to(id, unhex_f64(parts.next()?)?);
-        }
-        if parts.next().is_some() {
-            return None;
-        }
-        samples.push(CuptiSample {
-            start_us,
-            end_us,
-            counters,
-        });
-    }
-
-    let n_records: usize = lines.next()?.strip_prefix("victim_log ")?.parse().ok()?;
-    let mut victim_log = Vec::with_capacity(n_records);
-    for _ in 0..n_records {
-        let mut parts = lines.next()?.split(' ');
-        let ctx = ContextId::from_index(parts.next()?.parse().ok()?);
-        let start_us = unhex_f64(parts.next()?)?;
-        let end_us = unhex_f64(parts.next()?)?;
-        let name: Arc<str> = unhex_str(parts.next()?)?.into();
-        let op_tag: Option<Arc<str>> = match parts.next()? {
-            "-" => None,
-            tag => Some(unhex_str(tag)?.into()),
-        };
-        if parts.next().is_some() {
-            return None;
-        }
-        victim_log.push(KernelRecord {
-            ctx,
-            name,
-            op_tag,
-            start_us,
-            end_us,
-        });
-    }
-    if lines.next().is_some() {
-        return None;
-    }
-
-    Some(RawTrace {
-        samples,
-        victim_log,
-        collection,
-        mean_iteration_us,
-    })
-}
-
-fn disk_path(key: u64) -> PathBuf {
-    cache_dir().join(format!("trace-{:016x}.txt", key))
-}
-
-fn disk_read(key: u64) -> Option<RawTrace> {
-    let text = std::fs::read_to_string(disk_path(key)).ok()?;
-    decode_trace(&text, key)
-}
-
-fn disk_write(key: u64, trace: &RawTrace) {
-    // Persistence is best-effort: an unwritable directory degrades to `mem`
-    // behaviour rather than failing the collection. Write through a
-    // temporary file so concurrent processes never observe a torn entry.
-    let dir = cache_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let tmp = dir.join(format!("trace-{:016x}.tmp-{}", key, std::process::id()));
-    if std::fs::write(&tmp, encode_trace(key, trace)).is_ok() {
-        let _ = std::fs::rename(&tmp, disk_path(key));
-    }
+/// Serializes the tests that clear or read the process-wide memo, so a
+/// [`clear_memory`] on one test thread cannot land between another test's
+/// lookups. A test that panics while holding it does not poison it for the
+/// others.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -548,28 +274,19 @@ mod tests {
     }
 
     #[test]
-    fn disk_codec_round_trips_bitwise() {
-        let mut trace = tiny_trace();
-        // Exercise the awkward encodings explicitly.
-        trace.mean_iteration_us = -0.0;
-        trace.samples[0].start_us = f64::from_bits(0x0000_0000_0000_0001); // subnormal
-        let encoded = encode_trace(42, &trace);
-        let decoded = decode_trace(&encoded, 42).expect("decodes");
-        assert_traces_bitwise_equal(&trace, &decoded);
-        // Re-encoding the decoded trace is byte-identical (fixed point).
-        assert_eq!(encode_trace(42, &decoded), encoded);
-    }
-
-    #[test]
-    fn decode_rejects_key_mismatch_and_corruption() {
+    fn memo_hit_never_runs_the_collector() {
+        let _memo = test_lock();
         let trace = tiny_trace();
-        let encoded = encode_trace(7, &trace);
-        assert!(decode_trace(&encoded, 7).is_some());
-        assert!(decode_trace(&encoded, 8).is_none(), "wrong key must miss");
-        let truncated = &encoded[..encoded.len() / 2];
-        assert!(decode_trace(truncated, 7).is_none());
-        let wrong_version = encoded.replacen(&format!("v{}", TRACE_SCHEMA_VERSION), "v999", 1);
-        assert!(decode_trace(&wrong_version, 7).is_none());
+        let key = trace_key(
+            &tiny_session(),
+            &CollectionConfig::paper(),
+            &GpuConfig::gtx_1080_ti(),
+            "memo-hit-test",
+        );
+        let miss = trace_for(key, || trace.clone());
+        let hit = trace_for(key, || panic!("a hit must not collect"));
+        assert_traces_bitwise_equal(&miss, &trace);
+        assert_traces_bitwise_equal(&hit, &miss);
     }
 
     #[test]
@@ -614,6 +331,7 @@ mod tests {
 
     #[test]
     fn feature_matrix_matches_direct_computation_and_is_shared() {
+        let _memo = test_lock();
         let trace = tiny_trace();
         let direct: Vec<Vec<f32>> = trace
             .samples
@@ -630,7 +348,8 @@ mod tests {
 
     #[test]
     fn fnv_vectors() {
-        // Reference FNV-1a 64 digests, so the on-disk key space is pinned.
+        // Reference FNV-1a 64 digests, so the benchmark's output digests
+        // stay comparable across builds.
         let digest = |s: &str| {
             let mut h = KeyHasher::new();
             h.write(s.as_bytes());

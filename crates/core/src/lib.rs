@@ -8,8 +8,8 @@
 //!   is the paper's choice);
 //! * [`slowdown`] — the §IV slow-down attack (8 hog kernels in 4 groups);
 //! * [`trace`] — collection runs wiring victim + sampler + hogs + CUPTI;
-//! * [`cache`] — content-addressed memoization of collection runs and
-//!   feature matrices (`LEAKY_DNN_CACHE=off|mem|disk`);
+//! * [`cache`] — in-process, content-addressed memoization of collection
+//!   runs and feature matrices;
 //! * [`dataset`] — timeline alignment (largest-overlap labeling, §V-A),
 //!   MinMax scaling, iteration slicing;
 //! * [`gap`] — `Mgap`, the GBDT NOP/BUSY splitter (`TH_gap`/`R_min`/`R_max`);
@@ -68,7 +68,6 @@ pub mod trace;
 pub mod voting;
 
 pub use attack::{AttackConfig, Extraction, InferencePrecision, Moscons};
-pub use cache::{CacheMode, EXTRACTOR_VERSION, TRACE_SCHEMA_VERSION};
 pub use dataset::LabeledTrace;
 pub use fleet::{
     run_fleet, FleetConfig, FleetOutcome, OverflowPolicy, SessionOutcome, SessionSpec,

@@ -63,8 +63,8 @@ pub struct RawTrace {
 /// attack phase (ignore it).
 ///
 /// The simulation is deterministic in its inputs, so results are memoized
-/// through [`crate::cache`] (see `LEAKY_DNN_CACHE`); a hit is bitwise
-/// identical to a fresh collection.
+/// in-process through [`crate::cache`]; a hit is bitwise identical to a
+/// fresh collection.
 ///
 /// # Panics
 ///
@@ -410,6 +410,7 @@ pub(crate) mod tests {
     #[test]
     fn faulted_collection_is_deterministic_and_perturbed() {
         use gpu_sim::FaultPlan;
+        let _memo = crate::cache::test_lock();
         let session = TrainingSession::new(tiny_model(), TrainingConfig::new(4, 2));
         let cfg = CollectionConfig {
             slowdown: SlowdownConfig { kernels: 2 },

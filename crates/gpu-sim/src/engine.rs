@@ -43,13 +43,6 @@ impl ContextId {
         self.0
     }
 
-    /// Constructs an id from a raw index. Intended for replaying recorded
-    /// timelines (e.g. a persisted trace cache); an id fabricated this way is
-    /// only meaningful against the engine instance it was recorded from.
-    pub fn from_index(i: usize) -> Self {
-        ContextId(i)
-    }
-
     /// Constructs an arbitrary id for tests.
     #[doc(hidden)]
     pub fn test_value(i: usize) -> Self {

@@ -2,7 +2,7 @@
 //!
 //! The workspace's reproduction contract is *bitwise determinism*: the same
 //! seeds must produce the same traces, features, models and
-//! `AttackReport`s on any machine, at any thread count, with the cache off
+//! `AttackReport`s on any machine, at any thread count, with the cache cold
 //! or warm. The runtime tests (`tests/determinism.rs`) sample a handful of
 //! configurations; this crate enforces the invariants they rely on
 //! *statically*, across every `.rs` file in the tree, on every CI run.

@@ -7,43 +7,12 @@
 //! (set `LEAKY_SCALE=quick` for a fast smoke run).
 
 use leaky_dnn::prelude::*;
-use moscons::hp_sweep_variants;
 
 fn main() {
-    let quick = std::env::var("LEAKY_SCALE").as_deref() == Ok("quick");
-    let side = if quick { 64 } else { 112 };
-    let (batch_cnn, batch_mlp, iters) = if quick { (8, 32, 6) } else { (16, 128, 8) };
-    let input = InputSpec::Image {
-        height: side,
-        width: side,
-        channels: 3,
-    };
+    let scale = bench::Scale::from_env();
 
     // --- profiling phase: Table V zoo + hyper-parameter sweep variants ---
-    let mut models = vec![
-        zoo::profiled_mlp().with_input(input),
-        zoo::alexnet().with_input(input),
-        zoo::profiled_vgg19().with_input(input),
-    ];
-    models.extend(hp_sweep_variants(&zoo::alexnet().with_input(input), 4, 5));
-    models.extend(hp_sweep_variants(
-        &zoo::profiled_mlp().with_input(input),
-        3,
-        9,
-    ));
-    models.extend(hp_sweep_variants(
-        &zoo::profiled_vgg19().with_input(input),
-        2,
-        13,
-    ));
-    let sessions: Vec<TrainingSession> = models
-        .into_iter()
-        .map(|m| {
-            let is_mlp = m.layers.iter().all(|l| matches!(l, Layer::Dense { .. }));
-            let batch = if is_mlp { batch_mlp } else { batch_cnn };
-            TrainingSession::new(m, TrainingConfig::new(batch, iters))
-        })
-        .collect();
+    let sessions = bench::profiling_suite(scale);
     println!(
         "profiling {} models (this trains Mgap, Mlong, Mop, Vlong, Vop, Mhp)...",
         sessions.len()
@@ -53,11 +22,11 @@ fn main() {
     println!("done in {:?}", t0.elapsed());
 
     // --- attack phase: VGG16 ---
-    let victim_model = zoo::vgg16().with_input(input);
-    let victim = TrainingSession::new(victim_model.clone(), TrainingConfig::new(batch_cnn, iters));
+    let victim = scale.session(zoo::vgg16());
+    let victim_model = victim.model();
     println!(
         "\nattacking {} (batch {}, {}px)...",
-        victim_model.name, batch_cnn, side
+        victim_model.name, scale.batch_cnn, scale.image
     );
     let (ex, _raw) = moscons.attack(&victim, 1616);
 
@@ -96,7 +65,7 @@ fn main() {
     println!("     recovered : {}", ex.structure);
     println!("     truth     : {}", victim_model.structure_string());
 
-    let score = score_structure(&victim_model, &ex.layers, ex.optimizer);
+    let score = score_structure(victim_model, &ex.layers, ex.optimizer);
     println!(
         "\nAccuracyL = {:.1}% (paper: 95.2%)   AccuracyHP = {:.1}% (paper: 82.8%)",
         100.0 * score.layers,

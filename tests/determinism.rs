@@ -73,37 +73,6 @@ fn faulted_pipeline_is_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn cache_modes_agree_bitwise() {
-    // The same pipeline with the trace cache off, cold on disk, and warm
-    // from disk must produce the same report — a disk hit is a bitwise
-    // round trip, not an approximation.
-    let dir = "target/leaky-dnn-cache-test";
-    let _ = std::fs::remove_dir_all(dir);
-    std::env::set_var("LEAKY_DNN_CACHE_DIR", dir);
-
-    std::env::set_var("LEAKY_DNN_CACHE", "off");
-    let uncached = ml::par::with_threads(1, run_pipeline);
-
-    std::env::set_var("LEAKY_DNN_CACHE", "disk");
-    let disk_cold = ml::par::with_threads(1, run_pipeline);
-    assert!(
-        std::fs::read_dir(dir)
-            .map(|d| d.count() > 0)
-            .unwrap_or(false),
-        "disk mode must persist trace entries under {}",
-        dir
-    );
-
-    // Drop the in-process memo so the next run must load from disk.
-    moscons::cache::clear_memory();
-    let disk_warm = ml::par::with_threads(1, run_pipeline);
-
-    std::env::set_var("LEAKY_DNN_CACHE", "mem");
-    assert_eq!(uncached, disk_cold, "disk-cold run diverged from uncached");
-    assert_eq!(uncached, disk_warm, "disk-warm run diverged from uncached");
-}
-
-#[test]
 fn quantization_is_worker_count_invariant_and_simd_agnostic() {
     use ml::{QuantizedSequenceClassifier, SeqClassifierConfig, SeqExample, SequenceClassifier};
 
