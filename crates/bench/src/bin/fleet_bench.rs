@@ -1,22 +1,18 @@
 //! Fleet orchestrator bench: N concurrent streaming spy sessions.
 //!
-//! Runs [`moscons::run_fleet`] twice over the same session specs:
-//!
-//! * **f32 + Stall** — the lossless streaming attack path. Every session's
-//!   final extraction is compared bitwise (via [`moscons::AttackReport`])
-//!   against the batch [`moscons::Moscons::attack_on`] on the same
-//!   victim/seed/GPU; `streaming_vs_batch_agreement` is the fraction of
-//!   sessions that match and CI gates it at exactly 1.0.
-//! * **int8 + Stall** — incremental gap detection per session with closed
-//!   segments batched *across* sessions into the quantized serving path
-//!   (one `predict_batch` per op model per round).
+//! Runs [`moscons::run_fleet`] under [`moscons::OverflowPolicy::Stall`],
+//! the lossless streaming attack path. Every session's final extraction is
+//! compared bitwise (via [`moscons::AttackReport`]) against the batch
+//! [`moscons::Moscons::attack_on`] on the same victim/seed/GPU;
+//! `streaming_vs_batch_agreement` is the fraction of sessions that match
+//! and CI gates it at exactly 1.0.
 //!
 //! Label latency is measured in *samples* (distance between a row entering
 //! the classifier and its label being emitted) — a deterministic quantity.
 //! Throughput numbers (`sessions_per_sec`, `labels_per_sec`) are host
 //! wall-clock and vary run to run.
 //!
-//! A third pass runs one streamed session per model-zoo conformance family
+//! A second pass runs one streamed session per model-zoo conformance family
 //! (`dnn_sim::zoo::FAMILIES`) under the zoo op vocabulary and scores each
 //! against ground truth; the per-family rows land under `fleet.families`
 //! and CI gates `op_accuracy > 0` and `streaming_agreement == 1.0` on every
@@ -31,7 +27,7 @@
 use std::time::Instant;
 
 use dnn_sim::{zoo, TrainingSession};
-use moscons::attack::{AttackConfig, InferencePrecision, Moscons};
+use moscons::attack::{AttackConfig, Moscons};
 use moscons::{
     run_fleet, score_structure, FleetConfig, FleetOutcome, LabeledTrace, OverflowPolicy,
     SessionSpec,
@@ -43,15 +39,12 @@ struct FleetBench {
     sessions: usize,
     scale: String,
     queue_capacity: usize,
-    /// Lockstep rounds of the f32 run (deterministic).
+    /// Lockstep rounds of the fleet run (deterministic).
     rounds: usize,
-    /// Fleet sessions completed per wall-clock second (f32 run).
+    /// Fleet sessions completed per wall-clock second.
     sessions_per_sec: f64,
-    /// Streamed labels emitted per wall-clock second (f32 run).
+    /// Streamed labels emitted per wall-clock second.
     labels_per_sec: f64,
-    /// Streamed labels per wall-clock second through the int8
-    /// cross-session serving path.
-    int8_labels_per_sec: f64,
     /// p50 label latency in samples (deterministic).
     label_latency_samples_p50: usize,
     /// p99 label latency in samples (deterministic).
@@ -148,12 +141,12 @@ fn main() {
         overflow: OverflowPolicy::Stall,
         ..FleetConfig::default()
     };
-    let (f32_secs, f32_run) = timed(|| run_fleet(&moscons, &specs, &fleet_cfg));
-    let f32_labels = total_labels(&f32_run);
+    let (fleet_secs, fleet_run) = timed(|| run_fleet(&moscons, &specs, &fleet_cfg));
+    let fleet_labels = total_labels(&fleet_run);
 
     // Batch references: the golden the streaming path must reproduce.
     let mut agree = 0usize;
-    for (spec, session) in specs.iter().zip(&f32_run.sessions) {
+    for (spec, session) in specs.iter().zip(&fleet_run.sessions) {
         let (batch, _) = moscons.attack_on(&spec.victim, spec.seed, &spec.gpu);
         if batch.report() == session.extraction.report() {
             agree += 1;
@@ -165,13 +158,6 @@ fn main() {
         }
     }
     let agreement = agree as f64 / specs.len() as f64;
-
-    let int8_cfg = FleetConfig {
-        precision: InferencePrecision::Int8,
-        ..fleet_cfg
-    };
-    let (int8_secs, int8_run) = timed(|| run_fleet(&moscons, &specs, &int8_cfg));
-    let int8_labels = total_labels(&int8_run);
 
     // Model-zoo family fleet: one streamed session per conformance family
     // under the zoo op vocabulary, each checked bitwise against its batch
@@ -237,7 +223,7 @@ fn main() {
         );
     }
 
-    let mut latencies: Vec<usize> = f32_run
+    let mut latencies: Vec<usize> = fleet_run
         .sessions
         .iter()
         .flat_map(|s| s.label_latencies.iter().copied())
@@ -250,14 +236,13 @@ fn main() {
         sessions: specs.len(),
         scale: scale_name.to_string(),
         queue_capacity: fleet_cfg.queue_capacity,
-        rounds: f32_run.rounds,
-        sessions_per_sec: specs.len() as f64 / f32_secs,
-        labels_per_sec: f32_labels as f64 / f32_secs,
-        int8_labels_per_sec: int8_labels as f64 / int8_secs,
+        rounds: fleet_run.rounds,
+        sessions_per_sec: specs.len() as f64 / fleet_secs,
+        labels_per_sec: fleet_labels as f64 / fleet_secs,
         label_latency_samples_p50: p50,
         label_latency_samples_p99: p99,
         streaming_vs_batch_agreement: agreement,
-        overflow_dropped_total: f32_run
+        overflow_dropped_total: fleet_run
             .sessions
             .iter()
             .map(|s| s.overflow_dropped)
@@ -265,13 +250,12 @@ fn main() {
         families,
     };
     println!(
-        "fleet ({} sessions, {} rounds): {:.2} sessions/s, {:.0} labels/s f32, \
-         {:.0} labels/s int8, latency p50 {} / p99 {} samples, agreement {:.2}",
+        "fleet ({} sessions, {} rounds): {:.2} sessions/s, {:.0} labels/s, \
+         latency p50 {} / p99 {} samples, agreement {:.2}",
         bench.sessions,
         bench.rounds,
         bench.sessions_per_sec,
         bench.labels_per_sec,
-        bench.int8_labels_per_sec,
         bench.label_latency_samples_p50,
         bench.label_latency_samples_p99,
         bench.streaming_vs_batch_agreement,

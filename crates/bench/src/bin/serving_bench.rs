@@ -1,7 +1,7 @@
-//! Fleet-scale serving bench: f32-scalar vs f32-SIMD vs int8 classification.
+//! Fleet-scale serving bench: f32-scalar vs f32-SIMD classification.
 //!
 //! Measures labels/second of a trained [`ml::SequenceClassifier`] on a
-//! confident synthetic task through three serving paths:
+//! confident synthetic task through two serving paths:
 //!
 //! * **f32-scalar** — [`ml::SequenceClassifier::predict_naive`] per
 //!   sequence: the reference forward pass whose per-gate horizontal dot
@@ -10,14 +10,10 @@
 //! * **f32-SIMD** — the production batch-bucketed
 //!   [`ml::SequenceClassifier::predict_batch`] with the AVX2 lane kernel
 //!   enabled (bitwise identical to the naive pass by contract).
-//! * **int8** — [`ml::QuantizedSequenceClassifier::predict_batch`], the
-//!   post-training quantized serving twin (≥ 99% label agreement, not
-//!   bitwise).
 //!
 //! Also times the tiled GEMM with the SIMD lane kernel on vs off
 //! (`simd_gemm_speedup`, hard 1.0 when AVX2 is unavailable or disabled via
-//! `LEAKY_DNN_SIMD=off`) and measures `int8_label_agreement` on the eval
-//! set; CI's bench-smoke job gates both.
+//! `LEAKY_DNN_SIMD=off`); CI's bench-smoke job gates it.
 //!
 //! Everything runs under `ml::par::with_threads(1)` so the numbers isolate
 //! kernel quality from the worker pool. Merges a `serving` section into
@@ -28,7 +24,7 @@
 use std::time::Instant;
 
 use ml::matrix::Matrix;
-use ml::{QuantizedSequenceClassifier, SeqClassifierConfig, SeqExample, SequenceClassifier};
+use ml::{SeqClassifierConfig, SeqExample, SequenceClassifier};
 use serde::Serialize;
 
 /// Eval fleet: sequences classified per timed repetition.
@@ -56,17 +52,11 @@ struct ServingBench {
     simd_enabled: bool,
     f32_scalar_labels_per_sec: f64,
     f32_simd_labels_per_sec: f64,
-    int8_labels_per_sec: f64,
     /// `f32_simd / f32_scalar`.
     simd_speedup_vs_scalar: f64,
-    /// `int8 / f32_scalar`.
-    int8_speedup_vs_scalar: f64,
     /// Tiled GEMM with the lane kernel on vs off — CI gates this at >= 1
     /// (hard 1.0 when SIMD is unavailable, so the gate stays meaningful).
     simd_gemm_speedup: f64,
-    /// Fraction of eval labels where int8 agrees with f32 — CI gates this
-    /// at >= 0.99.
-    int8_label_agreement: f64,
 }
 
 /// Deterministic pseudo-random stream — no RNG dependency.
@@ -79,8 +69,7 @@ fn lcg(state: &mut u64) -> f32 {
 
 /// Quadrant task: points near the four quadrant centers (±1, ±1) with a
 /// small noise radius, labeled by quadrant — an easy, margin-heavy task the
-/// classifier learns confidently, so int8's lossy arithmetic lands on the
-/// same argmax almost everywhere (the ≥ 99% agreement contract).
+/// classifier learns confidently.
 fn quadrant_sequences(n: usize, t: usize, seed: u64) -> Vec<SeqExample> {
     let mut state = seed | 1;
     (0..n)
@@ -157,20 +146,10 @@ fn main() {
         cfg.batch_size = 4;
         let mut clf = SequenceClassifier::new(cfg);
         clf.fit(&quadrant_sequences(32, 16, 3));
-        let quant = QuantizedSequenceClassifier::from_f32(&clf);
 
         let eval = quadrant_sequences(EVAL_SEQS, EVAL_LEN, 7);
         let seqs: Vec<&[Vec<f32>]> = eval.iter().map(|e| e.features.as_slice()).collect();
         let total_labels = (EVAL_SEQS * EVAL_LEN) as f64;
-
-        let f32_labels: Vec<Vec<usize>> = clf.predict_batch(&seqs);
-        let int8_labels: Vec<Vec<usize>> = quant.predict_batch(&seqs);
-        let agree = f32_labels
-            .iter()
-            .flatten()
-            .zip(int8_labels.iter().flatten())
-            .filter(|(a, b)| a == b)
-            .count();
 
         let scalar_secs = best_secs(|| {
             for s in &seqs {
@@ -182,9 +161,6 @@ fn main() {
                 std::hint::black_box(clf.predict_batch(std::hint::black_box(&seqs)));
             })
         });
-        let int8_secs = best_secs(|| {
-            std::hint::black_box(quant.predict_batch(std::hint::black_box(&seqs)));
-        });
 
         ServingBench {
             sequences: EVAL_SEQS,
@@ -193,26 +169,20 @@ fn main() {
             simd_enabled: ml::simd::enabled(),
             f32_scalar_labels_per_sec: total_labels / scalar_secs,
             f32_simd_labels_per_sec: total_labels / simd_secs,
-            int8_labels_per_sec: total_labels / int8_secs,
             simd_speedup_vs_scalar: scalar_secs / simd_secs,
-            int8_speedup_vs_scalar: scalar_secs / int8_secs,
             simd_gemm_speedup: gemm_simd_speedup(),
-            int8_label_agreement: agree as f64 / total_labels,
         }
     });
 
     println!(
         "serving ({} seqs x {} steps, hidden {}): f32-scalar {:.0}/s, f32-simd {:.0}/s \
-         ({:.2}x), int8 {:.0}/s ({:.2}x), agreement {:.4}, gemm simd {:.2}x",
+         ({:.2}x), gemm simd {:.2}x",
         bench.sequences,
         bench.timesteps_per_sequence,
         bench.hidden,
         bench.f32_scalar_labels_per_sec,
         bench.f32_simd_labels_per_sec,
         bench.simd_speedup_vs_scalar,
-        bench.int8_labels_per_sec,
-        bench.int8_speedup_vs_scalar,
-        bench.int8_label_agreement,
         bench.simd_gemm_speedup,
     );
 

@@ -19,35 +19,15 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::{fit_scaler, LabeledTrace};
 use crate::gap::{GapConfig, GapModel};
 use crate::hyperparams::{HpKind, HpModel};
-use crate::long_ops::{LongClass, LongOpModel, LstmTrainConfig, QuantizedLongOpModel};
+use crate::long_ops::{LongClass, LongOpModel, LstmTrainConfig};
 use crate::opseq::{
     collapse, forward_boundary, merge_predictions, parse_forward_layers_zoo, structure_string,
     RecoveredKind, RecoveredLayer,
 };
-use crate::other_ops::{OpVocab, OtherClass, OtherOpModel, QuantizedOtherOpModel};
+use crate::other_ops::{OpVocab, OtherClass, OtherOpModel};
 use crate::syntax::{correct_graph, SyntaxConfig};
 use crate::trace::{collect_trace, CollectionConfig, RawTrace};
 use crate::voting::{VotingExample, VotingModel};
-use std::sync::OnceLock;
-
-/// Numeric precision of the `Mlong`/`Mop` group classification during
-/// extraction.
-///
-/// [`InferencePrecision::F32`] (the default) is the bitwise-pinned path all
-/// golden f32 reports use. [`InferencePrecision::Int8`] routes the two op
-/// classifiers through their post-training-quantized twins
-/// ([`ml::quant`]) for serving throughput, trading bitwise equality for
-/// ≥ 99% label agreement (pinned in the golden quantization report).
-/// Training, gap splitting, voting and the `Mhp` heads always stay f32 —
-/// the knob only changes which weights score the iteration group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InferencePrecision {
-    /// Full-precision inference (bitwise-deterministic, golden-pinned).
-    #[default]
-    F32,
-    /// Quantized int8 inference (deterministic, label-agreement-pinned).
-    Int8,
-}
 
 /// Full attack configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -117,11 +97,6 @@ pub struct Moscons {
     v_long: VotingModel,
     v_op: VotingModel,
     hp: Vec<HpModel>,
-    /// Lazily-built int8 twins of `m_long`/`m_op` for
-    /// [`InferencePrecision::Int8`]. Quantization is a pure function of the
-    /// trained weights, so each twin is built at most once per instance.
-    q_long: OnceLock<QuantizedLongOpModel>,
-    q_op: OnceLock<QuantizedOtherOpModel>,
 }
 
 /// The product of one extraction.
@@ -342,8 +317,6 @@ impl Moscons {
             v_long,
             v_op,
             hp,
-            q_long: OnceLock::new(),
-            q_op: OnceLock::new(),
         }
     }
 
@@ -393,33 +366,12 @@ impl Moscons {
         &self.v_op
     }
 
-    /// The lazily-quantized int8 twin of `Mlong` (built on first use).
-    pub fn quantized_long_model(&self) -> &QuantizedLongOpModel {
-        self.q_long.get_or_init(|| self.m_long.quantize())
-    }
-
-    /// The lazily-quantized int8 twin of `Mop` (built on first use).
-    pub fn quantized_op_model(&self) -> &QuantizedOtherOpModel {
-        self.q_op.get_or_init(|| self.m_op.quantize())
-    }
-
-    /// Runs the full extraction on a victim's sample stream at the default
-    /// [`InferencePrecision::F32`] — the bitwise-pinned path every existing
-    /// caller and golden report goes through, untouched by the int8 knob.
+    /// Runs the full extraction on a victim's sample stream.
     ///
     /// `features` is the attack-time CUPTI sample stream, already passed
     /// through [`crate::dataset::counter_features`] (as [`Moscons::attack`]
     /// does), in time order.
     pub fn extract(&self, features: &[Vec<f32>]) -> Extraction {
-        self.extract_with_precision(features, InferencePrecision::F32)
-    }
-
-    /// [`Moscons::extract`] with an explicit op-classifier precision.
-    pub fn extract_with_precision(
-        &self,
-        features: &[Vec<f32>],
-        precision: InferencePrecision,
-    ) -> Extraction {
         let iterations = self.gap.split_iterations(features, &self.scaler);
         if iterations.is_empty() {
             return Self::empty_extraction(iterations);
@@ -433,23 +385,15 @@ impl Moscons {
         // the batch carries enough FLOPs (see [`ml::matrix`]). Bitwise
         // identical to classifying each iteration separately.
         let group_feats: Vec<&[Vec<f32>]> = group.iter().map(|r| &features[r.clone()]).collect();
-        let (long_classes, op_classes) = match precision {
-            InferencePrecision::F32 => (
-                self.m_long.predict_batch(&group_feats, &self.scaler),
-                self.m_op.predict_batch(&group_feats, &self.scaler),
-            ),
-            InferencePrecision::Int8 => (
-                self.quantized_long_model()
-                    .predict_batch(&group_feats, &self.scaler),
-                self.quantized_op_model()
-                    .predict_batch(&group_feats, &self.scaler),
-            ),
-        };
-        let preds_long: Vec<Vec<usize>> = long_classes
+        let preds_long: Vec<Vec<usize>> = self
+            .m_long
+            .predict_batch(&group_feats, &self.scaler)
             .into_iter()
             .map(|seq| seq.into_iter().map(LongClass::index).collect())
             .collect();
-        let preds_op: Vec<Vec<usize>> = op_classes
+        let preds_op: Vec<Vec<usize>> = self
+            .m_op
+            .predict_batch(&group_feats, &self.scaler)
             .into_iter()
             .map(|seq| seq.into_iter().map(OtherClass::index).collect())
             .collect();
@@ -485,7 +429,7 @@ impl Moscons {
     /// labels: voting fusion, OpSeq collapse/parse, hyper-parameter
     /// attachment, optimizer vote and syntax correction.
     ///
-    /// This is the pure back half of [`Moscons::extract_with_precision`] —
+    /// This is the pure back half of [`Moscons::extract`] —
     /// it looks only at labels and lengths, never at features — shared
     /// verbatim with the streaming engine ([`crate::stream::AttackStream`]),
     /// which is what reduces the streaming-vs-batch golden proof to label
@@ -625,22 +569,9 @@ impl Moscons {
         }
     }
 
-    /// Convenience: collect a victim trace and extract in one call (at the
-    /// default f32 precision).
+    /// Convenience: collect a victim trace and extract in one call.
     pub fn attack(&self, victim: &TrainingSession, seed: u64) -> (Extraction, RawTrace) {
         self.attack_on(victim, seed, &self.config.gpu)
-    }
-
-    /// [`Moscons::attack`] with an explicit op-classifier precision —
-    /// opt-in int8 serving for fleet-scale classification; f32 callers are
-    /// untouched.
-    pub fn attack_with_precision(
-        &self,
-        victim: &TrainingSession,
-        seed: u64,
-        precision: InferencePrecision,
-    ) -> (Extraction, RawTrace) {
-        self.attack_on_with_precision(victim, seed, &self.config.gpu, precision)
     }
 
     /// [`Moscons::attack`] against an explicit GPU configuration — the knob
@@ -653,21 +584,8 @@ impl Moscons {
         seed: u64,
         gpu: &gpu_sim::GpuConfig,
     ) -> (Extraction, RawTrace) {
-        self.attack_on_with_precision(victim, seed, gpu, InferencePrecision::F32)
-    }
-
-    /// [`Moscons::attack_on`] with an explicit op-classifier precision.
-    /// Trace collection (and therefore the content-addressed trace cache)
-    /// is precision-independent: only the classification differs.
-    pub fn attack_on_with_precision(
-        &self,
-        victim: &TrainingSession,
-        seed: u64,
-        gpu: &gpu_sim::GpuConfig,
-        precision: InferencePrecision,
-    ) -> (Extraction, RawTrace) {
         let raw = collect_trace(victim, &self.config.collection.with_seed(seed), gpu);
         let features = crate::cache::counter_feature_matrix(&raw);
-        (self.extract_with_precision(&features, precision), raw)
+        (self.extract(&features), raw)
     }
 }

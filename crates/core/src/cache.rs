@@ -13,9 +13,14 @@
 //! a fresh collection. Entries live only as long as the process, so none can
 //! outlive the simulator and feature code that produced it. [`clear_memory`]
 //! empties the memo for cold-start timings.
+//!
+//! Each lock guards one map `get`, `insert` or `clear`, and the entries are
+//! immutable `Arc`s, so a map recovered from a poisoned lock is always
+//! consistent: the memo keeps serving after a thread panicked while holding
+//! it.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use dnn_sim::TrainingSession;
 use gpu_sim::GpuConfig;
@@ -163,10 +168,13 @@ fn feature_store() -> &'static Mutex<HashMap<u64, FeatureMatrix>> {
 /// Drops every memoized trace and feature matrix (tests and long-lived
 /// processes that want cold-start timings).
 pub fn clear_memory() {
-    trace_store().lock().expect("trace cache poisoned").clear();
+    trace_store()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
     feature_store()
         .lock()
-        .expect("feature cache poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .clear();
 }
 
@@ -179,7 +187,7 @@ pub fn clear_memory() {
 pub fn trace_for(key: u64, collect: impl FnOnce() -> RawTrace) -> RawTrace {
     if let Some(hit) = trace_store()
         .lock()
-        .expect("trace cache poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .get(&key)
         .cloned()
     {
@@ -188,7 +196,7 @@ pub fn trace_for(key: u64, collect: impl FnOnce() -> RawTrace) -> RawTrace {
     let trace = collect();
     trace_store()
         .lock()
-        .expect("trace cache poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .insert(key, Arc::new(trace.clone()));
     trace
 }
@@ -211,7 +219,7 @@ pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
     let key = h.finish();
     if let Some(hit) = feature_store()
         .lock()
-        .expect("feature cache poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .get(&key)
         .cloned()
     {
@@ -225,7 +233,7 @@ pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
     );
     feature_store()
         .lock()
-        .expect("feature cache poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .insert(key, Arc::clone(&matrix));
     matrix
 }
@@ -237,8 +245,7 @@ pub fn counter_feature_matrix(raw: &RawTrace) -> FeatureMatrix {
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -287,6 +294,31 @@ mod tests {
         let hit = trace_for(key, || panic!("a hit must not collect"));
         assert_traces_bitwise_equal(&miss, &trace);
         assert_traces_bitwise_equal(&hit, &miss);
+    }
+
+    #[test]
+    fn memo_survives_a_poisoned_lock() {
+        let _memo = test_lock();
+        // A thread that panics while holding the store's guard poisons it.
+        let poisoner = std::panic::catch_unwind(|| {
+            let _guard = trace_store().lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("poisoning the trace memo");
+        });
+        assert!(poisoner.is_err());
+        assert!(trace_store().is_poisoned());
+
+        let trace = tiny_trace();
+        let key = trace_key(
+            &tiny_session(),
+            &CollectionConfig::paper(),
+            &GpuConfig::gtx_1080_ti(),
+            "poisoned-memo-test",
+        );
+        let miss = trace_for(key, || trace.clone());
+        let hit = trace_for(key, || panic!("a hit must not collect"));
+        assert_traces_bitwise_equal(&miss, &trace);
+        assert_traces_bitwise_equal(&hit, &trace);
+        clear_memory();
     }
 
     #[test]

@@ -16,34 +16,26 @@
 //!    bounded queue. Back-pressure is explicit: [`OverflowPolicy::Stall`]
 //!    pauses a session's polling while its queue is full (lossless — the
 //!    agreement-bench mode), [`OverflowPolicy::DropOldest`] evicts the
-//!    oldest undrained rows onto a *counted* overflow path. Memory is
+//!    oldest undrained rows onto a *counted* overflow path. The queue is
 //!    bounded either way;
-//! 3. **classify** — each session drains at most `drain_per_round` rows.
-//!    At [`InferencePrecision::F32`] the rows feed the session's own
-//!    [`crate::stream::AttackStream`] (stateful streaming LSTMs, labels
-//!    with bounded latency, final extraction bitwise equal to the batch
-//!    attack). At [`InferencePrecision::Int8`] rows feed a
-//!    [`crate::stream::GapStream`] only; segments that close in a round
-//!    are batched **across sessions** into one quantized
-//!    `predict_batch` call per op model (the int8 serving path), and each
-//!    session's final report is the ordinary batch
-//!    [`Moscons::extract_with_precision`] at int8 — exactly the semantics
-//!    of [`Moscons::attack_with_precision`].
+//! 3. **classify** — each session drains at most `drain_per_round` rows
+//!    into its own [`crate::stream::AttackStream`] (stateful streaming
+//!    LSTMs, labels with bounded latency, final extraction bitwise equal to
+//!    the batch attack).
 //!
 //! Determinism: rounds are a pure function of the specs and the config —
 //! worker count, scheduling and session completion order never feed back
 //! into any session's inputs (see `tests/determinism.rs`).
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
 use cupti_sim::CuptiSample;
 use dnn_sim::TrainingSession;
 use gpu_sim::GpuConfig;
 
-use crate::attack::{Extraction, InferencePrecision, Moscons};
+use crate::attack::{Extraction, Moscons};
 use crate::dataset::counter_features;
-use crate::stream::{AttackStream, GapStream, SplitEvent};
+use crate::stream::AttackStream;
 use crate::trace::SpySession;
 
 /// What happens when a session's queue is full.
@@ -68,9 +60,6 @@ pub struct FleetConfig {
     pub queue_capacity: usize,
     /// Back-pressure policy for full queues.
     pub overflow: OverflowPolicy,
-    /// Op-classifier precision (see module docs for how the two modes
-    /// differ structurally).
-    pub precision: InferencePrecision,
     /// Engine events each live session advances per poll round.
     pub poll_steps: usize,
     /// Maximum rows a session drains from its queue per classify round.
@@ -82,7 +71,6 @@ impl Default for FleetConfig {
         FleetConfig {
             queue_capacity: 256,
             overflow: OverflowPolicy::Stall,
-            precision: InferencePrecision::F32,
             poll_steps: 256,
             drain_per_round: 64,
         }
@@ -104,10 +92,8 @@ pub struct SessionSpec {
 /// Per-session result of a fleet run.
 #[derive(Debug)]
 pub struct SessionOutcome {
-    /// The extraction. F32: bitwise equal to
-    /// [`Moscons::attack_on`] on the same victim/seed/GPU (when lossless).
-    /// Int8: [`Moscons::extract_with_precision`] at int8 over the streamed
-    /// rows.
+    /// The extraction: bitwise equal to [`Moscons::attack_on`] on the same
+    /// victim/seed/GPU (when lossless).
     pub extraction: Extraction,
     /// Label emission latency, in samples, for every streamed label
     /// (distance between a sample entering the classifier and its label
@@ -136,66 +122,36 @@ pub struct FleetOutcome {
     pub rounds: usize,
 }
 
-/// Mode-specific classification state of one session.
-#[derive(Debug)]
-enum Engine<'a> {
-    /// Full streaming attack path (gap + stateful LSTMs). Boxed: the
-    /// stream (7 classifier states + buffers) dwarfs the int8 variant.
-    F32 {
-        stream: Option<Box<AttackStream<'a>>>,
-    },
-    /// Incremental gap detection only; classification happens
-    /// cross-session on closed segments, raw rows retained for the final
-    /// batch-semantics report.
-    Int8 {
-        gap: GapStream<'a>,
-        features: Vec<Vec<f32>>,
-        events: Vec<SplitEvent>,
-    },
-}
-
 #[derive(Debug)]
 struct SessionState<'a> {
-    moscons: &'a Moscons,
     /// `Some` until the run (incl. the trailing-gap tail) has been drained.
     spy: Option<SpySession>,
     queue: VecDeque<Vec<f32>>,
-    /// Rows drained into the classification engine so far.
-    processed: usize,
     overflow_dropped: usize,
     samples_streamed: usize,
-    engine: Engine<'a>,
+    /// `Some` until [`AttackStream::finish`] turns it into `extraction`.
+    stream: Option<AttackStream<'a>>,
     label_latencies: Vec<usize>,
     extraction: Option<Extraction>,
-    finalized: bool,
 }
 
 impl<'a> SessionState<'a> {
-    fn start(moscons: &'a Moscons, spec: &SessionSpec, config: &FleetConfig) -> Self {
+    fn start(moscons: &'a Moscons, spec: &SessionSpec) -> Self {
         let collection = moscons.config().collection.with_seed(spec.seed);
         let spy = SpySession::start(&spec.victim, &collection, &spec.gpu);
-        let engine = match config.precision {
-            InferencePrecision::F32 => Engine::F32 {
-                stream: Some(Box::new(AttackStream::new(moscons))),
-            },
-            InferencePrecision::Int8 => Engine::Int8 {
-                gap: GapStream::new(moscons.gap_model(), moscons.scaler()),
-                features: Vec::new(),
-                events: Vec::new(),
-            },
-        };
         SessionState {
-            moscons,
             spy: Some(spy),
             queue: VecDeque::new(),
-            processed: 0,
             overflow_dropped: 0,
             samples_streamed: 0,
-            engine,
+            stream: Some(AttackStream::new(moscons)),
             label_latencies: Vec::new(),
             extraction: None,
-            finalized: false,
         }
+    }
+
+    fn finalized(&self) -> bool {
+        self.extraction.is_some()
     }
 
     /// Poll phase: advance the engine unless back-pressure says wait.
@@ -231,17 +187,12 @@ impl<'a> SessionState<'a> {
         }
     }
 
-    /// Classify phase, f32 mode: feed the session's streaming attack path.
-    fn drain_f32(&mut self, config: &FleetConfig) {
-        if self.finalized {
+    /// Classify phase: feed the session's streaming attack path.
+    fn drain(&mut self, config: &FleetConfig) {
+        if self.finalized() {
             return;
         }
-        let Engine::F32 { stream } = &mut self.engine else {
-            // Mixed-up engine: skip the round rather than abort the fleet.
-            debug_assert!(false, "f32 fleet builds f32 engines");
-            return;
-        };
-        let Some(live) = stream.as_mut() else {
+        let Some(live) = self.stream.as_mut() else {
             // Stream already consumed: nothing left to classify.
             debug_assert!(false, "stream alive until finalize");
             return;
@@ -250,15 +201,14 @@ impl<'a> SessionState<'a> {
             let Some(row) = self.queue.pop_front() else {
                 break;
             };
-            self.processed += 1;
             let now = live.samples_pushed(); // index this row gets
             for label in live.push(&row) {
                 self.label_latencies.push(now - label.sample);
             }
         }
-        if !self.finalized && self.spy.is_none() && self.queue.is_empty() {
+        if self.spy.is_none() && self.queue.is_empty() {
             let total = live.samples_pushed();
-            let Some(finished) = stream.take() else {
+            let Some(finished) = self.stream.take() else {
                 debug_assert!(false, "finalize once");
                 return;
             };
@@ -268,57 +218,7 @@ impl<'a> SessionState<'a> {
                 self.label_latencies.push(now - label.sample);
             }
             self.extraction = Some(outcome.extraction);
-            self.finalized = true;
         }
-    }
-
-    /// Classify phase, int8 mode: incremental gap detection; returns the
-    /// segments that closed this round (classified cross-session by the
-    /// caller).
-    fn drain_int8(&mut self, config: &FleetConfig) -> Vec<Range<usize>> {
-        if self.finalized {
-            return Vec::new();
-        }
-        let Engine::Int8 {
-            gap,
-            features,
-            events,
-        } = &mut self.engine
-        else {
-            // Mixed-up engine: skip the round rather than abort the fleet.
-            debug_assert!(false, "int8 fleet builds int8 engines");
-            return Vec::new();
-        };
-        let mut closed = Vec::new();
-        for _ in 0..config.drain_per_round {
-            let Some(row) = self.queue.pop_front() else {
-                break;
-            };
-            self.processed += 1;
-            events.clear();
-            gap.push(&row, events);
-            features.push(row);
-            for e in events.drain(..) {
-                if let SplitEvent::Close(r) = e {
-                    closed.push(r);
-                }
-            }
-        }
-        if !self.finalized && self.spy.is_none() && self.queue.is_empty() {
-            events.clear();
-            gap.finish(events);
-            for e in events.drain(..) {
-                if let SplitEvent::Close(r) = e {
-                    closed.push(r);
-                }
-            }
-            self.extraction = Some(
-                self.moscons
-                    .extract_with_precision(features, InferencePrecision::Int8),
-            );
-            self.finalized = true;
-        }
-        closed
     }
 
     fn into_outcome(self) -> SessionOutcome {
@@ -347,10 +247,10 @@ pub fn run_fleet(moscons: &Moscons, specs: &[SessionSpec], config: &FleetConfig)
     );
     let mut states: Vec<SessionState> = specs
         .iter()
-        .map(|spec| SessionState::start(moscons, spec, config))
+        .map(|spec| SessionState::start(moscons, spec))
         .collect();
     let mut rounds = 0usize;
-    while states.iter().any(|s| !s.finalized) {
+    while states.iter().any(|s| !s.finalized()) {
         rounds += 1;
         // Poll: independent engines, order-free fan-out.
         let polled: Vec<Vec<CuptiSample>> =
@@ -360,78 +260,10 @@ pub fn run_fleet(moscons: &Moscons, specs: &[SessionSpec], config: &FleetConfig)
             st.ingest(samples, config);
         }
         // Classify.
-        match config.precision {
-            InferencePrecision::F32 => {
-                ml::par::par_map_mut(&mut states, |_, st| st.drain_f32(config));
-            }
-            InferencePrecision::Int8 => {
-                let closed: Vec<Vec<Range<usize>>> =
-                    ml::par::par_map_mut(&mut states, |_, st| st.drain_int8(config));
-                classify_closed_cross_session(moscons, &mut states, &closed);
-            }
-        }
+        ml::par::par_map_mut(&mut states, |_, st| st.drain(config));
     }
     FleetOutcome {
         sessions: states.into_iter().map(SessionState::into_outcome).collect(),
         rounds,
-    }
-}
-
-/// Int8 serving: every segment that closed this round, across all
-/// sessions, goes through ONE quantized `predict_batch` call per op model
-/// (equal-length segments share fused int8 GEMMs regardless of which
-/// session they came from).
-fn classify_closed_cross_session(
-    moscons: &Moscons,
-    states: &mut [SessionState],
-    closed: &[Vec<Range<usize>>],
-) {
-    let mut owners: Vec<(usize, Range<usize>)> = Vec::new();
-    for (si, ranges) in closed.iter().enumerate() {
-        for r in ranges {
-            owners.push((si, r.clone()));
-        }
-    }
-    if owners.is_empty() {
-        return;
-    }
-    // Contract with the caller: `closed` came from these sessions, so every
-    // owner's session index is in range (checked up front — one malformed
-    // batch must not abort the fleet mid-scatter).
-    assert!(
-        owners.iter().all(|(si, _)| *si < states.len()),
-        "closed segment lists are parallel to states"
-    );
-    {
-        let refs: Vec<&[Vec<f32>]> = owners
-            .iter()
-            .map(|(si, r)| {
-                let Engine::Int8 { features, .. } = &states[*si].engine else {
-                    // Mixed-up engine: classify an empty segment instead of
-                    // aborting the whole fleet.
-                    debug_assert!(false, "int8 fleet builds int8 engines");
-                    return &[][..];
-                };
-                features.get(r.clone()).unwrap_or(&[][..])
-            })
-            .collect();
-        // The serving path itself: labels are emitted here; the final
-        // per-session report re-scores its voting group with identical
-        // batch semantics at finalization.
-        let long = moscons
-            .quantized_long_model()
-            .predict_batch(&refs, moscons.scaler());
-        let op = moscons
-            .quantized_op_model()
-            .predict_batch(&refs, moscons.scaler());
-        debug_assert_eq!(long.len(), owners.len());
-        debug_assert_eq!(op.len(), owners.len());
-    }
-    for (si, r) in owners {
-        let st = &mut states[si];
-        let now = st.processed.saturating_sub(1);
-        for sample in r {
-            st.label_latencies.push(now.saturating_sub(sample));
-        }
     }
 }

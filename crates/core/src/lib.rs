@@ -67,19 +67,19 @@ pub mod syntax;
 pub mod trace;
 pub mod voting;
 
-pub use attack::{AttackConfig, Extraction, InferencePrecision, Moscons};
+pub use attack::{AttackConfig, Extraction, Moscons};
 pub use dataset::LabeledTrace;
 pub use fleet::{
     run_fleet, FleetConfig, FleetOutcome, OverflowPolicy, SessionOutcome, SessionSpec,
 };
 pub use gap::{GapConfig, GapModel};
 pub use hyperparams::{HpKind, HpModel};
-pub use long_ops::{LongClass, LongOpModel, LstmTrainConfig, QuantizedLongOpModel};
+pub use long_ops::{LongClass, LongOpModel, LstmTrainConfig};
 pub use opseq::{
     forward_boundary, parse_forward_layers_lenient, parse_forward_layers_zoo, RecoveredGraph,
     RecoveredKind, RecoveredLayer, Skip,
 };
-pub use other_ops::{OpVocab, OtherClass, OtherOpModel, QuantizedOtherOpModel};
+pub use other_ops::{OpVocab, OtherClass, OtherOpModel};
 pub use profiling::{hp_sweep_variants, random_profiling_models, random_zoo_profiling_models};
 pub use report::{score_structure, AttackReport, StructureAccuracy};
 pub use slowdown::SlowdownConfig;

@@ -210,49 +210,6 @@ impl LongOpModel {
     pub fn classifier(&self) -> &SequenceClassifier {
         &self.clf
     }
-
-    /// Post-training int8 quantization of the trained classifier (see
-    /// [`ml::quant`]). A pure function of the f32 weights — no RNG, no
-    /// calibration data — so the twin is deterministic and inference only;
-    /// the f32 model keeps serving the bitwise-pinned paths.
-    pub fn quantize(&self) -> QuantizedLongOpModel {
-        QuantizedLongOpModel {
-            clf: ml::quant::QuantizedSequenceClassifier::from_f32(&self.clf),
-        }
-    }
-}
-
-/// Int8 serving twin of [`LongOpModel`], built by [`LongOpModel::quantize`].
-#[derive(Debug, Clone)]
-pub struct QuantizedLongOpModel {
-    clf: ml::quant::QuantizedSequenceClassifier,
-}
-
-impl QuantizedLongOpModel {
-    /// Int8 counterpart of [`LongOpModel::predict_batch`]: identical scaler
-    /// and lookahead preparation, quantized inference. Labels agree with
-    /// the f32 path to ≥ 99% (measured by `serving_bench` and pinned in the
-    /// golden quantization report) but are **not** bitwise equal —
-    /// quantization is lossy by design.
-    pub fn predict_batch(
-        &self,
-        iterations: &[&[Vec<f32>]],
-        scaler: &MinMaxScaler,
-    ) -> Vec<Vec<LongClass>> {
-        let prepared: Vec<Vec<Vec<f32>>> = iterations
-            .iter()
-            .map(|feats| {
-                let scaled: Vec<Vec<f32>> = feats.iter().map(|f| scaler.transform_row(f)).collect();
-                crate::dataset::with_lookahead(&scaled)
-            })
-            .collect();
-        let refs: Vec<&[Vec<f32>]> = prepared.iter().map(|p| p.as_slice()).collect();
-        self.clf
-            .predict_batch(&refs)
-            .into_iter()
-            .map(|seq| seq.into_iter().map(LongClass::from_index).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]

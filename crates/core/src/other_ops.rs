@@ -259,46 +259,6 @@ impl OtherOpModel {
     pub fn classifier(&self) -> &SequenceClassifier {
         &self.clf
     }
-
-    /// Post-training int8 quantization of the trained classifier (see
-    /// [`ml::quant`] and [`crate::long_ops::LongOpModel::quantize`]).
-    pub fn quantize(&self) -> QuantizedOtherOpModel {
-        QuantizedOtherOpModel {
-            clf: ml::quant::QuantizedSequenceClassifier::from_f32(&self.clf),
-        }
-    }
-}
-
-/// Int8 serving twin of [`OtherOpModel`], built by
-/// [`OtherOpModel::quantize`].
-#[derive(Debug, Clone)]
-pub struct QuantizedOtherOpModel {
-    clf: ml::quant::QuantizedSequenceClassifier,
-}
-
-impl QuantizedOtherOpModel {
-    /// Int8 counterpart of [`OtherOpModel::predict_batch`]: identical scaler
-    /// and lookahead preparation, quantized inference (≥ 99% label
-    /// agreement with f32, not bitwise equality).
-    pub fn predict_batch(
-        &self,
-        iterations: &[&[Vec<f32>]],
-        scaler: &MinMaxScaler,
-    ) -> Vec<Vec<OtherClass>> {
-        let prepared: Vec<Vec<Vec<f32>>> = iterations
-            .iter()
-            .map(|feats| {
-                let scaled: Vec<Vec<f32>> = feats.iter().map(|f| scaler.transform_row(f)).collect();
-                crate::dataset::with_lookahead(&scaled)
-            })
-            .collect();
-        let refs: Vec<&[Vec<f32>]> = prepared.iter().map(|p| p.as_slice()).collect();
-        self.clf
-            .predict_batch(&refs)
-            .into_iter()
-            .map(|seq| seq.into_iter().map(OtherClass::from_index).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -391,13 +391,6 @@ impl OpenSegment {
 /// The streaming attack path: push raw CUPTI feature rows as they arrive,
 /// collect [`StreamLabel`]s with bounded latency, and get the batch-parity
 /// [`Extraction`] at [`AttackStream::finish`].
-///
-/// f32 only by design: the int8 serving twins quantize activations with
-/// per-batch composition-dependent scales, so int8 chunked inference is not
-/// bit-stable against chunking — the bitwise golden contract lives on the
-/// f32 path. Fleet-scale int8 serving instead batches *closed* segments
-/// across sessions through the ordinary quantized batch entry points (see
-/// [`crate::fleet`]).
 #[derive(Debug)]
 pub struct AttackStream<'a> {
     moscons: &'a Moscons,

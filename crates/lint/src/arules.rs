@@ -15,7 +15,8 @@
 //!   contract or needs a written waiver.
 //! * **A2 `panic-free-serving`** — no `unwrap`/`expect`/`panic!`/
 //!   `unreachable!`/`todo!`/`unimplemented!` reachable from the serving
-//!   roots (`run_fleet`, the `AttackStream` round). The fleet degrades
+//!   roots (`run_fleet`, the `AttackStream` round, the batch
+//!   `Moscons::extract`). The fleet degrades
 //!   instead of aborting. The `assert!` family is allowed: dimension
 //!   asserts are call-site contract checks and `debug_assert!` compiles out
 //!   of release serving builds. Unguarded indexing is additionally checked,

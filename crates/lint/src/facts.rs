@@ -213,7 +213,7 @@ fn harvest_lets(body: &[Tok], bindings: &mut BTreeMap<String, String>) {
             continue;
         };
         if KEYWORDS.contains(&name) || name.chars().next().is_some_and(|c| c.is_uppercase()) {
-            // `let Some(x) = …`, `let Engine::Int8 { .. } = …` — destructure
+            // `let Some(x) = …`, `let Some(TailModel::Voting(v)) = …` — destructure
             // patterns fall back to the field map at resolution time.
             i = j;
             continue;

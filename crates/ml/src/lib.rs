@@ -18,8 +18,6 @@
 //!   data-parallel training and inference paths;
 //! * [`simd`] — explicit-lane AVX2 kernels behind runtime dispatch, bitwise
 //!   pinned to the scalar microkernel (the only `core::arch` user, lint D8);
-//! * [`quant`] — post-training int8 quantization and the
-//!   [`quant::QuantizedSequenceClassifier`] serving path;
 //! * [`workspace`] — pooled, reusable training buffers behind the
 //!   allocation-free epoch loop;
 //! * [`scale`] — MinMax scaling (§IV-A pre-processing);
@@ -47,7 +45,6 @@ pub mod matrix;
 pub mod metrics;
 pub mod optim;
 pub mod par;
-pub mod quant;
 pub mod scale;
 pub mod seq;
 pub mod simd;
@@ -58,6 +55,5 @@ pub use data::SeqExample;
 pub use gbdt::{GbdtBinaryClassifier, GbdtConfig};
 pub use matrix::Matrix;
 pub use metrics::{accuracy, ConfusionMatrix, MeanStd};
-pub use quant::QuantizedSequenceClassifier;
 pub use scale::MinMaxScaler;
 pub use seq::{SeqClassifierConfig, SequenceClassifier, StreamState};

@@ -171,18 +171,6 @@ impl SequenceClassifier {
         &self.config
     }
 
-    /// The trained LSTM stack (crate-internal: the [`crate::quant`]
-    /// post-training pass reads the weights to build its int8 twin).
-    pub(crate) fn layers(&self) -> &[LstmLayer] {
-        &self.layers
-    }
-
-    /// The trained classification head (crate-internal, see
-    /// [`SequenceClassifier::layers`]).
-    pub(crate) fn head(&self) -> &Dense {
-        &self.head
-    }
-
     /// Per-epoch loss/accuracy recorded by the last `fit` call.
     pub fn history(&self) -> &[EpochStats] {
         &self.history
@@ -824,7 +812,7 @@ impl SequenceClassifier {
     pub fn predict_proba(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
         self.predict_proba_batch(&[features])
             .pop()
-            .expect("one result per input sequence")
+            .unwrap_or_default()
     }
 
     /// Fully scalar per-sequence inference: walks [`LstmLayer::forward_naive`]

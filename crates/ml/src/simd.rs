@@ -21,11 +21,6 @@
 //! harmless: both paths produce bitwise-identical results, so which one a
 //! concurrent caller observes is a scheduling detail, never an arithmetic
 //! one.
-//!
-//! The integer kernel ([`dot_i8`]) serves the int8 path in [`crate::quant`].
-//! `i8 x i8 -> i32` accumulation is exact (no rounding anywhere), so lane
-//! order is irrelevant and the AVX2 widening-multiply path is trivially
-//! equal to the scalar loop.
 
 use crate::matrix::{TILE_M, TILE_N};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -172,102 +167,6 @@ pub fn gemm_t_tile_4x8(
     }
 }
 
-/// Exact `i8 x i8 -> i32` dot product for the int8 serving path.
-///
-/// Integer accumulation has no rounding, so the AVX2 widening path and the
-/// scalar loop are equal by construction, not merely bit-pinned.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dot_i8 length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` returned true only after the runtime AVX2
-        // probe succeeded; the kernel reads 16-byte chunks strictly inside
-        // `a`/`b` via chunk iterators and handles the tail in scalar code.
-        return unsafe { avx2::dot_i8(a, b) };
-    }
-    dot_i8_scalar(a, b)
-}
-
-fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x as i32 * y as i32)
-        .sum()
-}
-
-/// Four exact `i8 x i8 -> i32` dot products sharing one right-hand vector —
-/// the int8 serving hot path (four gate rows against one activation row).
-/// Sharing `b`'s loads across the four rows and fusing the four horizontal
-/// sums is what buys the serving throughput target; results are identical
-/// to four [`dot_i8`] calls. `use_simd` is hoisted by the caller so the
-/// dispatch check is not paid per dot product.
-///
-/// # Panics
-///
-/// Panics if any row's length differs from `b`'s.
-#[inline]
-pub fn dot_i8_x4(rows: &[&[i8]; 4], b: &[i8], use_simd: bool) -> [i32; 4] {
-    for r in rows {
-        assert_eq!(r.len(), b.len(), "dot_i8_x4 length mismatch");
-    }
-    #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        // SAFETY: `use_simd` is only true after the runtime AVX2 probe
-        // succeeded; the kernel reads 16-byte chunks strictly inside the
-        // equal-length slices and handles the tail in scalar code.
-        return unsafe { avx2::dot_i8_x4(rows, b) };
-    }
-    let _ = use_simd;
-    [
-        dot_i8_scalar(rows[0], b),
-        dot_i8_scalar(rows[1], b),
-        dot_i8_scalar(rows[2], b),
-        dot_i8_scalar(rows[3], b),
-    ]
-}
-
-/// Exact int8 matrix-vector product: `out[r] = dot_i8(w row r, h)` for a
-/// row-major `out.len() x cols` weight matrix. The serving recurrence calls
-/// this once per (timestep, sequence) so the widened `h` chunks are shared
-/// across *all* gate rows, not re-converted per 4-row block.
-///
-/// # Panics
-///
-/// Panics if `w.len() != out.len() * cols`, `h.len() != cols`, or
-/// `out.len()` is not a multiple of 4.
-pub fn matvec_i8(w: &[i8], cols: usize, h: &[i8], out: &mut [i32], use_simd: bool) {
-    let rows = out.len();
-    assert_eq!(w.len(), rows * cols, "matvec_i8 weight length mismatch");
-    assert_eq!(h.len(), cols, "matvec_i8 vector length mismatch");
-    assert_eq!(rows % 4, 0, "matvec_i8 rows must be a multiple of 4");
-    #[cfg(target_arch = "x86_64")]
-    if use_simd {
-        if cols / 16 <= avx2::MAX_WIDEN_CHUNKS {
-            // SAFETY: `use_simd` is only true after the runtime AVX2 probe
-            // succeeded; lengths were asserted above and the kernel stays
-            // inside them (see its SAFETY comment).
-            unsafe { avx2::matvec_i8(w, cols, h, out) };
-            return;
-        }
-        for (rb, o4) in out.chunks_exact_mut(4).enumerate() {
-            let base = rb * 4 * cols;
-            let w4: [&[i8]; 4] =
-                std::array::from_fn(|t| &w[base + t * cols..base + (t + 1) * cols]);
-            // SAFETY: as above — AVX2 was probed and slice lengths match.
-            o4.copy_from_slice(&unsafe { avx2::dot_i8_x4(&w4, h) });
-        }
-        return;
-    }
-    let _ = use_simd;
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot_i8_scalar(&w[r * cols..(r + 1) * cols], h);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 implementations. Every function is `unsafe` solely because of
@@ -275,11 +174,7 @@ mod avx2 {
 
     use crate::matrix::{TILE_M, TILE_N};
     use core::arch::x86_64::{
-        __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepi8_epi16,
-        _mm256_extracti128_si256, _mm256_hadd_epi32, _mm256_loadu_ps, _mm256_madd_epi16,
-        _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm_add_epi32,
-        _mm_cvtsi128_si32, _mm_loadu_si128, _mm_shuffle_epi32, _mm_storeu_si128,
-        _mm_unpackhi_epi64,
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
     };
 
     // SAFETY: callers guarantee AVX2 is available (checked at dispatch).
@@ -346,141 +241,6 @@ mod avx2 {
             }
         }
     }
-
-    // SAFETY: callers guarantee AVX2 is available (checked at dispatch).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let chunks = a.len() / 16;
-        // SAFETY: the loop reads exactly `chunks * 16` bytes from each
-        // slice (`idx + 16 <= a.len()` by construction); the remainder is
-        // summed by safe scalar code below.
-        let mut acc = unsafe {
-            let mut acc = _mm256_setzero_si256();
-            for c in 0..chunks {
-                let idx = c * 16;
-                let av = _mm_loadu_si128(a.as_ptr().add(idx) as *const __m128i);
-                let bv = _mm_loadu_si128(b.as_ptr().add(idx) as *const __m128i);
-                // Widen i8 -> i16 (exact), multiply-add adjacent pairs into
-                // i32 (|a|,|b| <= 127 so each pair product sum <= 32258,
-                // far inside i16*i16 -> i32 range). Integer adds are
-                // associative, so lane order cannot matter.
-                let prod = _mm256_madd_epi16(_mm256_cvtepi8_epi16(av), _mm256_cvtepi8_epi16(bv));
-                acc = _mm256_add_epi32(acc, prod);
-            }
-            horizontal_sum_i32(acc)
-        };
-        for idx in chunks * 16..a.len() {
-            acc += a[idx] as i32 * b[idx] as i32;
-        }
-        acc
-    }
-
-    // SAFETY: callers guarantee AVX2 is available (checked at dispatch).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_x4(rows: &[&[i8]; 4], b: &[i8]) -> [i32; 4] {
-        let chunks = b.len() / 16;
-        // SAFETY: the caller asserted all four rows equal `b` in length and
-        // the loop reads exactly `chunks * 16 <= b.len()` bytes from each;
-        // `out` is 4 contiguous i32s, a valid unaligned store target.
-        let mut out = unsafe {
-            let mut acc = [_mm256_setzero_si256(); 4];
-            for c in 0..chunks {
-                let idx = c * 16;
-                let bv =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(idx) as *const __m128i));
-                for (a, row) in acc.iter_mut().zip(rows.iter()) {
-                    let av = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                        row.as_ptr().add(idx) as *const __m128i
-                    ));
-                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(av, bv));
-                }
-            }
-            // Fused 4-way horizontal sum: two hadd rounds interleave the
-            // per-accumulator partial sums per 128-bit lane, the cross-lane
-            // add finishes all four reductions at once.
-            let t0 = _mm256_hadd_epi32(acc[0], acc[1]);
-            let t1 = _mm256_hadd_epi32(acc[2], acc[3]);
-            let t2 = _mm256_hadd_epi32(t0, t1);
-            let sums = _mm_add_epi32(
-                _mm256_extracti128_si256::<0>(t2),
-                _mm256_extracti128_si256::<1>(t2),
-            );
-            let mut out = [0i32; 4];
-            _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, sums);
-            out
-        };
-        for idx in chunks * 16..b.len() {
-            for (o, row) in out.iter_mut().zip(rows.iter()) {
-                *o += row[idx] as i32 * b[idx] as i32;
-            }
-        }
-        out
-    }
-
-    /// Widened-activation buffer bound for [`matvec_i8`]: up to
-    /// `64 * 16 = 1024` int8 columns pre-converted on the stack (2 KiB).
-    /// Wider products fall back to the per-block kernel at dispatch.
-    pub const MAX_WIDEN_CHUNKS: usize = 64;
-
-    // SAFETY: callers guarantee AVX2 is available (checked at dispatch).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn matvec_i8(w: &[i8], cols: usize, h: &[i8], out: &mut [i32]) {
-        let chunks = cols / 16;
-        debug_assert!(chunks <= MAX_WIDEN_CHUNKS);
-        // The dispatcher asserted `w.len() == out.len() * cols`,
-        // `h.len() == cols`, `out.len() % 4 == 0` and `chunks <=
-        // MAX_WIDEN_CHUNKS`; the `cols % 16` tail is handled by safe code.
-        // SAFETY: every pointer below therefore stays inside those bounds
-        // (`c * 16 + 16 <= cols`, `base + t * cols + cols <= w.len()`).
-        unsafe {
-            // Widen the shared activation row once.
-            let mut hw = [_mm256_setzero_si256(); MAX_WIDEN_CHUNKS];
-            for (c, slot) in hw.iter_mut().enumerate().take(chunks) {
-                *slot =
-                    _mm256_cvtepi8_epi16(_mm_loadu_si128(h.as_ptr().add(c * 16) as *const __m128i));
-            }
-            for (rb, o4) in out.chunks_exact_mut(4).enumerate() {
-                let base = rb * 4 * cols;
-                let mut acc = [_mm256_setzero_si256(); 4];
-                for (c, &hv) in hw.iter().enumerate().take(chunks) {
-                    let idx = c * 16;
-                    for (t, a) in acc.iter_mut().enumerate() {
-                        let wv = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            w.as_ptr().add(base + t * cols + idx) as *const __m128i,
-                        ));
-                        *a = _mm256_add_epi32(*a, _mm256_madd_epi16(wv, hv));
-                    }
-                }
-                let t0 = _mm256_hadd_epi32(acc[0], acc[1]);
-                let t1 = _mm256_hadd_epi32(acc[2], acc[3]);
-                let t2 = _mm256_hadd_epi32(t0, t1);
-                let sums = _mm_add_epi32(
-                    _mm256_extracti128_si256::<0>(t2),
-                    _mm256_extracti128_si256::<1>(t2),
-                );
-                let mut four = [0i32; 4];
-                _mm_storeu_si128(four.as_mut_ptr() as *mut __m128i, sums);
-                for idx in chunks * 16..cols {
-                    for (t, o) in four.iter_mut().enumerate() {
-                        *o += w[base + t * cols + idx] as i32 * h[idx] as i32;
-                    }
-                }
-                o4.copy_from_slice(&four);
-            }
-        }
-    }
-
-    // SAFETY: callers guarantee AVX2 is available (checked at dispatch);
-    // the body is pure register shuffles and adds, no memory access.
-    #[target_feature(enable = "avx2")]
-    unsafe fn horizontal_sum_i32(v: __m256i) -> i32 {
-        let lo = _mm256_extracti128_si256::<0>(v);
-        let hi = _mm256_extracti128_si256::<1>(v);
-        let sum128 = _mm_add_epi32(lo, hi);
-        let sum64 = _mm_add_epi32(sum128, _mm_unpackhi_epi64(sum128, sum128));
-        let sum32 = _mm_add_epi32(sum64, _mm_shuffle_epi32::<0b01>(sum64));
-        _mm_cvtsi128_si32(sum32)
-    }
 }
 
 #[cfg(test)]
@@ -546,64 +306,5 @@ mod tests {
             gemm_t_tile_4x8(&a, a_cols, 1, &b, n, TILE_N, k_dim, &mut simd, enabled());
             assert_eq!(scalar, simd, "k_dim = {k_dim}");
         }
-    }
-
-    #[test]
-    fn dot_i8_matches_scalar_on_all_tail_lengths() {
-        for len in 0..64usize {
-            let a: Vec<i8> = (0..len).map(|i| ((i * 37 + 11) % 255) as i8).collect();
-            let b: Vec<i8> = (0..len).map(|i| ((i * 91 + 5) % 255) as i8).collect();
-            assert_eq!(dot_i8(&a, &b), dot_i8_scalar(&a, &b), "len = {len}");
-        }
-    }
-
-    #[test]
-    fn dot_i8_x4_matches_four_single_dots_on_all_tail_lengths() {
-        for len in 0..64usize {
-            let rows_data: Vec<Vec<i8>> = (0..4)
-                .map(|r| {
-                    (0..len)
-                        .map(|i| ((i * 37 + r * 13 + 11) % 255) as i8)
-                        .collect()
-                })
-                .collect();
-            let rows: [&[i8]; 4] = std::array::from_fn(|r| rows_data[r].as_slice());
-            let b: Vec<i8> = (0..len).map(|i| ((i * 91 + 5) % 255) as i8).collect();
-            let expect: [i32; 4] = std::array::from_fn(|r| dot_i8_scalar(rows[r], &b));
-            assert_eq!(dot_i8_x4(&rows, &b, false), expect, "scalar len = {len}");
-            assert_eq!(dot_i8_x4(&rows, &b, enabled()), expect, "simd len = {len}");
-        }
-    }
-
-    #[test]
-    fn matvec_i8_matches_scalar_for_all_widths_and_the_wide_fallback() {
-        // 0..40 sweeps the tail lengths; 1040 (> 64 chunks) exercises the
-        // per-block fallback at dispatch.
-        for cols in (0..40usize).chain([1024, 1040]) {
-            for rows in [4usize, 8, 12] {
-                let w: Vec<i8> = (0..rows * cols)
-                    .map(|i| ((i * 23 + 7) % 255) as i8)
-                    .collect();
-                let h: Vec<i8> = (0..cols).map(|i| ((i * 91 + 5) % 255) as i8).collect();
-                let mut scalar = vec![0i32; rows];
-                matvec_i8(&w, cols, &h, &mut scalar, false);
-                let expect: Vec<i32> = (0..rows)
-                    .map(|r| dot_i8_scalar(&w[r * cols..(r + 1) * cols], &h))
-                    .collect();
-                assert_eq!(scalar, expect, "scalar rows={rows} cols={cols}");
-                let mut simd = vec![0i32; rows];
-                matvec_i8(&w, cols, &h, &mut simd, enabled());
-                assert_eq!(simd, expect, "simd rows={rows} cols={cols}");
-            }
-        }
-    }
-
-    #[test]
-    fn dot_i8_saturating_extremes() {
-        let a = vec![i8::MIN; 100];
-        let b = vec![i8::MIN; 100];
-        assert_eq!(dot_i8(&a, &b), 100 * 128 * 128);
-        let c = vec![i8::MAX; 100];
-        assert_eq!(dot_i8(&a, &c), 100 * -128 * 127);
     }
 }

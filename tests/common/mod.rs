@@ -48,8 +48,7 @@ pub fn quick_pipeline_batched(
 }
 
 /// The profiled attacker plus the fixed smoke-scale victim, without running
-/// the attack — for tests that want to attack the same pair more than once
-/// (e.g. at both inference precisions).
+/// the attack — for tests that want to attack the same pair more than once.
 pub fn quick_attack_setup(faults: FaultPlan, batch_size: usize) -> (Moscons, TrainingSession) {
     let profiled: Vec<TrainingSession> = random_profiling_models(3, input(), 19)
         .into_iter()

@@ -72,49 +72,6 @@ fn faulted_pipeline_is_deterministic_across_thread_counts() {
     assert!(!other.fused_classes.is_empty(), "faulted run degenerated");
 }
 
-#[test]
-fn quantization_is_worker_count_invariant_and_simd_agnostic() {
-    use ml::{QuantizedSequenceClassifier, SeqClassifierConfig, SeqExample, SequenceClassifier};
-
-    // A small classifier trained on a separable toy task; training itself is
-    // thread-count invariant (ml's own tests pin that), so one trained model
-    // serves every comparison below.
-    let mut cfg = SeqClassifierConfig::new(2, 16, 2);
-    cfg.epochs = 10;
-    cfg.seed = 77;
-    let data: Vec<SeqExample> = (0..12)
-        .map(|i| {
-            let lab = i % 2;
-            let mut f = vec![0.0, 0.0];
-            f[lab] = 1.0;
-            SeqExample::new(vec![f; 6], vec![lab; 6])
-        })
-        .collect();
-    let mut clf = SequenceClassifier::new(cfg);
-    clf.fit(&data);
-
-    // Quantization is a pure function of the f32 weights: the int8 twins
-    // produced under 1-worker and 8-worker pools must be identical down to
-    // every i8 value and f32 scale (derived PartialEq).
-    let q1 = ml::par::with_threads(1, || QuantizedSequenceClassifier::from_f32(&clf));
-    let q8 = ml::par::with_threads(8, || QuantizedSequenceClassifier::from_f32(&clf));
-    assert_eq!(q1, q8, "quantized weights diverged across worker counts");
-
-    let seqs: Vec<&[Vec<f32>]> = data.iter().map(|e| e.features.as_slice()).collect();
-    let labels1 = ml::par::with_threads(1, || q1.predict_batch(&seqs));
-    let labels8 = ml::par::with_threads(8, || q8.predict_batch(&seqs));
-    assert_eq!(
-        labels1, labels8,
-        "int8 labels diverged across worker counts"
-    );
-
-    // Integer accumulation is order-free, so the scalar and AVX2 int8
-    // kernels agree exactly — the SIMD dispatch must never change a label.
-    let scalar = ml::simd::with_simd(false, || q1.predict_batch(&seqs));
-    let auto = ml::simd::with_simd(true, || q1.predict_batch(&seqs));
-    assert_eq!(scalar, auto, "int8 labels depend on the SIMD dispatch");
-}
-
 /// Flattened, comparable view of one fleet session: report, label
 /// latencies, rows dropped, samples streamed.
 type SessionSummary = (AttackReport, Vec<usize>, usize, usize);
@@ -139,7 +96,7 @@ fn fleet_summary(outcome: moscons::FleetOutcome) -> (Vec<SessionSummary>, usize)
 
 #[test]
 fn fleet_is_worker_count_and_order_invariant() {
-    use moscons::{run_fleet, FleetConfig, InferencePrecision, OverflowPolicy, SessionSpec};
+    use moscons::{run_fleet, FleetConfig, OverflowPolicy, SessionSpec};
 
     let (moscons, victim) = common::quick_attack_setup(FaultPlan::none(), 4);
     let gpu = moscons.config().gpu.clone();
@@ -188,20 +145,6 @@ fn fleet_is_worker_count_and_order_invariant() {
         assert!(!latencies.is_empty(), "session emitted no labels");
         assert_eq!(*dropped, 0, "Stall policy must never drop");
     }
-
-    // Int8 mode batches closed segments across sessions; the cross-session
-    // composition varies with spec order, but each session's final report is
-    // batch-semantics int8 — order invariance must hold there too.
-    let int8 = FleetConfig {
-        precision: InferencePrecision::Int8,
-        ..config
-    };
-    let fwd = ml::par::with_threads(8, || fleet_summary(run_fleet(&moscons, &specs, &int8)));
-    let (mut rev, _) = ml::par::with_threads(8, || {
-        fleet_summary(run_fleet(&moscons, &reversed_specs, &int8))
-    });
-    rev.reverse();
-    assert_eq!(fwd.0, rev, "int8 fleet outcomes depend on session order");
 
     // DropOldest: a deliberately starved consumer must evict — counted,
     // bounded, and still bitwise reproducible across worker counts.
