@@ -9,9 +9,10 @@
 //!   asserts bit equality of the two products while it measures, so a
 //!   GFLOP/s win can never come from diverged arithmetic.
 //! * **`lstm_packing`** — seconds per training epoch of the smoke-scale
-//!   classifier with minibatches of one (every bucket degenerates to a
-//!   single sequence: the per-sequence path) versus the pipeline's default
-//!   minibatch of four (equal-length sequences share fused 4-gate GEMMs).
+//!   classifier with minibatches of one (every packed bucket holds a single
+//!   sequence) versus the pipeline's default minibatch of four (equal-length
+//!   sequences share fused 4-gate GEMMs). `packed_secs_per_epoch` is the
+//!   one probe of the LSTM training hot path in `BENCH_pipeline.json`.
 //!
 //! Merges its sections into `BENCH_pipeline.json` without touching what
 //! `pipeline_perf` and `fault_sweep` wrote there.
@@ -114,8 +115,9 @@ fn gemm_bench() -> GemmBench {
     }
 }
 
-/// Seconds per epoch of the smoke-scale classifier (same geometry as
-/// `pipeline_perf`'s `lstm_epoch_bench`) at the given minibatch size.
+/// Seconds per epoch of the smoke-scale classifier (12 sequences of 40
+/// steps × 13 features, hidden 48, 4 classes, 8 epochs, one worker) at the
+/// given minibatch size.
 fn lstm_epoch_secs(batch_size: usize) -> f64 {
     let input = 13;
     let classes = 4;

@@ -44,44 +44,12 @@ struct PipelineBench {
     cache_warm_secs: f64,
     /// `cache_cold_secs / cache_warm_secs`.
     cache_speedup: f64,
-    /// Mean wall time of one training epoch of a smoke-scale LSTM classifier
-    /// (tracks the allocation-free hot path in `ml`).
-    lstm_secs_per_epoch: f64,
 }
 
 fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64(), out)
-}
-
-/// Mean seconds per epoch of a smoke-scale `SequenceClassifier::fit` — a
-/// direct probe of the workspace-backed LSTM training hot path.
-fn lstm_epoch_bench() -> f64 {
-    let input = 13;
-    let classes = 4;
-    let epochs = 8;
-    let data: Vec<ml::SeqExample> = (0..12)
-        .map(|i| {
-            let features: Vec<Vec<f32>> = (0..40)
-                .map(|t| {
-                    (0..input)
-                        .map(|d| ((i * 37 + t * 11 + d * 3) % 17) as f32 / 17.0)
-                        .collect()
-                })
-                .collect();
-            let labels: Vec<usize> = (0..40).map(|t| (i + t) % classes).collect();
-            ml::SeqExample::new(features, labels)
-        })
-        .collect();
-    let mut cfg = ml::SeqClassifierConfig::new(input, 48, classes);
-    cfg.epochs = epochs;
-    // The pipeline's LstmTrainConfig trains with minibatches of 4, so the
-    // probe does too: equal-length sequences in a minibatch share fused
-    // batched GEMMs (see `ml::seq`), which is the hot path being tracked.
-    cfg.batch_size = 4;
-    let (secs, _) = timed(|| ml::SequenceClassifier::new(cfg).fit(&data));
-    secs / epochs as f64
 }
 
 fn main() {
@@ -207,12 +175,6 @@ fn main() {
         cache_cold / cache_warm
     );
 
-    let lstm_secs_per_epoch = ml::par::with_threads(1, lstm_epoch_bench);
-    println!(
-        "  lstm epoch       {:.4}s (smoke-scale fit, 1 thread)",
-        lstm_secs_per_epoch
-    );
-
     let bench = PipelineBench {
         cores,
         threads,
@@ -224,7 +186,6 @@ fn main() {
         cache_cold_secs: cache_cold,
         cache_warm_secs: cache_warm,
         cache_speedup: cache_cold / cache_warm,
-        lstm_secs_per_epoch,
     };
     let Value::Object(fields) = serde_json::to_value(&bench).expect("bench serializes") else {
         unreachable!("a struct serializes to a JSON object")

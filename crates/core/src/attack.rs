@@ -96,7 +96,8 @@ pub struct Moscons {
     m_op: OtherOpModel,
     v_long: VotingModel,
     v_op: VotingModel,
-    hp: Vec<HpModel>,
+    /// One `Mhp` head per kind, in [`HpKind::ALL`] order.
+    hp: [HpModel; HpKind::ALL.len()],
 }
 
 /// The product of one extraction.
@@ -301,6 +302,9 @@ impl Moscons {
                 TailModel::Voting(_) => unreachable!("tasks 0..5 train Mhp heads"),
             })
             .collect();
+        let Ok(hp) = <[HpModel; HpKind::ALL.len()]>::try_from(hp) else {
+            unreachable!("tasks 0..5 train one Mhp head per HpKind")
+        };
         let Some(TailModel::Voting(v_long)) = tail.next() else {
             unreachable!("task 5 trains Vlong")
         };
@@ -347,13 +351,7 @@ impl Moscons {
 
     /// The trained `Mhp` head for one hyper-parameter kind.
     pub fn hp_model(&self, kind: HpKind) -> &HpModel {
-        self.hp
-            .iter()
-            .find(|h| h.kind() == kind)
-            // Construction invariant: `train` builds exactly one head per
-            // HpKind; a missing head is a training bug, not a serving
-            // condition. lint: allow(A2)
-            .expect("all five heads are trained")
+        &self.hp[kind.index()]
     }
 
     /// The trained `Vlong` voting model.

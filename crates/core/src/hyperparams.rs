@@ -42,6 +42,12 @@ impl HpKind {
         HpKind::Optimizer,
     ];
 
+    /// Position in [`HpKind::ALL`], which lists the kinds in declaration
+    /// order (pinned by a test).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Number of classes in this kind's label space.
     pub fn classes(self) -> usize {
         match self {
@@ -293,6 +299,13 @@ impl HpModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, k) in HpKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i, "{:?}", k);
+        }
+    }
 
     #[test]
     fn encode_decode_round_trip() {

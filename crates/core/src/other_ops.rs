@@ -119,12 +119,10 @@ impl OtherClass {
         }
     }
 
-    /// Model output index.
+    /// Model output index: the position in [`Self::ALL`], which lists the
+    /// variants in declaration order (pinned by the round-trip test).
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("class in ALL")
+        self as usize
     }
 
     /// Class from a model output index.

@@ -39,11 +39,6 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Output dimensionality.
-    pub fn output_size(&self) -> usize {
-        self.w.rows()
-    }
-
     /// Number of trainable parameters.
     pub fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
@@ -81,22 +76,6 @@ impl Dense {
     /// Backward pass: given inputs `xs` (T x I) and upstream logit gradients
     /// `dlogits` (T x O), returns parameter grads and `dxs` (T x I).
     pub fn backward(&self, xs: &Matrix, dlogits: &Matrix) -> (DenseGrads, Matrix) {
-        let mut grads = DenseGrads::empty();
-        let mut dxs = Matrix::zeros(1, 1);
-        self.backward_into(xs, dlogits, &mut grads, &mut dxs);
-        (grads, dxs)
-    }
-
-    /// In-place variant of [`Dense::backward`]: reshapes and fills `grads`
-    /// and `dxs`, performing no allocation once warm. Bitwise identical to
-    /// [`Dense::backward`].
-    pub fn backward_into(
-        &self,
-        xs: &Matrix,
-        dlogits: &Matrix,
-        grads: &mut DenseGrads,
-        dxs: &mut Matrix,
-    ) {
         assert_eq!(
             xs.rows(),
             dlogits.rows(),
@@ -108,15 +87,16 @@ impl Dense {
             "dense backward width mismatch"
         );
         // dW = dlogits^T * xs ; db = column sums of dlogits ; dx = dlogits * W
-        self.param_grads_into(xs, dlogits, grads);
-        dlogits.matmul_into(&self.w, dxs);
+        let mut grads = DenseGrads::empty();
+        self.param_grads_into(xs, dlogits, &mut grads);
+        (grads, dlogits.matmul(&self.w))
     }
 
     /// Parameter gradients only: `dW = dlogits^T * xs` (ascending-`t` row
-    /// scan) and `db` as ascending-`t` column sums. Factored out of
-    /// [`Dense::backward_into`] so the batch-packed training path can
-    /// compute per-example head gradients from matrices extracted out of
-    /// packed tensors while sharing the exact accumulation order.
+    /// scan) and `db` as ascending-`t` column sums. Shared with
+    /// [`Dense::backward`] so the batch-packed training path can compute
+    /// per-example head gradients from matrices extracted out of packed
+    /// tensors in the exact accumulation order of the reference pass.
     pub fn param_grads_into(&self, xs: &Matrix, dlogits: &Matrix, grads: &mut DenseGrads) {
         dlogits.t_matmul_into(xs, &mut grads.w);
         grads.b.clear();
@@ -131,11 +111,11 @@ impl Dense {
 
 impl DenseGrads {
     /// A placeholder gradient set ready to be shaped by
-    /// [`Dense::backward_into`].
+    /// [`Dense::param_grads_into`].
     pub fn empty() -> Self {
         DenseGrads {
             w: Matrix::zeros(1, 1),
-            // cold-init: shaped once by backward_into, then reused. lint: allow(A1)
+            // cold-init: shaped once by param_grads_into, then reused. lint: allow(A1)
             b: Vec::new(),
         }
     }

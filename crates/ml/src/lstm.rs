@@ -23,8 +23,10 @@ pub struct LstmLayer {
     pub b: Vec<f32>,
 }
 
-/// Per-timestep activations cached by [`LstmLayer::forward`], consumed by
-/// [`LstmLayer::backward`].
+/// Per-timestep activations cached by a forward pass
+/// ([`LstmLayer::forward_batch_into`], or [`LstmLayer::forward_naive`] for
+/// one sequence), consumed by the matching backward pass
+/// ([`LstmLayer::backward_batch_into`] / [`LstmLayer::backward_naive`]).
 #[derive(Debug, Clone)]
 pub struct LstmCache {
     /// Inputs per timestep (T x I).
@@ -56,7 +58,8 @@ pub struct LstmGrads {
 }
 
 impl LstmCache {
-    /// A placeholder cache ready to be shaped by [`LstmLayer::forward_into`].
+    /// A placeholder cache ready to be shaped by
+    /// [`LstmLayer::forward_batch_into`].
     pub fn empty() -> Self {
         LstmCache {
             xs: Matrix::zeros(1, 1),
@@ -73,34 +76,29 @@ impl LstmCache {
 
 impl LstmGrads {
     /// A placeholder gradient set ready to be shaped by
-    /// [`LstmLayer::backward_into`].
+    /// [`LstmLayer::param_grads_into`].
     pub fn empty() -> Self {
         LstmGrads {
             wx: Matrix::zeros(1, 1),
             wh: Matrix::zeros(1, 1),
-            // cold-init: shaped once by backward_into, then reused. lint: allow(A1)
+            // cold-init: shaped once by param_grads_into, then reused. lint: allow(A1)
             b: Vec::new(),
         }
     }
 }
 
-/// Reusable temporaries for [`LstmLayer::forward_into`] /
-/// [`LstmLayer::backward_into`]: every intermediate the fused passes need,
+/// Reusable temporaries for the packed kernels
+/// ([`LstmLayer::forward_batch_into`], [`LstmLayer::backward_batch_into`])
+/// and [`LstmLayer::param_grads_into`]: every intermediate they need,
 /// resized (never reallocated, once warm) per call. One scratch serves any
-/// number of layers and sequence lengths because each pass fully overwrites
-/// what it reads.
+/// number of layers, bucket sizes and sequence lengths because each pass
+/// fully overwrites what it reads.
 #[derive(Debug, Clone)]
 pub struct LstmScratch {
     x_proj: Matrix,
     wxt: Matrix,
     wht: Matrix,
-    h_prev: Vec<f32>,
-    c_prev: Vec<f32>,
     pre: Vec<f32>,
-    acc: Vec<f32>,
-    da_mat: Matrix,
-    dh_next: Vec<f32>,
-    dc_next: Vec<f32>,
     da_rev: Matrix,
     xs_rev: Matrix,
     da_tail: Matrix,
@@ -125,15 +123,9 @@ impl LstmScratch {
             x_proj: Matrix::zeros(1, 1),
             wxt: Matrix::zeros(1, 1),
             wht: Matrix::zeros(1, 1),
-            // cold-init: every buffer below is grown on first use by the
-            // fused passes and reused from then on (pool-slot construction).
-            h_prev: Vec::new(), // lint: allow(A1)
-            c_prev: Vec::new(), // lint: allow(A1)
-            pre: Vec::new(),    // lint: allow(A1)
-            acc: Vec::new(),    // lint: allow(A1)
-            da_mat: Matrix::zeros(1, 1),
-            dh_next: Vec::new(), // lint: allow(A1)
-            dc_next: Vec::new(), // lint: allow(A1)
+            // cold-init: grown on first use by the packed forward and reused
+            // from then on (pool-slot construction).
+            pre: Vec::new(), // lint: allow(A1)
             da_rev: Matrix::zeros(1, 1),
             xs_rev: Matrix::zeros(1, 1),
             da_tail: Matrix::zeros(1, 1),
@@ -196,109 +188,15 @@ impl LstmLayer {
         self.wx.len() + self.wh.len() + self.b.len()
     }
 
-    /// Runs the layer over a sequence (`xs`: T x I), starting from zero
-    /// state, returning the cache whose `h` field is the output sequence.
-    ///
-    /// The input projections for all four gates and all timesteps are
-    /// computed as one fused `xs * wx^T` GEMM up front; only the recurrent
-    /// `wh * h` term stays per-timestep (it is inherently sequential). The
-    /// per-element summation order matches [`LstmLayer::forward_naive`]
-    /// exactly, so the two paths are bitwise equal.
+    /// Reference forward pass over one sequence (`xs`: T x I, zero start
+    /// state): per-timestep, per-gate dot products. Kept as the ground truth
+    /// the packed [`LstmLayer::forward_batch_into`] must match bitwise for
+    /// every sequence of a bucket (property-tested), and as the forward half
+    /// of [`crate::seq::SequenceClassifier::fit_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `xs.cols() != input_size`.
-    pub fn forward(&self, xs: &Matrix) -> LstmCache {
-        let mut cache = LstmCache::empty();
-        let mut scratch = LstmScratch::new();
-        self.forward_into(xs, &mut cache, &mut scratch);
-        cache
-    }
-
-    /// In-place variant of [`LstmLayer::forward`]: reshapes and fills `cache`
-    /// using `scratch` for temporaries, performing no allocation once both
-    /// have warm capacity. Bitwise identical to [`LstmLayer::forward`] (same
-    /// kernels, same order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.cols() != input_size`.
-    pub fn forward_into(&self, xs: &Matrix, cache: &mut LstmCache, scratch: &mut LstmScratch) {
-        assert_eq!(xs.cols(), self.input_size, "lstm input width mismatch");
-        let t_len = xs.rows();
-        let h_size = self.hidden_size;
-        cache.xs.copy_from(xs);
-        cache.i.resize_zeroed(t_len, h_size);
-        cache.f.resize_zeroed(t_len, h_size);
-        cache.g.resize_zeroed(t_len, h_size);
-        cache.o.resize_zeroed(t_len, h_size);
-        cache.c.resize_zeroed(t_len, h_size);
-        cache.tc.resize_zeroed(t_len, h_size);
-        cache.h.resize_zeroed(t_len, h_size);
-        // T x 4H: x_proj[t][j] = dot(xs.row(t), wx.row(j)). Computed as
-        // xs * wx^T through the transposed copy: `matmul`'s per-element `k`
-        // chain is the same ascending dot, but its inner loop runs over
-        // independent output columns, which vectorizes (the naive path's
-        // horizontal dot reduction cannot).
-        self.wx.transposed_into(&mut scratch.wxt);
-        xs.matmul_into(&scratch.wxt, &mut scratch.x_proj);
-        // H x 4H: the recurrent matvec below walks wh^T rows for the same
-        // lane-parallel inner loop.
-        self.wh.transposed_into(&mut scratch.wht);
-        reset_zeroed(&mut scratch.h_prev, h_size);
-        reset_zeroed(&mut scratch.c_prev, h_size);
-        reset_zeroed(&mut scratch.pre, 4 * h_size);
-        reset_zeroed(&mut scratch.acc, 4 * h_size);
-        let (h_prev, c_prev, pre, acc) = (
-            &mut scratch.h_prev,
-            &mut scratch.c_prev,
-            &mut scratch.pre,
-            &mut scratch.acc,
-        );
-        for t in 0..t_len {
-            let xp = scratch.x_proj.row(t);
-            // acc[j] = dot(wh.row(j), h_prev), ascending k per element —
-            // the naive chain, with j as the vector lane.
-            acc.fill(0.0);
-            for (k, &hv) in h_prev.iter().enumerate() {
-                for (a, &w) in acc.iter_mut().zip(scratch.wht.row(k)) {
-                    *a += w * hv;
-                }
-            }
-            for (((p, &x), &a), &b) in pre.iter_mut().zip(xp).zip(acc.iter()).zip(&self.b) {
-                *p = x + a + b;
-            }
-            let i_row = cache.i.row_mut(t);
-            let f_row = cache.f.row_mut(t);
-            let g_row = cache.g.row_mut(t);
-            let o_row = cache.o.row_mut(t);
-            let c_row = cache.c.row_mut(t);
-            let tc_row = cache.tc.row_mut(t);
-            let h_row = cache.h.row_mut(t);
-            for k in 0..h_size {
-                let i = sigmoid(pre[k]);
-                let f = sigmoid(pre[h_size + k]);
-                let g = pre[2 * h_size + k].tanh();
-                let o = sigmoid(pre[3 * h_size + k]);
-                let c = f * c_prev[k] + i * g;
-                let tanh_c = c.tanh();
-                let h = o * tanh_c;
-                i_row[k] = i;
-                f_row[k] = f;
-                g_row[k] = g;
-                o_row[k] = o;
-                c_row[k] = c;
-                tc_row[k] = tanh_c;
-                h_row[k] = h;
-            }
-            h_prev.copy_from_slice(h_row);
-            c_prev.copy_from_slice(c_row);
-        }
-    }
-
-    /// Reference forward pass: per-timestep, per-gate dot products. Kept as
-    /// the ground truth [`LstmLayer::forward`] must match bitwise
-    /// (property-tested).
     pub fn forward_naive(&self, xs: &Matrix) -> LstmCache {
         assert_eq!(xs.cols(), self.input_size, "lstm input width mismatch");
         let t_len = xs.rows();
@@ -343,117 +241,17 @@ impl LstmLayer {
         cache
     }
 
-    /// Backpropagation through time.
-    ///
-    /// `dh_out` (T x H) is the upstream gradient on each timestep's hidden
-    /// state. Returns the parameter gradients and the gradient with respect
-    /// to the inputs (T x I), for stacking layers.
-    ///
-    /// The time loop only computes the gate deltas and the (sequential)
-    /// hidden-state carry; the parameter gradients and `dx` are then four
-    /// fused GEMMs over the full delta matrix. The serial loop accumulates
-    /// those gradients in *descending* `t` order, so the GEMM inputs are
-    /// row-reversed copies: `t_matmul`'s ascending row scan then reproduces
-    /// the exact same floating-point summation order, keeping this path
-    /// bitwise equal to [`LstmLayer::backward_naive`].
-    pub fn backward(&self, cache: &LstmCache, dh_out: &Matrix) -> (LstmGrads, Matrix) {
-        let mut grads = LstmGrads::empty();
-        let mut dx = Matrix::zeros(1, 1);
-        let mut scratch = LstmScratch::new();
-        self.backward_into(cache, dh_out, &mut grads, &mut dx, &mut scratch);
-        (grads, dx)
-    }
-
-    /// In-place variant of [`LstmLayer::backward`]: reshapes and fills
-    /// `grads` and `dx` using `scratch` for temporaries, performing no
-    /// allocation once everything has warm capacity. Bitwise identical to
-    /// [`LstmLayer::backward`].
-    pub fn backward_into(
-        &self,
-        cache: &LstmCache,
-        dh_out: &Matrix,
-        grads: &mut LstmGrads,
-        dx: &mut Matrix,
-        scratch: &mut LstmScratch,
-    ) {
-        let t_len = cache.h.rows();
-        let h_size = self.hidden_size;
-        assert_eq!(dh_out.rows(), t_len, "dh_out timestep mismatch");
-        assert_eq!(dh_out.cols(), h_size, "dh_out width mismatch");
-
-        scratch.da_mat.resize_zeroed(t_len, 4 * h_size);
-        reset_zeroed(&mut scratch.dh_next, h_size);
-        reset_zeroed(&mut scratch.dc_next, h_size);
-        let da_mat = &mut scratch.da_mat;
-        let dh_next = &mut scratch.dh_next;
-        let dc_next = &mut scratch.dc_next;
-
-        for t in (0..t_len).rev() {
-            let da = da_mat.row_mut(t);
-            let i_row = cache.i.row(t);
-            let f_row = cache.f.row(t);
-            let g_row = cache.g.row(t);
-            let o_row = cache.o.row(t);
-            let tc_row = cache.tc.row(t);
-            let dh_row = dh_out.row(t);
-            for k in 0..h_size {
-                let i = i_row[k];
-                let f = f_row[k];
-                let g = g_row[k];
-                let o = o_row[k];
-                let c_prev = if t == 0 { 0.0 } else { cache.c[(t - 1, k)] };
-                let tanh_c = tc_row[k];
-
-                let dh = dh_row[k] + dh_next[k];
-                let d_o = dh * tanh_c;
-                let dc = dh * o * tanh_deriv_from_output(tanh_c) + dc_next[k];
-                let d_i = dc * g;
-                let d_g = dc * i;
-                let d_f = dc * c_prev;
-                dc_next[k] = dc * f;
-
-                da[k] = d_i * sigmoid_deriv_from_output(i);
-                da[h_size + k] = d_f * sigmoid_deriv_from_output(f);
-                da[2 * h_size + k] = d_g * tanh_deriv_from_output(g);
-                da[3 * h_size + k] = d_o * sigmoid_deriv_from_output(o);
-            }
-            let da = da_mat.row(t);
-            dh_next.fill(0.0);
-            for (j, &a) in da.iter().enumerate() {
-                for (d, &w) in dh_next.iter_mut().zip(self.wh.row(j)) {
-                    *d += a * w;
-                }
-            }
-        }
-
-        // dx[t] = da[t] * wx: per element the j summation runs ascending,
-        // exactly like the serial inner loop.
-        da_mat.matmul_into(&self.wx, dx);
-
-        let LstmScratch {
-            da_mat,
-            da_rev,
-            xs_rev,
-            da_tail,
-            h_tail,
-            ..
-        } = scratch;
-        param_grads_impl(
-            h_size, da_mat, &cache.xs, &cache.h, grads, da_rev, xs_rev, da_tail, h_tail,
-        );
-    }
-
     /// Accumulates the parameter gradients (`wx`, `wh`, `b`) for one
     /// sequence from its gate-delta matrix `da_mat` (T x 4H), its layer
     /// inputs `xs` (T x I) and its hidden states `h` (T x H).
     ///
-    /// This is the exact tail of [`LstmLayer::backward_into`], factored out
-    /// so the batch-packed path can reuse it verbatim: parameter gradients
-    /// must accumulate per example in descending-`t` order (the serial BPTT
-    /// order), which a packed-row GEMM over an interleaved bucket would not
-    /// reproduce. Calling the same code on per-example matrices extracted
-    /// from the packed tensors keeps the two paths bitwise equal by
-    /// construction.
+    /// The packed backward leaves this to one call per example: parameter
+    /// gradients must accumulate per example in descending-`t` order (the
+    /// order of [`LstmLayer::backward_naive`]), which a packed-row GEMM over
+    /// an interleaved bucket would not reproduce. `b` sums descending `t`
+    /// directly, `wx` is a `t_matmul` over row-reversed copies (its
+    /// ascending row scan is then the descending-`t` chain), and `wh` pairs
+    /// the descending-`t` deltas for `t >= 1` with `h[t - 1]` the same way.
     pub fn param_grads_into(
         &self,
         da_mat: &Matrix,
@@ -462,6 +260,8 @@ impl LstmLayer {
         grads: &mut LstmGrads,
         scratch: &mut LstmScratch,
     ) {
+        let h_size = self.hidden_size;
+        let t_len = da_mat.rows();
         let LstmScratch {
             da_rev,
             xs_rev,
@@ -469,17 +269,27 @@ impl LstmLayer {
             h_tail,
             ..
         } = scratch;
-        param_grads_impl(
-            self.hidden_size,
-            da_mat,
-            xs,
-            h,
-            grads,
-            da_rev,
-            xs_rev,
-            da_tail,
-            h_tail,
-        );
+        reset_zeroed(&mut grads.b, 4 * h_size);
+        for t in (0..t_len).rev() {
+            for (bj, &a) in grads.b.iter_mut().zip(da_mat.row(t)) {
+                *bj += a;
+            }
+        }
+        reversed_rows_into(da_mat, da_rev);
+        reversed_rows_into(xs, xs_rev);
+        da_rev.t_matmul_into(xs_rev, &mut grads.wx);
+        if t_len > 1 {
+            // Gate deltas for t = T-1..1 (descending) against h for t-1.
+            da_tail.resize_zeroed(t_len - 1, 4 * h_size);
+            h_tail.resize_zeroed(t_len - 1, h_size);
+            for (r, t) in (1..t_len).rev().enumerate() {
+                da_tail.set_row(r, da_rev.row(t_len - 1 - t));
+                h_tail.set_row(r, h.row(t - 1));
+            }
+            da_tail.t_matmul_into(h_tail, &mut grads.wh);
+        } else {
+            grads.wh.resize_zeroed(4 * h_size, h_size);
+        }
     }
 
     /// Runs the layer over `batch` equal-length sequences packed batch-major
@@ -491,7 +301,7 @@ impl LstmLayer {
     /// over the whole bucket instead of `B` independent matvecs. GEMM rows
     /// are independent and accumulate ascending-`k` per element, so every
     /// sequence's rows are bitwise identical to running
-    /// [`LstmLayer::forward_into`] on that sequence alone (property-tested).
+    /// [`LstmLayer::forward_naive`] on that sequence alone (property-tested).
     ///
     /// # Panics
     ///
@@ -551,9 +361,11 @@ impl LstmLayer {
             acc_b,
             ..
         } = scratch;
-        // (T*B) x 4H input projections for the whole bucket in one GEMM;
-        // each row depends only on its own input row, so rows match the
-        // per-sequence projection bitwise.
+        // (T*B) x 4H input projections for the whole bucket in one GEMM,
+        // computed as xs * wx^T through the transposed copy: `matmul`'s
+        // per-element `k` chain is the ascending dot of `forward_naive`, but
+        // its inner loop runs over independent output columns, which
+        // vectorizes. Each row depends only on its own input row.
         self.wx.transposed_into(wxt);
         xs.matmul_into(wxt, x_proj);
         self.wh.transposed_into(wht);
@@ -570,8 +382,8 @@ impl LstmLayer {
         reset_zeroed(pre, 4 * h_size);
         for t in 0..t_len {
             // acc[b][j] = dot(h_prev[b], wht[.][j]), ascending k per element
-            // — the same chain as the per-sequence recurrent matvec (f32
-            // multiplication commutes bitwise).
+            // — the same chain as `forward_naive`'s `dot(wh.row(j), h_prev)`
+            // (f32 multiplication commutes bitwise).
             h_prev_b.matmul_into(wht, acc_b);
             for bi in 0..batch {
                 let r = t * batch + bi;
@@ -622,11 +434,11 @@ impl LstmLayer {
     /// The hidden-state carry `dh_next = da_t * wh` runs as one
     /// `(B x 4H) * (4H x H)` GEMM per timestep; per element it sums
     /// ascending-`j` exactly like the serial loop, so every sequence's rows
-    /// are bitwise identical to [`LstmLayer::backward_into`] on that
-    /// sequence alone. Parameter gradients are *not* computed here — their
-    /// descending-`t` per-example accumulation order cannot be reproduced by
-    /// a packed GEMM; extract each example's matrices and call
-    /// [`LstmLayer::param_grads_into`].
+    /// are bitwise identical to [`LstmLayer::backward_naive`] on that
+    /// sequence alone (property-tested). Parameter gradients are *not*
+    /// computed here — their descending-`t` per-example accumulation order
+    /// cannot be reproduced by a packed GEMM; extract each example's
+    /// matrices and call [`LstmLayer::param_grads_into`].
     pub fn backward_batch_into(
         &self,
         cache: &LstmCache,
@@ -700,14 +512,19 @@ impl LstmLayer {
             );
             da_t.matmul_into(&self.wh, dh_next_b);
         }
-        // Packed dx: row-independent, so each sequence's rows match the
-        // per-sequence `da_mat * wx` bitwise.
+        // Packed dx: row-independent, and per element the ascending-`j`
+        // chain of `backward_naive`'s dx accumulation.
         da_packed.matmul_into(&self.wx, dx);
     }
 
-    /// Reference BPTT: the straightforward per-timestep accumulation loops.
-    /// Kept as the ground truth [`LstmLayer::backward`] must match bitwise
-    /// (property-tested).
+    /// Reference BPTT over one sequence: the straightforward per-timestep
+    /// accumulation loops. `dh_out` (T x H) is the upstream gradient on each
+    /// timestep's hidden state; returns the parameter gradients and the
+    /// gradient with respect to the inputs (T x I), for stacking layers.
+    /// Kept as the ground truth [`LstmLayer::backward_batch_into`] plus
+    /// [`LstmLayer::param_grads_into`] must match bitwise
+    /// (property-tested), and as the backward half of
+    /// [`crate::seq::SequenceClassifier::fit_reference`].
     pub fn backward_naive(&self, cache: &LstmCache, dh_out: &Matrix) -> (LstmGrads, Matrix) {
         let t_len = cache.h.rows();
         let h_size = self.hidden_size;
@@ -777,47 +594,6 @@ impl LstmLayer {
     }
 }
 
-/// Shared tail of [`LstmLayer::backward_into`] and
-/// [`LstmLayer::param_grads_into`]: accumulates `b` (descending `t`), `wx`
-/// (row-reversed `t_matmul`) and `wh` (descending-`t` deltas against the
-/// previous hidden state) for one sequence. Single definition so the
-/// per-sequence and batch-packed paths cannot drift apart numerically.
-#[allow(clippy::too_many_arguments)]
-fn param_grads_impl(
-    h_size: usize,
-    da_mat: &Matrix,
-    xs: &Matrix,
-    h: &Matrix,
-    grads: &mut LstmGrads,
-    da_rev: &mut Matrix,
-    xs_rev: &mut Matrix,
-    da_tail: &mut Matrix,
-    h_tail: &mut Matrix,
-) {
-    let t_len = da_mat.rows();
-    reset_zeroed(&mut grads.b, 4 * h_size);
-    for t in (0..t_len).rev() {
-        for (bj, &a) in grads.b.iter_mut().zip(da_mat.row(t)) {
-            *bj += a;
-        }
-    }
-    reversed_rows_into(da_mat, da_rev);
-    reversed_rows_into(xs, xs_rev);
-    da_rev.t_matmul_into(xs_rev, &mut grads.wx);
-    if t_len > 1 {
-        // Gate deltas for t = T-1..1 (descending) against h for t-1.
-        da_tail.resize_zeroed(t_len - 1, 4 * h_size);
-        h_tail.resize_zeroed(t_len - 1, h_size);
-        for (r, t) in (1..t_len).rev().enumerate() {
-            da_tail.set_row(r, da_rev.row(t_len - 1 - t));
-            h_tail.set_row(r, h.row(t - 1));
-        }
-        da_tail.t_matmul_into(h_tail, &mut grads.wh);
-    } else {
-        grads.wh.resize_zeroed(4 * h_size, h_size);
-    }
-}
-
 /// Writes `m` with the row order reversed into `out` (used to turn an
 /// ascending GEMM row scan into a descending-`t` accumulation).
 fn reversed_rows_into(m: &Matrix, out: &mut Matrix) {
@@ -844,14 +620,14 @@ mod tests {
     /// Scalar objective: sum of all hidden states. Its gradient wrt every
     /// parameter can be checked with central finite differences.
     fn objective(layer: &LstmLayer, xs: &Matrix) -> f32 {
-        layer.forward(xs).h.sum()
+        layer.forward_naive(xs).h.sum()
     }
 
     #[test]
     fn forward_shapes_and_bounds() {
         let layer = tiny_layer(42);
         let xs = sample_input();
-        let cache = layer.forward(&xs);
+        let cache = layer.forward_naive(&xs);
         assert_eq!(cache.h.rows(), 3);
         assert_eq!(cache.h.cols(), 4);
         // Hidden state is o * tanh(c), so |h| < 1 always.
@@ -862,8 +638,8 @@ mod tests {
     fn forward_is_deterministic() {
         let layer = tiny_layer(42);
         let xs = sample_input();
-        let a = layer.forward(&xs);
-        let b = layer.forward(&xs);
+        let a = layer.forward_naive(&xs);
+        let b = layer.forward_naive(&xs);
         assert_eq!(a.h, b.h);
     }
 
@@ -871,9 +647,9 @@ mod tests {
     fn bptt_gradients_match_finite_differences() {
         let layer = tiny_layer(7);
         let xs = sample_input();
-        let cache = layer.forward(&xs);
+        let cache = layer.forward_naive(&xs);
         let dh = Matrix::filled(3, 4, 1.0); // d(sum h)/dh = 1 everywhere
-        let (grads, dx) = layer.backward(&cache, &dh);
+        let (grads, dx) = layer.backward_naive(&cache, &dh);
 
         let eps = 1e-3f32;
         // Check a sample of wx entries.
@@ -958,87 +734,103 @@ mod tests {
         StdRng::seed_from_u64(tag ^ ((i as u64) << 40 | (h as u64) << 20 | t as u64))
     }
 
-    #[test]
-    fn fused_paths_match_naive_bitwise() {
-        // The worker count is part of the input: the fused paths promise
-        // the naive bit patterns at every pool size.
-        let cases = testkit::gen::zip2(lstm_shape(), testkit::gen::usize_in(1, 4));
-        testkit::check(
-            "lstm_fused_vs_naive",
-            &cases,
-            |&((in_dim, hidden, t_len), threads)| {
-                let mut rng = shape_rng(99, (in_dim, hidden, t_len));
-                let layer = LstmLayer::new(in_dim, hidden, &mut rng);
-                let xs = Matrix::uniform(t_len, in_dim, 1.0, &mut rng);
-                let dh = Matrix::uniform(t_len, hidden, 1.0, &mut rng);
-                let (fused, (gf, dxf)) = crate::par::with_threads(threads, || {
-                    let fused = layer.forward(&xs);
-                    let grads = layer.backward(&fused, &dh);
-                    (fused, grads)
-                });
-                let naive = layer.forward_naive(&xs);
-                testkit::prop::holds(fused.h == naive.h, "forward h differs")?;
-                testkit::prop::holds(fused.c == naive.c, "forward c differs")?;
-                let (gn, dxn) = layer.backward_naive(&naive, &dh);
-                testkit::prop::holds(gf.wx == gn.wx, "wx grads differ")?;
-                testkit::prop::holds(gf.wh == gn.wh, "wh grads differ")?;
-                testkit::prop::holds(gf.b == gn.b, "b grads differ")?;
-                testkit::prop::holds(dxf == dxn, "dx differs")
-            },
-        );
-    }
-
-    #[test]
-    fn reused_cache_and_scratch_match_fresh_allocations_bitwise() {
-        // Pairs of sequence lengths run back-to-back through one set of
-        // buffers: shrinking then growing T exercises stale-capacity reuse.
-        let schedule =
-            testkit::gen::zip2(testkit::gen::usize_in(1, 12), testkit::gen::usize_in(1, 12));
-        testkit::check("lstm_buffer_reuse", &schedule, |&(t_first, t_second)| {
-            let mut rng = StdRng::seed_from_u64(0x5c1a ^ (t_first * 64 + t_second) as u64);
-            let layer = LstmLayer::new(5, 7, &mut rng);
-            let mut cache = LstmCache::empty();
-            let mut grads = LstmGrads::empty();
-            let mut dx = Matrix::zeros(1, 1);
-            let mut scratch = LstmScratch::new();
-            for t_len in [t_first, t_second] {
-                let xs = Matrix::uniform(t_len, 5, 1.0, &mut rng);
-                let dh = Matrix::uniform(t_len, 7, 1.0, &mut rng);
-                layer.forward_into(&xs, &mut cache, &mut scratch);
-                layer.backward_into(&cache, &dh, &mut grads, &mut dx, &mut scratch);
-                let fresh_cache = layer.forward(&xs);
-                let (fresh_grads, fresh_dx) = layer.backward(&fresh_cache, &dh);
-                testkit::prop::holds(cache.h == fresh_cache.h, format!("h differs at T={t_len}"))?;
-                testkit::prop::holds(
-                    grads.wx == fresh_grads.wx,
-                    format!("wx differs at T={t_len}"),
-                )?;
-                testkit::prop::holds(
-                    grads.wh == fresh_grads.wh,
-                    format!("wh differs at T={t_len}"),
-                )?;
-                testkit::prop::holds(grads.b == fresh_grads.b, format!("b differs at T={t_len}"))?;
-                testkit::prop::holds(dx == fresh_dx, format!("dx differs at T={t_len}"))?;
+    /// Packs equal-length sequences batch-major: row `t * B + b` holds
+    /// sequence `b`'s timestep `t`.
+    fn pack(seqs: &[Matrix]) -> Matrix {
+        let batch = seqs.len();
+        let t_len = seqs[0].rows();
+        let mut packed = Matrix::zeros(t_len * batch, seqs[0].cols());
+        for (b, m) in seqs.iter().enumerate() {
+            for t in 0..t_len {
+                packed.set_row(t * batch + b, m.row(t));
             }
-            Ok(())
-        });
+        }
+        packed
     }
 
-    /// Packs `batch` copies-with-distinct-contents sequences batch-major
-    /// (row `t*B + b`) and checks the batched kernels reproduce each
-    /// sequence's per-example forward/backward results bitwise, including
-    /// parameter gradients recovered through `param_grads_into`.
+    /// Sequence `b`'s rows, `t` ascending, out of a batch-major packed
+    /// matrix.
+    fn unpack(packed: &Matrix, batch: usize, b: usize) -> Matrix {
+        let t_len = packed.rows() / batch;
+        let mut out = Matrix::zeros(t_len, packed.cols());
+        for t in 0..t_len {
+            out.set_row(t, packed.row(t * batch + b));
+        }
+        out
+    }
+
+    /// Every buffer one packed training pass writes, so a test can run
+    /// buckets through one shared set or through a fresh set each.
+    struct PackedBuffers {
+        cache: LstmCache,
+        scratch: LstmScratch,
+        da: Matrix,
+        dx: Matrix,
+        grads: LstmGrads,
+    }
+
+    impl PackedBuffers {
+        fn new() -> Self {
+            PackedBuffers {
+                cache: LstmCache::empty(),
+                scratch: LstmScratch::new(),
+                da: Matrix::zeros(1, 1),
+                dx: Matrix::zeros(1, 1),
+                grads: LstmGrads::empty(),
+            }
+        }
+
+        /// Packed forward and backward over `batch` sequences (`xs` and
+        /// `dh` packed batch-major), then each example's parameter
+        /// gradients through `param_grads_into`, in batch order.
+        fn run(
+            &mut self,
+            layer: &LstmLayer,
+            xs: &Matrix,
+            dh: &Matrix,
+            batch: usize,
+        ) -> Vec<LstmGrads> {
+            layer.forward_batch_into(xs, batch, &mut self.cache, &mut self.scratch);
+            layer.backward_batch_into(
+                &self.cache,
+                batch,
+                dh,
+                &mut self.da,
+                &mut self.dx,
+                &mut self.scratch,
+            );
+            (0..batch)
+                .map(|b| {
+                    layer.param_grads_into(
+                        &unpack(&self.da, batch, b),
+                        &unpack(xs, batch, b),
+                        &unpack(&self.cache.h, batch, b),
+                        &mut self.grads,
+                        &mut self.scratch,
+                    );
+                    self.grads.clone()
+                })
+                .collect()
+        }
+    }
+
+    /// Packs `batch` distinct sequences batch-major and checks the packed
+    /// kernels reproduce each sequence's naive forward/backward results
+    /// bitwise: `h`, `c`, `dx`, and the parameter gradients recovered
+    /// through `param_grads_into`. `batch = 1` is the single-sequence case.
     #[test]
-    fn batched_kernels_match_per_sequence_bitwise() {
-        let shape = testkit::gen::zip3(
-            testkit::gen::zip2(testkit::gen::usize_in(1, 6), testkit::gen::usize_in(1, 7)),
-            testkit::gen::usize_in(1, 12), // t_len
-            testkit::gen::usize_in(1, 6),  // batch
+    fn batched_kernels_match_naive_bitwise() {
+        // The worker count is part of the input: the packed kernels promise
+        // the naive bit patterns at every pool size.
+        let cases = testkit::gen::zip3(
+            lstm_shape(),
+            testkit::gen::usize_in(1, 6), // batch
+            testkit::gen::usize_in(1, 4), // threads
         );
         testkit::check(
-            "lstm_batched_vs_per_sequence",
-            &shape,
-            |&((in_dim, hidden), t_len, batch)| {
+            "lstm_batched_vs_naive",
+            &cases,
+            |&((in_dim, hidden, t_len), batch, threads)| {
                 let mut rng = shape_rng(0xba7c ^ ((batch as u64) << 60), (in_dim, hidden, t_len));
                 let layer = LstmLayer::new(in_dim, hidden, &mut rng);
                 let seqs: Vec<Matrix> = (0..batch)
@@ -1047,63 +839,75 @@ mod tests {
                 let dhs: Vec<Matrix> = (0..batch)
                     .map(|_| Matrix::uniform(t_len, hidden, 1.0, &mut rng))
                     .collect();
+                let mut packed = PackedBuffers::new();
+                let grads = crate::par::with_threads(threads, || {
+                    packed.run(&layer, &pack(&seqs), &pack(&dhs), batch)
+                });
 
-                // Pack batch-major.
-                let mut xs_packed = Matrix::zeros(t_len * batch, in_dim);
-                let mut dh_packed = Matrix::zeros(t_len * batch, hidden);
-                for (b, (xs, dh)) in seqs.iter().zip(&dhs).enumerate() {
-                    for t in 0..t_len {
-                        xs_packed.set_row(t * batch + b, xs.row(t));
-                        dh_packed.set_row(t * batch + b, dh.row(t));
-                    }
-                }
-
-                let mut cache = LstmCache::empty();
-                let mut scratch = LstmScratch::new();
-                layer.forward_batch_into(&xs_packed, batch, &mut cache, &mut scratch);
-                let mut da_packed = Matrix::zeros(1, 1);
-                let mut dx_packed = Matrix::zeros(1, 1);
-                layer.backward_batch_into(
-                    &cache,
-                    batch,
-                    &dh_packed,
-                    &mut da_packed,
-                    &mut dx_packed,
-                    &mut scratch,
-                );
-
-                for (b, (xs, dh)) in seqs.iter().zip(&dhs).enumerate() {
-                    let solo = layer.forward(xs);
-                    let (solo_grads, solo_dx) = layer.backward(&solo, dh);
-                    // Per-example matrices extracted from the packed tensors.
-                    let mut h_ex = Matrix::zeros(t_len, hidden);
-                    let mut da_ex = Matrix::zeros(t_len, 4 * hidden);
-                    for t in 0..t_len {
-                        let r = t * batch + b;
-                        testkit::prop::holds(
-                            cache.h.row(r) == solo.h.row(t),
-                            format!("packed h row differs (b={b}, t={t})"),
-                        )?;
-                        testkit::prop::holds(
-                            cache.c.row(r) == solo.c.row(t),
-                            format!("packed c row differs (b={b}, t={t})"),
-                        )?;
-                        testkit::prop::holds(
-                            dx_packed.row(r) == solo_dx.row(t),
-                            format!("packed dx row differs (b={b}, t={t})"),
-                        )?;
-                        h_ex.set_row(t, cache.h.row(r));
-                        da_ex.set_row(t, da_packed.row(r));
-                    }
-                    let mut grads = LstmGrads::empty();
-                    layer.param_grads_into(&da_ex, xs, &h_ex, &mut grads, &mut scratch);
-                    testkit::prop::holds(grads.wx == solo_grads.wx, "packed wx grads differ")?;
-                    testkit::prop::holds(grads.wh == solo_grads.wh, "packed wh grads differ")?;
-                    testkit::prop::holds(grads.b == solo_grads.b, "packed b grads differ")?;
+                for (b, ((xs, dh), g)) in seqs.iter().zip(&dhs).zip(&grads).enumerate() {
+                    let naive = layer.forward_naive(xs);
+                    let (gn, dxn) = layer.backward_naive(&naive, dh);
+                    testkit::prop::holds(
+                        unpack(&packed.cache.h, batch, b) == naive.h,
+                        format!("forward h differs (b={b})"),
+                    )?;
+                    testkit::prop::holds(
+                        unpack(&packed.cache.c, batch, b) == naive.c,
+                        format!("forward c differs (b={b})"),
+                    )?;
+                    testkit::prop::holds(
+                        unpack(&packed.dx, batch, b) == dxn,
+                        format!("dx differs (b={b})"),
+                    )?;
+                    testkit::prop::holds(g.wx == gn.wx, format!("wx grads differ (b={b})"))?;
+                    testkit::prop::holds(g.wh == gn.wh, format!("wh grads differ (b={b})"))?;
+                    testkit::prop::holds(g.b == gn.b, format!("b grads differ (b={b})"))?;
                 }
                 Ok(())
             },
         );
+    }
+
+    #[test]
+    fn reused_cache_and_scratch_match_fresh_allocations_bitwise() {
+        // Two (T, B) buckets run back-to-back through one set of buffers:
+        // shrinking then growing either dimension exercises stale-capacity
+        // reuse.
+        let bucket =
+            testkit::gen::zip2(testkit::gen::usize_in(1, 12), testkit::gen::usize_in(1, 4));
+        let schedule = testkit::gen::zip2(bucket.clone(), bucket);
+        testkit::check("lstm_buffer_reuse", &schedule, |&(first, second)| {
+            let tag = [first.0, first.1, second.0, second.1]
+                .iter()
+                .fold(0u64, |acc, &d| acc * 16 + d as u64);
+            let mut rng = StdRng::seed_from_u64(0x5c1a ^ tag);
+            let layer = LstmLayer::new(5, 7, &mut rng);
+            let mut reused = PackedBuffers::new();
+            for (t_len, batch) in [first, second] {
+                let xs = Matrix::uniform(t_len * batch, 5, 1.0, &mut rng);
+                let dh = Matrix::uniform(t_len * batch, 7, 1.0, &mut rng);
+                let grads = reused.run(&layer, &xs, &dh, batch);
+                let mut fresh = PackedBuffers::new();
+                let fresh_grads = fresh.run(&layer, &xs, &dh, batch);
+                let at = format!("T={t_len}, B={batch}");
+                testkit::prop::holds(
+                    reused.cache.h == fresh.cache.h,
+                    format!("h differs at {at}"),
+                )?;
+                testkit::prop::holds(
+                    reused.cache.c == fresh.cache.c,
+                    format!("c differs at {at}"),
+                )?;
+                testkit::prop::holds(reused.da == fresh.da, format!("da differs at {at}"))?;
+                testkit::prop::holds(reused.dx == fresh.dx, format!("dx differs at {at}"))?;
+                for (g, f) in grads.iter().zip(&fresh_grads) {
+                    testkit::prop::holds(g.wx == f.wx, format!("wx differs at {at}"))?;
+                    testkit::prop::holds(g.wh == f.wh, format!("wh differs at {at}"))?;
+                    testkit::prop::holds(g.b == f.b, format!("b differs at {at}"))?;
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]
@@ -1113,8 +917,8 @@ mod tests {
         let mut a = Matrix::zeros(5, 3);
         a.set_row(0, &[1.0, 1.0, 1.0]);
         let b = Matrix::zeros(5, 3);
-        let ha = layer.forward(&a);
-        let hb = layer.forward(&b);
+        let ha = layer.forward_naive(&a);
+        let hb = layer.forward_naive(&b);
         let last = ha.h.rows() - 1;
         let diff: f32 =
             ha.h.row(last)
@@ -1140,6 +944,6 @@ mod tests {
     fn wrong_input_width_panics() {
         let layer = tiny_layer(0);
         let xs = Matrix::zeros(2, 5);
-        let _ = layer.forward(&xs);
+        let _ = layer.forward_naive(&xs);
     }
 }

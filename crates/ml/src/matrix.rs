@@ -111,11 +111,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a single-row matrix from a slice.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Matrix::from_rows(&[values])
-    }
-
     /// Builds a matrix with entries drawn uniformly from `[-limit, limit]`.
     pub fn uniform(rows: usize, cols: usize, limit: f32, rng: &mut StdRng) -> Self {
         Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-limit..=limit))
@@ -331,46 +326,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self * other^T`: independent row-pair dot products,
-    /// parallelized over output-row blocks. The accumulation order within
-    /// each dot product is unchanged from the serial version.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(1, 1);
-        self.matmul_t_into(other, &mut out);
-        out
-    }
-
-    /// In-place variant of [`Matrix::matmul_t`]: writes `self * other^T` into
-    /// `out`, resizing it. Bitwise identical to the allocating path.
-    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_t shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        out.resize_zeroed(self.rows, other.rows);
-        run_row_blocks(
-            &mut out.data,
-            self.rows,
-            other.rows,
-            self.cols,
-            |r0, buf| {
-                for (di, out_row) in buf.chunks_mut(other.rows).enumerate() {
-                    let i = r0 + di;
-                    let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        let b_row = &other.data[j * other.cols..(j + 1) * other.cols];
-                        let mut acc = 0.0f32;
-                        for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                            acc += a * b;
-                        }
-                        *o = acc;
-                    }
-                }
-            },
-        );
-    }
-
     /// Transposed copy.
     pub fn transposed(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -450,18 +405,6 @@ impl Matrix {
         for v in self.data.iter_mut() {
             *v = f(*v);
         }
-    }
-
-    /// Multiplies every element by `scale` in place.
-    pub fn scale_inplace(&mut self, scale: f32) {
-        for v in self.data.iter_mut() {
-            *v *= scale;
-        }
-    }
-
-    /// Sets every element to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// Sum of all elements.
@@ -719,14 +662,6 @@ mod tests {
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-5);
         }
-
-        let c = Matrix::uniform(6, 3, 1.0, &mut rng);
-        let d = Matrix::uniform(2, 3, 1.0, &mut rng);
-        let fast = c.matmul_t(&d);
-        let slow = c.matmul(&d.transposed());
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
-        }
     }
 
     /// Generator for GEMM shapes `(m, k, n)`. Dimensions deliberately straddle
@@ -860,16 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_t_is_thread_count_invariant() {
-        let mut rng = StdRng::seed_from_u64(0xb10d);
-        let a = Matrix::uniform(60, 90, 1.0, &mut rng);
-        let b = Matrix::uniform(48, 90, 1.0, &mut rng);
-        let one = crate::par::with_threads(1, || a.matmul_t(&b));
-        let many = crate::par::with_threads(6, || a.matmul_t(&b));
-        assert_eq!(one, many);
-    }
-
-    #[test]
     fn broadcast_and_axpy() {
         let mut m = Matrix::filled(2, 3, 1.0);
         m.add_row_broadcast(&[1.0, 2.0, 3.0]);
@@ -925,14 +850,7 @@ mod tests {
 
             let at = Matrix::uniform(k, m, 1.0, &mut rng);
             at.t_matmul_into(&b, &mut out);
-            testkit::prop::holds(out == at.t_matmul_naive(&b), "t_matmul_into != naive")?;
-
-            let bt = Matrix::uniform(n, k, 1.0, &mut rng);
-            a.matmul_t_into(&bt, &mut out);
-            testkit::prop::holds(
-                out == a.matmul(&bt.transposed()),
-                "matmul_t_into != explicit transpose",
-            )
+            testkit::prop::holds(out == at.t_matmul_naive(&b), "t_matmul_into != naive")
         });
     }
 

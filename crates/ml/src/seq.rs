@@ -203,12 +203,13 @@ impl SequenceClassifier {
     /// fused GEMM over the whole bucket instead of `B` per-sequence matvec
     /// loops. Each example's losses and gradients come back in its own
     /// pooled [`Workspace`] (tagged with its batch position), bitwise
-    /// identical to running that example through the per-sequence pass
-    /// alone: packed GEMM rows are independent and keep the ascending-`k`
-    /// per-element chains, and parameter gradients are accumulated from
-    /// per-example matrices extracted out of the packed tensors through the
-    /// exact same code path ([`LstmLayer::param_grads_into`] /
-    /// [`Dense::param_grads_into`]) the per-sequence backward uses.
+    /// identical to running that example through the naive reference pass
+    /// ([`SequenceClassifier::example_pass`]) alone: packed GEMM rows are
+    /// independent and keep the naive kernels' ascending-`k` per-element
+    /// chains, and parameter gradients are accumulated per example, from
+    /// matrices extracted out of the packed tensors, in the naive
+    /// accumulation order ([`LstmLayer::param_grads_into`] /
+    /// [`Dense::param_grads_into`]).
     #[allow(clippy::too_many_arguments)]
     fn bucket_pass_into(
         layers: &[LstmLayer],
@@ -246,7 +247,7 @@ impl SequenceClassifier {
         head.forward_into(last_h, &mut bws.logits);
 
         // Loss + dlogits per example, `t` ascending within each example so
-        // the per-example loss vectors match the per-sequence pass exactly.
+        // the per-example loss vectors match the reference pass exactly.
         bws.dlogits
             .resize_zeroed(bws.logits.rows(), bws.logits.cols());
         // Bookkeeping of pool-acquired workspaces (≤ batch_size pairs); the
@@ -290,7 +291,7 @@ impl SequenceClassifier {
         }
 
         // Backward down the stack; `dh`/`dx` swap roles exactly as in the
-        // per-sequence pass.
+        // reference pass.
         for (li, layer) in layers.iter().enumerate().rev() {
             layer.backward_batch_into(
                 &bws.caches[li],
@@ -321,11 +322,13 @@ impl SequenceClassifier {
         passes
     }
 
-    /// Reference full forward + backward pass for one example, allocating
-    /// every intermediate. Kept as the ground truth
-    /// [`SequenceClassifier::bucket_pass_into`] (and therefore
-    /// [`SequenceClassifier::fit`]) must match bitwise via
-    /// [`SequenceClassifier::fit_reference`].
+    /// Reference full forward + backward pass for one example through the
+    /// naive LSTM kernels ([`LstmLayer::forward_naive`] /
+    /// [`LstmLayer::backward_naive`]), allocating every intermediate. Kept
+    /// as the ground truth [`SequenceClassifier::bucket_pass_into`] (and
+    /// therefore [`SequenceClassifier::fit`]) must match bitwise via
+    /// [`SequenceClassifier::fit_reference`]; it shares no LSTM kernel with
+    /// the packed pass it checks.
     fn example_pass(
         layers: &[LstmLayer],
         head: &Dense,
@@ -338,7 +341,7 @@ impl SequenceClassifier {
         let mut caches = Vec::with_capacity(layers.len());
         let mut cur = xs;
         for layer in layers {
-            let cache = layer.forward(&cur);
+            let cache = layer.forward_naive(&cur);
             cur = cache.h.clone();
             caches.push(cache);
         }
@@ -363,7 +366,7 @@ impl SequenceClassifier {
         let (head_grads, mut dh) = head.backward(&cur, &dlogits);
         let mut layer_grads = Vec::with_capacity(layers.len());
         for (layer, cache) in layers.iter().zip(caches.iter()).rev() {
-            let (grads, dx) = layer.backward(cache, &dh);
+            let (grads, dx) = layer.backward_naive(cache, &dh);
             dh = dx;
             layer_grads.push(grads);
         }
@@ -864,42 +867,7 @@ impl SequenceClassifier {
     /// composition cannot change any sequence's values. Empty sequences
     /// yield empty predictions.
     pub fn predict_proba_batch(&self, seqs: &[&[Vec<f32>]]) -> Vec<Vec<Vec<f32>>> {
-        let mut results: Vec<Vec<Vec<f32>>> = vec![Vec::new(); seqs.len()];
-        let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, seq) in seqs.iter().enumerate() {
-            if seq.is_empty() {
-                continue;
-            }
-            assert_eq!(
-                seq[0].len(),
-                self.config.input_size,
-                "feature width mismatch"
-            );
-            buckets.entry(seq.len()).or_default().push(i);
-        }
-        let mut bws = BatchWorkspace::new(self.layers.len());
-        for (&t_len, idxs) in &buckets {
-            let b_n = idxs.len();
-            bws.xs.resize_zeroed(t_len * b_n, self.config.input_size);
-            for (bi, &i) in idxs.iter().enumerate() {
-                for (t, row) in seqs[i].iter().enumerate() {
-                    bws.xs.set_row(t * b_n + bi, row);
-                }
-            }
-            for (li, layer) in self.layers.iter().enumerate() {
-                let (done, rest) = bws.caches.split_at_mut(li);
-                let input = if li == 0 { &bws.xs } else { &done[li - 1].h };
-                layer.forward_batch_into(input, b_n, &mut rest[0], &mut bws.scratch);
-            }
-            self.head
-                .forward_into(&bws.caches[self.layers.len() - 1].h, &mut bws.logits);
-            for (bi, &i) in idxs.iter().enumerate() {
-                results[i] = (0..t_len)
-                    .map(|t| crate::activation::softmax(bws.logits.row(t * b_n + bi)))
-                    .collect();
-            }
-        }
-        results
+        self.packed_predict_proba(seqs, None)
     }
 
     /// Predicts per-timestep class labels for many sequences at once (the
@@ -963,23 +931,43 @@ impl SequenceClassifier {
         states: &mut [StreamState],
     ) -> Vec<Vec<Vec<f32>>> {
         assert_eq!(chunks.len(), states.len(), "one carry state per stream");
-        let mut results: Vec<Vec<Vec<f32>>> = vec![Vec::new(); chunks.len()];
+        self.packed_predict_proba(chunks, Some(states))
+    }
+
+    /// The one packed inference body behind
+    /// [`SequenceClassifier::predict_proba_batch`] (`states: None`: every
+    /// sequence starts from zero state) and
+    /// [`SequenceClassifier::predict_proba_stream_chunks`] (`Some`: one
+    /// `(h, c)` carry per sequence, copied in before and out after each
+    /// layer's recurrence). Buckets sequences by exact length (a
+    /// `BTreeMap`, so bucket order is deterministic), packs each bucket
+    /// batch-major, runs the LSTM stack and the head over it and returns
+    /// each sequence's softmax rows in input order. Empty sequences yield
+    /// empty outputs and leave their carry untouched.
+    fn packed_predict_proba(
+        &self,
+        seqs: &[&[Vec<f32>]],
+        mut states: Option<&mut [StreamState]>,
+    ) -> Vec<Vec<Vec<f32>>> {
+        let mut results: Vec<Vec<Vec<f32>>> = vec![Vec::new(); seqs.len()];
         let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, chunk) in chunks.iter().enumerate() {
-            if chunk.is_empty() {
+        for (i, seq) in seqs.iter().enumerate() {
+            if seq.is_empty() {
                 continue;
             }
             assert_eq!(
-                chunk[0].len(),
+                seq[0].len(),
                 self.config.input_size,
                 "feature width mismatch"
             );
-            assert_eq!(
-                states[i].h.len(),
-                self.layers.len(),
-                "carry state layer count mismatch"
-            );
-            buckets.entry(chunk.len()).or_default().push(i);
+            if let Some(states) = &states {
+                assert_eq!(
+                    states[i].h.len(),
+                    self.layers.len(),
+                    "carry state layer count mismatch"
+                );
+            }
+            buckets.entry(seq.len()).or_default().push(i);
         }
         let mut bws = BatchWorkspace::new(self.layers.len());
         let mut h0 = Matrix::zeros(1, 1);
@@ -988,31 +976,36 @@ impl SequenceClassifier {
             let b_n = idxs.len();
             bws.xs.resize_zeroed(t_len * b_n, self.config.input_size);
             for (bi, &i) in idxs.iter().enumerate() {
-                for (t, row) in chunks[i].iter().enumerate() {
+                for (t, row) in seqs[i].iter().enumerate() {
                     bws.xs.set_row(t * b_n + bi, row);
                 }
             }
             for (li, layer) in self.layers.iter().enumerate() {
-                let h_size = layer.hidden_size();
-                h0.resize_zeroed(b_n, h_size);
-                c0.resize_zeroed(b_n, h_size);
-                for (bi, &i) in idxs.iter().enumerate() {
-                    assert_eq!(states[i].h[li].len(), h_size, "carry state width mismatch");
-                    h0.row_mut(bi).copy_from_slice(&states[i].h[li]);
-                    c0.row_mut(bi).copy_from_slice(&states[i].c[li]);
-                }
                 let (done, rest) = bws.caches.split_at_mut(li);
                 let input = if li == 0 { &bws.xs } else { &done[li - 1].h };
-                layer.forward_batch_stateful_into(
-                    input,
-                    b_n,
-                    Some((&mut h0, &mut c0)),
-                    &mut rest[0],
-                    &mut bws.scratch,
-                );
-                for (bi, &i) in idxs.iter().enumerate() {
-                    states[i].h[li].copy_from_slice(h0.row(bi));
-                    states[i].c[li].copy_from_slice(c0.row(bi));
+                match states.as_deref_mut() {
+                    None => layer.forward_batch_into(input, b_n, &mut rest[0], &mut bws.scratch),
+                    Some(states) => {
+                        let h_size = layer.hidden_size();
+                        h0.resize_zeroed(b_n, h_size);
+                        c0.resize_zeroed(b_n, h_size);
+                        for (bi, &i) in idxs.iter().enumerate() {
+                            assert_eq!(states[i].h[li].len(), h_size, "carry state width mismatch");
+                            h0.row_mut(bi).copy_from_slice(&states[i].h[li]);
+                            c0.row_mut(bi).copy_from_slice(&states[i].c[li]);
+                        }
+                        layer.forward_batch_stateful_into(
+                            input,
+                            b_n,
+                            Some((&mut h0, &mut c0)),
+                            &mut rest[0],
+                            &mut bws.scratch,
+                        );
+                        for (bi, &i) in idxs.iter().enumerate() {
+                            states[i].h[li].copy_from_slice(h0.row(bi));
+                            states[i].c[li].copy_from_slice(c0.row(bi));
+                        }
+                    }
                 }
             }
             self.head

@@ -21,13 +21,12 @@ use crate::dense::DenseGrads;
 use crate::lstm::{LstmCache, LstmGrads, LstmScratch};
 use crate::matrix::Matrix;
 
-/// Every buffer one example's forward/backward pass needs, preallocated and
-/// reusable across examples of any sequence length.
+/// Every per-example buffer of a packed training pass — the example's
+/// parameter gradients, loss outputs and the temporaries that compute them —
+/// preallocated and reusable across examples of any sequence length.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Per-layer forward caches.
-    pub(crate) caches: Vec<LstmCache>,
-    /// Shared temporaries for the fused LSTM kernels.
+    /// Temporaries for [`crate::lstm::LstmLayer::param_grads_into`].
     pub(crate) scratch: LstmScratch,
     /// Per-layer parameter gradients (outputs of the pass).
     pub(crate) layer_grads: Vec<LstmGrads>,
@@ -46,7 +45,6 @@ impl Workspace {
     /// buffer grows on first use and is then reused.
     pub fn new(layer_count: usize) -> Self {
         Workspace {
-            caches: (0..layer_count).map(|_| LstmCache::empty()).collect(),
             scratch: LstmScratch::new(),
             layer_grads: (0..layer_count).map(|_| LstmGrads::empty()).collect(),
             head_grads: DenseGrads::empty(),
@@ -58,7 +56,7 @@ impl Workspace {
 
     /// Number of LSTM layers this workspace is shaped for.
     pub fn layer_count(&self) -> usize {
-        self.caches.len()
+        self.layer_grads.len()
     }
 }
 

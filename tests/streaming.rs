@@ -17,7 +17,7 @@ use gpu_sim::{FaultPlan, GpuConfig};
 use moscons::attack::{AttackConfig, Moscons};
 use moscons::dataset::split_on_nop_runs_bridged;
 use moscons::stream::SplitEvent;
-use moscons::{random_profiling_models, AttackReport, AttackStream, GapStream};
+use moscons::{random_profiling_models, AttackReport, AttackStream, GapStream, HpKind};
 
 /// Clean-path fixture: attacker, per-sample feature rows of the victim's
 /// trace, and the batch report the stream must reproduce.
@@ -91,6 +91,11 @@ fn streaming_drain_reproduces_batch_attack_bitwise() {
     // Meaningful comparison requires a non-degenerate batch run.
     assert!(!fx.batch.iterations.is_empty(), "no iterations recovered");
     assert!(!fx.batch.fused_classes.is_empty(), "no fused classes");
+    // The streams read each `Mhp` head by kind; every lookup must land on
+    // the head trained for that kind.
+    for kind in HpKind::ALL {
+        assert_eq!(fx.moscons.hp_model(kind).kind(), kind);
+    }
 }
 
 #[test]
