@@ -15,8 +15,8 @@
 //! (`dnn_sim::zoo::FAMILIES`, attacked under the zoo op vocabulary) over a
 //! reduced rate grid, recording how each family's op recovery degrades.
 //!
-//! Appends `fault_curve` and `fault_curve_families` sections to
-//! `BENCH_pipeline.json` (preserving whatever `pipeline_perf` wrote there)
+//! Merges `fault_curve` and `fault_curve_families` sections into
+//! `BENCH_pipeline.json` without touching the other binaries' sections,
 //! and prints the tables recorded in EXPERIMENTS.md.
 //!
 //! Run: `cargo run -p bench --release --bin fault_sweep`

@@ -8,9 +8,9 @@
 //! and CI gates it at exactly 1.0.
 //!
 //! Label latency is measured in *samples* (distance between a row entering
-//! the classifier and its label being emitted) — a deterministic quantity.
-//! Throughput numbers (`sessions_per_sec`, `labels_per_sec`) are host
-//! wall-clock and vary run to run.
+//! the classifier and its label being emitted) — a deterministic quantity,
+//! like every other field of the section. The fleet's wall-clock cost is
+//! `leaky_bench`'s `fleet` workload.
 //!
 //! A second pass runs one streamed session per model-zoo conformance family
 //! (`dnn_sim::zoo::FAMILIES`) under the zoo op vocabulary and scores each
@@ -24,14 +24,9 @@
 //! Run: `cargo run -p bench --release --bin fleet_bench`
 //! (honours `LEAKY_SCALE=quick` and `LEAKY_DNN_THREADS`).
 
-use std::time::Instant;
-
 use dnn_sim::{zoo, TrainingSession};
 use moscons::attack::{AttackConfig, Moscons};
-use moscons::{
-    run_fleet, score_structure, FleetConfig, FleetOutcome, LabeledTrace, OverflowPolicy,
-    SessionSpec,
-};
+use moscons::{run_fleet, score_structure, FleetConfig, LabeledTrace, OverflowPolicy, SessionSpec};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -39,15 +34,11 @@ struct FleetBench {
     sessions: usize,
     scale: String,
     queue_capacity: usize,
-    /// Lockstep rounds of the fleet run (deterministic).
+    /// Lockstep rounds of the fleet run.
     rounds: usize,
-    /// Fleet sessions completed per wall-clock second.
-    sessions_per_sec: f64,
-    /// Streamed labels emitted per wall-clock second.
-    labels_per_sec: f64,
-    /// p50 label latency in samples (deterministic).
+    /// p50 label latency in samples.
     label_latency_samples_p50: usize,
-    /// p99 label latency in samples (deterministic).
+    /// p99 label latency in samples.
     label_latency_samples_p99: usize,
     /// Fraction of sessions whose streamed extraction report is bitwise
     /// equal to the batch attack's — CI gates this at 1.0.
@@ -77,12 +68,6 @@ struct FamilyBench {
     iterations: usize,
 }
 
-fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64(), out)
-}
-
 /// Sorted-latency percentile (nearest-rank on the deterministic sample
 /// distances).
 fn percentile(sorted: &[usize], p: usize) -> usize {
@@ -90,10 +75,6 @@ fn percentile(sorted: &[usize], p: usize) -> usize {
         return 0;
     }
     sorted[(sorted.len() - 1) * p / 100]
-}
-
-fn total_labels(outcome: &FleetOutcome) -> usize {
-    outcome.sessions.iter().map(|s| s.labels_emitted()).sum()
 }
 
 fn main() {
@@ -109,8 +90,8 @@ fn main() {
         threads, scale_name
     );
 
-    // Smoke-scale attack budget (same spirit as pipeline_perf: the point is
-    // orchestration behaviour, not accuracy).
+    // Smoke-scale attack budget (the one `leaky_bench` uses too): the point
+    // is orchestration behaviour, not accuracy.
     let mut config = AttackConfig::default();
     config.op_lstm.epochs = 6;
     config.op_lstm.hidden = 32;
@@ -122,8 +103,7 @@ fn main() {
         .into_iter()
         .map(|m| scale.session(m))
         .collect();
-    let (t_profile, moscons) = timed(|| Moscons::profile(&profiled, config));
-    println!("  profiled in {:.1}s", t_profile);
+    let moscons = Moscons::profile(&profiled, config);
 
     // The fleet: distinct victims, distinct seeds, one simulated GPU each.
     let n_sessions = if scale == bench::Scale::quick() { 3 } else { 4 };
@@ -141,8 +121,7 @@ fn main() {
         overflow: OverflowPolicy::Stall,
         ..FleetConfig::default()
     };
-    let (fleet_secs, fleet_run) = timed(|| run_fleet(&moscons, &specs, &fleet_cfg));
-    let fleet_labels = total_labels(&fleet_run);
+    let fleet_run = run_fleet(&moscons, &specs, &fleet_cfg);
 
     // Batch references: the golden the streaming path must reproduce.
     let mut agree = 0usize;
@@ -162,8 +141,7 @@ fn main() {
     // Model-zoo family fleet: one streamed session per conformance family
     // under the zoo op vocabulary, each checked bitwise against its batch
     // attack and scored against the ground-truth trace labels.
-    let (t_zoo_profile, zoo_moscons) = timed(|| bench::train_zoo_moscons(scale));
-    println!("  zoo-profiled in {:.1}s", t_zoo_profile);
+    let zoo_moscons = bench::train_zoo_moscons(scale);
     let zoo_specs: Vec<SessionSpec> = zoo::FAMILIES
         .iter()
         .enumerate()
@@ -237,8 +215,6 @@ fn main() {
         scale: scale_name.to_string(),
         queue_capacity: fleet_cfg.queue_capacity,
         rounds: fleet_run.rounds,
-        sessions_per_sec: specs.len() as f64 / fleet_secs,
-        labels_per_sec: fleet_labels as f64 / fleet_secs,
         label_latency_samples_p50: p50,
         label_latency_samples_p99: p99,
         streaming_vs_batch_agreement: agreement,
@@ -250,12 +226,9 @@ fn main() {
         families,
     };
     println!(
-        "fleet ({} sessions, {} rounds): {:.2} sessions/s, {:.0} labels/s, \
-         latency p50 {} / p99 {} samples, agreement {:.2}",
+        "fleet ({} sessions, {} rounds): latency p50 {} / p99 {} samples, agreement {:.2}",
         bench.sessions,
         bench.rounds,
-        bench.sessions_per_sec,
-        bench.labels_per_sec,
         bench.label_latency_samples_p50,
         bench.label_latency_samples_p99,
         bench.streaming_vs_batch_agreement,

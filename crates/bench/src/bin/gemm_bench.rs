@@ -3,19 +3,23 @@
 //! Two probes of the batched LSTM training engine, both single-threaded so
 //! the numbers isolate kernel quality from the worker pool:
 //!
-//! * **`gemm`** — the register-tiled microkernel behind `Matrix::matmul`
-//!   against the naive triple loop it is required to match bitwise, on an
-//!   LSTM-shaped multiply (packed timesteps × input projection). The bench
-//!   asserts bit equality of the two products while it measures, so a
-//!   GFLOP/s win can never come from diverged arithmetic.
+//! * **`gemm`** — one LSTM-shaped multiply (packed timesteps × input
+//!   projection) through three paths: the naive triple loop, the
+//!   register-tiled microkernel behind `Matrix::matmul` on its scalar tile
+//!   (`ml::simd::with_simd(false, ..)`), and the same microkernel as
+//!   dispatched (AVX2 lanes when the CPU has them). The bench asserts that
+//!   the three products are bitwise equal while it measures, so a GFLOP/s
+//!   win can never come from diverged arithmetic. CI gates
+//!   `microkernel_speedup` (dispatched over naive) and `simd_speedup`
+//!   (dispatched over scalar tile) at >= 1.
 //! * **`lstm_packing`** — seconds per training epoch of the smoke-scale
 //!   classifier with minibatches of one (every packed bucket holds a single
 //!   sequence) versus the pipeline's default minibatch of four (equal-length
 //!   sequences share fused 4-gate GEMMs). `packed_secs_per_epoch` is the
 //!   one probe of the LSTM training hot path in `BENCH_pipeline.json`.
 //!
-//! Merges its sections into `BENCH_pipeline.json` without touching what
-//! `pipeline_perf` and `fault_sweep` wrote there.
+//! Merges its sections into `BENCH_pipeline.json` without touching the
+//! other bins' sections.
 //!
 //! Run: `cargo run -p bench --release --bin gemm_bench`
 
@@ -33,17 +37,19 @@ const N: usize = 256;
 /// Multiplies per timed repetition.
 const ITERS: usize = 8;
 
-/// Timed repetitions; the minimum wall time is reported, which is robust to
-/// scheduler noise on shared CI runners.
-const REPS: usize = 7;
-
 #[derive(Serialize)]
 struct GemmBench {
     shape: String,
     naive_gflops: f64,
+    /// The microkernel with the scalar tile forced.
+    scalar_tile_gflops: f64,
+    /// The microkernel as dispatched (AVX2 lanes when available).
     microkernel_gflops: f64,
     /// `microkernel_gflops / naive_gflops` — CI gates this at >= 1.
     microkernel_speedup: f64,
+    /// `microkernel_gflops / scalar_tile_gflops` — CI gates this at >= 1
+    /// (exactly 1 without AVX2, where both arms are the scalar tile).
+    simd_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -67,15 +73,13 @@ fn lcg_fill(m: &mut Matrix, mut state: u64) {
     }
 }
 
-/// Minimum wall time of `f` over [`REPS`] repetitions.
-fn best_secs(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
+/// Best time of [`ITERS`] microkernel products `a * b` into `out`.
+fn microkernel_secs(a: &Matrix, b: &Matrix, out: &mut Matrix) -> f64 {
+    bench::best_secs(|| {
+        for _ in 0..ITERS {
+            std::hint::black_box(a).matmul_into(std::hint::black_box(b), out);
+        }
+    })
 }
 
 fn gemm_bench() -> GemmBench {
@@ -85,33 +89,42 @@ fn gemm_bench() -> GemmBench {
     lcg_fill(&mut b, 0x7f4a_7c15);
 
     let naive = a.matmul_naive(&b);
+    let mut scalar = Matrix::zeros(1, 1);
+    ml::simd::with_simd(false, || a.matmul_into(&b, &mut scalar));
     let mut micro = Matrix::zeros(1, 1);
     a.matmul_into(&b, &mut micro);
-    assert!(
-        naive
-            .as_slice()
-            .iter()
-            .zip(micro.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "microkernel diverged from the naive GEMM"
-    );
+    for (path, product) in [("scalar tile", &scalar), ("SIMD microkernel", &micro)] {
+        assert!(
+            naive
+                .as_slice()
+                .iter()
+                .zip(product.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{path} diverged from the naive GEMM"
+        );
+    }
 
-    let naive_secs = best_secs(|| {
+    let naive_secs = bench::best_secs(|| {
         for _ in 0..ITERS {
             std::hint::black_box(a.matmul_naive(std::hint::black_box(&b)));
         }
     });
-    let micro_secs = best_secs(|| {
-        for _ in 0..ITERS {
-            std::hint::black_box(&a).matmul_into(std::hint::black_box(&b), &mut micro);
-        }
-    });
+    let micro_secs = microkernel_secs(&a, &b, &mut micro);
+    // Without AVX2 both arms are the scalar tile; timing it twice would
+    // only measure noise.
+    let scalar_secs = if ml::simd::enabled() {
+        ml::simd::with_simd(false, || microkernel_secs(&a, &b, &mut scalar))
+    } else {
+        micro_secs
+    };
     let flops = (2 * M * K * N * ITERS) as f64;
     GemmBench {
         shape: format!("{M}x{K}x{N}"),
         naive_gflops: flops / naive_secs / 1e9,
+        scalar_tile_gflops: flops / scalar_secs / 1e9,
         microkernel_gflops: flops / micro_secs / 1e9,
         microkernel_speedup: naive_secs / micro_secs,
+        simd_speedup: scalar_secs / micro_secs,
     }
 }
 
@@ -159,8 +172,14 @@ fn main() {
     });
 
     println!(
-        "gemm {}: naive {:.2} GFLOP/s, microkernel {:.2} GFLOP/s ({:.2}x)",
-        gemm.shape, gemm.naive_gflops, gemm.microkernel_gflops, gemm.microkernel_speedup
+        "gemm {}: naive {:.2} GFLOP/s, scalar tile {:.2} GFLOP/s, microkernel {:.2} GFLOP/s \
+         ({:.2}x over naive, {:.2}x over scalar tile)",
+        gemm.shape,
+        gemm.naive_gflops,
+        gemm.scalar_tile_gflops,
+        gemm.microkernel_gflops,
+        gemm.microkernel_speedup,
+        gemm.simd_speedup
     );
     println!(
         "lstm epoch: per-sequence {:.4}s, packed {:.4}s ({:.2}x)",

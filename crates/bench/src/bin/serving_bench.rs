@@ -9,11 +9,11 @@
 //!   vectorize. This is the honest scalar baseline.
 //! * **f32-SIMD** — the production batch-bucketed
 //!   [`ml::SequenceClassifier::predict_batch`] with the AVX2 lane kernel
-//!   enabled (bitwise identical to the naive pass by contract).
+//!   dispatched when the CPU has it (bitwise identical to the naive pass by
+//!   contract).
 //!
-//! Also times the tiled GEMM with the SIMD lane kernel on vs off
-//! (`simd_gemm_speedup`, hard 1.0 when AVX2 is unavailable or disabled via
-//! `LEAKY_DNN_SIMD=off`); CI's bench-smoke job gates it.
+//! The GEMM alone, lanes against the scalar tile, is `gemm_bench`'s
+//! `gemm.simd_speedup`.
 //!
 //! Everything runs under `ml::par::with_threads(1)` so the numbers isolate
 //! kernel quality from the worker pool. Merges a `serving` section into
@@ -21,9 +21,6 @@
 //!
 //! Run: `cargo run -p bench --release --bin serving_bench`
 
-use std::time::Instant;
-
-use ml::matrix::Matrix;
 use ml::{SeqClassifierConfig, SeqExample, SequenceClassifier};
 use serde::Serialize;
 
@@ -33,15 +30,6 @@ const EVAL_SEQS: usize = 64;
 const EVAL_LEN: usize = 32;
 /// LSTM hidden units — serving-realistic, unlike the smoke-scale tests.
 const HIDDEN: usize = 64;
-
-/// Timed repetitions; minimum wall time is reported (robust to scheduler
-/// noise on shared CI runners).
-const REPS: usize = 7;
-
-/// GEMM shape for the SIMD on/off probe (same as `gemm_bench`).
-const GM: usize = 160;
-const GK: usize = 64;
-const GN: usize = 256;
 
 #[derive(Serialize)]
 struct ServingBench {
@@ -54,9 +42,6 @@ struct ServingBench {
     f32_simd_labels_per_sec: f64,
     /// `f32_simd / f32_scalar`.
     simd_speedup_vs_scalar: f64,
-    /// Tiled GEMM with the lane kernel on vs off — CI gates this at >= 1
-    /// (hard 1.0 when SIMD is unavailable, so the gate stays meaningful).
-    simd_gemm_speedup: f64,
 }
 
 /// Deterministic pseudo-random stream — no RNG dependency.
@@ -92,52 +77,6 @@ fn quadrant_sequences(n: usize, t: usize, seed: u64) -> Vec<SeqExample> {
         .collect()
 }
 
-/// Minimum wall time of `f` over [`REPS`] repetitions.
-fn best_secs(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn gemm_simd_speedup() -> f64 {
-    if !ml::simd::enabled() {
-        return 1.0;
-    }
-    let mut a = Matrix::zeros(GM, GK);
-    let mut b = Matrix::zeros(GK, GN);
-    let mut state = 0x5e71_u64;
-    for r in 0..GM {
-        for c in 0..GK {
-            a[(r, c)] = lcg(&mut state);
-        }
-    }
-    for r in 0..GK {
-        for c in 0..GN {
-            b[(r, c)] = lcg(&mut state);
-        }
-    }
-    let mut out = Matrix::zeros(1, 1);
-    let on_secs = ml::simd::with_simd(true, || {
-        best_secs(|| {
-            for _ in 0..8 {
-                std::hint::black_box(&a).matmul_into(std::hint::black_box(&b), &mut out);
-            }
-        })
-    });
-    let off_secs = ml::simd::with_simd(false, || {
-        best_secs(|| {
-            for _ in 0..8 {
-                std::hint::black_box(&a).matmul_into(std::hint::black_box(&b), &mut out);
-            }
-        })
-    });
-    off_secs / on_secs
-}
-
 fn main() {
     let bench = ml::par::with_threads(1, || {
         let mut cfg = SeqClassifierConfig::new(2, HIDDEN, 4);
@@ -151,15 +90,13 @@ fn main() {
         let seqs: Vec<&[Vec<f32>]> = eval.iter().map(|e| e.features.as_slice()).collect();
         let total_labels = (EVAL_SEQS * EVAL_LEN) as f64;
 
-        let scalar_secs = best_secs(|| {
+        let scalar_secs = bench::best_secs(|| {
             for s in &seqs {
                 std::hint::black_box(clf.predict_naive(std::hint::black_box(s)));
             }
         });
-        let simd_secs = ml::simd::with_simd(true, || {
-            best_secs(|| {
-                std::hint::black_box(clf.predict_batch(std::hint::black_box(&seqs)));
-            })
+        let simd_secs = bench::best_secs(|| {
+            std::hint::black_box(clf.predict_batch(std::hint::black_box(&seqs)));
         });
 
         ServingBench {
@@ -170,20 +107,17 @@ fn main() {
             f32_scalar_labels_per_sec: total_labels / scalar_secs,
             f32_simd_labels_per_sec: total_labels / simd_secs,
             simd_speedup_vs_scalar: scalar_secs / simd_secs,
-            simd_gemm_speedup: gemm_simd_speedup(),
         }
     });
 
     println!(
-        "serving ({} seqs x {} steps, hidden {}): f32-scalar {:.0}/s, f32-simd {:.0}/s \
-         ({:.2}x), gemm simd {:.2}x",
+        "serving ({} seqs x {} steps, hidden {}): f32-scalar {:.0}/s, f32-simd {:.0}/s ({:.2}x)",
         bench.sequences,
         bench.timesteps_per_sequence,
         bench.hidden,
         bench.f32_scalar_labels_per_sec,
         bench.f32_simd_labels_per_sec,
         bench.simd_speedup_vs_scalar,
-        bench.simd_gemm_speedup,
     );
 
     let path = "BENCH_pipeline.json";

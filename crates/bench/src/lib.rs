@@ -2,8 +2,9 @@
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary
 //! (`cargo run -p bench --release --bin tableN`); this library holds the
-//! scaled experiment configuration, the profiling/tested model suites, and
-//! small formatting helpers. `EXPERIMENTS.md` records the outputs next to
+//! scaled experiment configuration, the profiling/tested model suites,
+//! small formatting helpers, and the timer and `BENCH_pipeline.json` writer
+//! the performance bins share. `EXPERIMENTS.md` records the outputs next to
 //! the paper's numbers.
 
 // Enforced statically here and by leaky-lint rule D5: this crate's
@@ -11,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 use std::path::Path;
+use std::time::Instant;
 
 use dnn_sim::{zoo, InputSpec, Model, TrainingConfig, TrainingSession};
 use moscons::attack::{AttackConfig, Moscons};
@@ -205,10 +207,24 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
+/// Minimum wall time of `f` over seven repetitions, which is robust to
+/// scheduler noise on shared CI runners.
+pub fn best_secs(mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..7 {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// Writes `sections` into the JSON object at `path` (the performance bins
 /// share `BENCH_pipeline.json`): a section already present is replaced in
 /// place, a new one is appended, and every other section is kept, so the
 /// bins can run in any order. A missing or unparseable file starts empty.
+/// Every write also records the machine's `cores` header, so a missing
+/// parallel speedup reads as a missing machine, not a regression.
 pub fn merge_bench_json(path: impl AsRef<Path>, sections: &[(&str, &dyn Serialize)]) {
     let path = path.as_ref();
     let mut fields = match std::fs::read_to_string(path)
@@ -218,7 +234,9 @@ pub fn merge_bench_json(path: impl AsRef<Path>, sections: &[(&str, &dyn Serializ
         Some(Value::Object(fields)) => fields,
         _ => Vec::new(),
     };
-    for &(name, section) in sections {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let header: (&str, &dyn Serialize) = ("cores", &cores);
+    for &(name, section) in std::iter::once(&header).chain(sections) {
         let value = serde_json::to_value(&section).expect("bench section serializes");
         match fields.iter_mut().find(|(key, _)| key == name) {
             Some((_, slot)) => *slot = value,
@@ -553,9 +571,13 @@ mod tests {
         merge_bench_json(&path, &[("b", &5u32), ("d", &"new")]);
         let merged = std::fs::read_to_string(&path).expect("read merged");
         std::fs::remove_file(&path).expect("remove fixture");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(
             serde_json::from_str(&merged).expect("merged parses"),
-            serde_json::from_str(r#"{"a": 1, "b": 5, "c": 3, "d": "new"}"#).expect("parses"),
+            serde_json::from_str(&format!(
+                r#"{{"a": 1, "b": 5, "c": 3, "cores": {cores}, "d": "new"}}"#
+            ))
+            .expect("parses"),
         );
     }
 }

@@ -266,22 +266,6 @@ impl HpModel {
         self.kind
     }
 
-    /// Predicts the class at a specific sample position of an iteration
-    /// (the recovered layer's last sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position` is out of range.
-    pub fn predict_at(
-        &self,
-        features: &[Vec<f32>],
-        scaler: &MinMaxScaler,
-        position: usize,
-    ) -> usize {
-        assert!(position < features.len(), "position out of range");
-        self.predict(features, scaler)[position]
-    }
-
     /// Predicts classes for the whole iteration (callers pick positions).
     pub fn predict(&self, features: &[Vec<f32>], scaler: &MinMaxScaler) -> Vec<usize> {
         let scaled: Vec<Vec<f32>> = features.iter().map(|f| scaler.transform_row(f)).collect();

@@ -161,27 +161,10 @@ impl LongOpModel {
         LongOpModel { clf }
     }
 
-    /// Classifies one iteration's raw samples.
-    pub fn predict(&self, features: &[Vec<f32>], scaler: &MinMaxScaler) -> Vec<LongClass> {
-        let scaled: Vec<Vec<f32>> = features.iter().map(|f| scaler.transform_row(f)).collect();
-        self.clf
-            .predict(&crate::dataset::with_lookahead(&scaled))
-            .into_iter()
-            .map(LongClass::from_index)
-            .collect()
-    }
-
-    /// Per-timestep class probabilities for one iteration.
-    pub fn predict_proba(&self, features: &[Vec<f32>], scaler: &MinMaxScaler) -> Vec<Vec<f32>> {
-        let scaled: Vec<Vec<f32>> = features.iter().map(|f| scaler.transform_row(f)).collect();
-        self.clf
-            .predict_proba(&crate::dataset::with_lookahead(&scaled))
-    }
-
-    /// Classifies several iterations in one call: equal-length iterations
-    /// share fused batched GEMMs (see
+    /// Classifies the raw samples of several iterations in one call:
+    /// equal-length iterations share fused batched GEMMs (see
     /// [`SequenceClassifier::predict_proba_batch`]), bitwise identical to
-    /// calling [`LongOpModel::predict`] once per iteration.
+    /// classifying each iteration on its own.
     pub fn predict_batch(
         &self,
         iterations: &[&[Vec<f32>]],

@@ -215,22 +215,12 @@ impl OtherOpModel {
         OtherOpModel { clf }
     }
 
-    /// Classifies every sample of one iteration (predictions at long-op
-    /// positions exist but are only *used* where `Mlong` said OtherOp — the
-    /// paper notes they still feed the LSTM state).
-    pub fn predict(&self, features: &[Vec<f32>], scaler: &MinMaxScaler) -> Vec<OtherClass> {
-        let scaled: Vec<Vec<f32>> = features.iter().map(|f| scaler.transform_row(f)).collect();
-        self.clf
-            .predict(&crate::dataset::with_lookahead(&scaled))
-            .into_iter()
-            .map(OtherClass::from_index)
-            .collect()
-    }
-
-    /// Classifies several iterations in one call: equal-length iterations
-    /// share fused batched GEMMs (see
+    /// Classifies every sample of several iterations in one call
+    /// (predictions at long-op positions exist but are only *used* where
+    /// `Mlong` said OtherOp — the paper notes they still feed the LSTM
+    /// state). Equal-length iterations share fused batched GEMMs (see
     /// [`SequenceClassifier::predict_proba_batch`]), bitwise identical to
-    /// calling [`OtherOpModel::predict`] once per iteration.
+    /// classifying each iteration on its own.
     pub fn predict_batch(
         &self,
         iterations: &[&[Vec<f32>]],

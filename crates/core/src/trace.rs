@@ -103,7 +103,14 @@ fn collect_trace_uncached(
     while !spy.is_done() {
         samples.extend(spy.poll(1024));
     }
-    spy.finish_into(samples, *collection)
+    let tail = spy.finish();
+    samples.extend(tail.samples);
+    RawTrace {
+        samples,
+        victim_log: tail.victim_log,
+        collection: *collection,
+        mean_iteration_us: tail.mean_iteration_us,
+    }
 }
 
 /// A live collection run: the victim trains on the simulated GPU while the
@@ -120,8 +127,8 @@ fn collect_trace_uncached(
 pub struct SpySession {
     gpu: Gpu,
     victim: ContextId,
-    /// `Some` until [`SpySession::finish`]; incremental CUPTI attribution.
-    stream: Option<CuptiStream>,
+    /// Incremental CUPTI attribution; [`SpySession::finish`] flushes it.
+    stream: CuptiStream,
     poll_period_us: f64,
     /// Victim ops per training iteration (for the mean-iteration stat).
     per_iter: usize,
@@ -188,7 +195,7 @@ impl SpySession {
         SpySession {
             gpu,
             victim,
-            stream: Some(stream),
+            stream,
             poll_period_us: collection.poll_period_us,
             per_iter: session.ops().len(),
             done: false,
@@ -234,10 +241,7 @@ impl SpySession {
             }
         }
         let slices = self.gpu.drain_counter_slices();
-        self.stream
-            .as_mut()
-            .expect("stream alive until finish")
-            .push(&slices, self.gpu.now_us())
+        self.stream.push(&slices, self.gpu.now_us())
     }
 
     /// Ends the run: flushes held-back windows and returns the tail.
@@ -245,27 +249,28 @@ impl SpySession {
     /// # Panics
     ///
     /// Panics if the session is not [`SpySession::is_done`] yet.
-    pub fn finish(mut self) -> SessionTail {
-        assert!(self.done, "drive the session with poll() until done");
-        let end = self.gpu.now_us();
-        let (kernels, slices) = self.gpu.take_logs();
-        let mut stream = self.stream.take().expect("finish consumes the stream");
+    pub fn finish(self) -> SessionTail {
+        let SpySession {
+            mut gpu,
+            victim,
+            mut stream,
+            per_iter,
+            done,
+            ..
+        } = self;
+        assert!(done, "drive the session with poll() until done");
+        let end = gpu.now_us();
+        let (kernels, slices) = gpu.take_logs();
         let mut samples = stream.push(&slices, end);
         samples.extend(stream.finish(end));
-        let victim_log: Vec<KernelRecord> = kernels
-            .into_iter()
-            .filter(|r| r.ctx == self.victim)
-            // Session finalizer: runs once per trace when the run retires,
-            // not in the steady sampling loop; the collect sizes the
-            // per-session victim log. lint: allow(A1)
-            .collect();
+        let victim_log: Vec<KernelRecord> =
+            kernels.into_iter().filter(|r| r.ctx == victim).collect();
 
-        let iters = victim_log.len() / self.per_iter.max(1);
+        let iters = victim_log.len() / per_iter.max(1);
         let mean_iteration_us = if iters > 0 {
             (0..iters)
                 .map(|i| {
-                    victim_log[(i + 1) * self.per_iter - 1].end_us
-                        - victim_log[i * self.per_iter].start_us
+                    victim_log[(i + 1) * per_iter - 1].end_us - victim_log[i * per_iter].start_us
                 })
                 .sum::<f64>()
                 / iters as f64
@@ -277,23 +282,6 @@ impl SpySession {
             victim_log,
             mean_iteration_us,
             end_us: end,
-        }
-    }
-
-    /// [`SpySession::finish`] packaged as a [`RawTrace`]: `streamed` is the
-    /// concatenation of every [`SpySession::poll`] output so far.
-    pub fn finish_into(
-        self,
-        mut streamed: Vec<CuptiSample>,
-        collection: CollectionConfig,
-    ) -> RawTrace {
-        let tail = self.finish();
-        streamed.extend(tail.samples);
-        RawTrace {
-            samples: streamed,
-            victim_log: tail.victim_log,
-            collection,
-            mean_iteration_us: tail.mean_iteration_us,
         }
     }
 }

@@ -10,36 +10,28 @@
 //! deliberately not used: `a.mul_add(b, c)` rounds once where `a * b + c`
 //! rounds twice, which would change bit patterns.
 //!
-//! Dispatch is resolved once per process by [`enabled`]: the
-//! `LEAKY_DNN_SIMD` environment variable (`off` / `0` / `false` forces the
-//! scalar fallback) AND-ed with a runtime AVX2 check on x86_64; every other
-//! architecture always takes the scalar path. Tests pin both paths against
-//! each other through [`with_simd`], which installs a *process-wide*
-//! override — process-wide rather than thread-local on purpose, because
-//! [`crate::par::par_map`] runs on persistent pool workers that never
-//! inherit the caller's thread-locals. Cross-thread visibility of the override is
-//! harmless: both paths produce bitwise-identical results, so which one a
-//! concurrent caller observes is a scheduling detail, never an arithmetic
-//! one.
+//! Dispatch is resolved once per process by [`enabled`]: a cached runtime
+//! AVX2 check on x86_64; every other architecture always takes the scalar
+//! path. The scalar path stays the reference: tests pin both paths against
+//! each other through [`with_simd`], which forces the scalar path
+//! *process-wide* — process-wide rather than thread-local on purpose,
+//! because [`crate::par::par_map`] runs on persistent pool workers that
+//! never inherit the caller's thread-locals. Cross-thread visibility of the
+//! flag is harmless: both paths produce bitwise-identical results, so which
+//! one a concurrent caller observes is a scheduling detail, never an
+//! arithmetic one.
 
 use crate::matrix::{TILE_M, TILE_N};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Process-wide dispatch override installed by [`with_simd`]:
-/// 0 = unset (auto), 1 = force scalar, 2 = auto-detect.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Process-wide force-scalar flag installed by [`with_simd`].
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
-/// Cached result of the environment + CPU-feature probe.
+/// Cached result of the CPU-feature probe.
 static DETECTED: OnceLock<bool> = OnceLock::new();
 
 fn detect() -> bool {
-    if let Ok(v) = std::env::var("LEAKY_DNN_SIMD") {
-        let v = v.trim().to_ascii_lowercase();
-        if v == "off" || v == "0" || v == "false" {
-            return false;
-        }
-    }
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
@@ -50,29 +42,27 @@ fn detect() -> bool {
     }
 }
 
-/// Whether the SIMD kernels are active for this call. Resolution order: the
-/// [`with_simd`] override, then the cached `LEAKY_DNN_SIMD` / AVX2 probe.
+/// Whether the SIMD kernels are active for this call: the cached AVX2
+/// probe, unless [`with_simd`] forces the scalar path.
 pub fn enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        _ => *DETECTED.get_or_init(detect),
-    }
+    !FORCE_SCALAR.load(Ordering::Relaxed) && *DETECTED.get_or_init(detect)
 }
 
-/// Runs `f` with SIMD dispatch forced off (`false`) or back to auto-detect
-/// (`true`), restoring the previous override afterwards (also on panic).
+/// Runs `f` with SIMD dispatch forced off (`false`) or back to the AVX2
+/// probe (`true`), restoring the previous setting afterwards (also on
+/// panic).
 ///
-/// The override is process-wide (see the module docs for why); since both
+/// The flag is process-wide (see the module docs for why); since both
 /// dispatch targets are bitwise-equal, concurrent tests observing each
-/// other's override can change timing only, never results.
+/// other's setting can change timing only, never results.
 pub fn with_simd<R>(enable: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
+    struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {
-            OVERRIDE.store(self.0, Ordering::Relaxed);
+            FORCE_SCALAR.store(self.0, Ordering::Relaxed);
         }
     }
-    let _restore = Restore(OVERRIDE.swap(if enable { 2 } else { 1 }, Ordering::Relaxed));
+    let _restore = Restore(FORCE_SCALAR.swap(!enable, Ordering::Relaxed));
     f()
 }
 

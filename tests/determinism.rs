@@ -2,7 +2,10 @@
 //! under a single-worker pool must match an 8-worker pool bit for bit. The
 //! engine's contract (see `ml::par`) is that parallelism changes wall-clock
 //! time only — every reduction happens in a fixed order, so the trained
-//! models and the recovered structure are identical.
+//! models and the recovered structure are identical. The clean pipeline's
+//! serial arm also forces the scalar GEMM tile (`ml::simd::with_simd`), so
+//! the same comparison pins the AVX2 lanes to the scalar reference end to
+//! end on hosts that have them.
 //!
 //! The same contract extends to fault injection: a `FaultPlan` is part of
 //! the GPU configuration, so one plan value fully determines a run and the
@@ -21,11 +24,23 @@ fn run_pipeline() -> AttackReport {
 
 #[test]
 fn pipeline_is_thread_count_invariant() {
-    let serial = ml::par::with_threads(1, run_pipeline);
-    let parallel = ml::par::with_threads(8, run_pipeline);
+    // `Debug` prints every trained weight exactly, so equal renderings are
+    // bitwise-equal attackers; the class-level report alone would hide
+    // last-bit drift.
+    let run = || {
+        let (moscons, victim) = common::quick_attack_setup(FaultPlan::none(), 4);
+        let (extraction, _) = moscons.attack(&victim, 99);
+        (format!("{moscons:?}"), extraction.report())
+    };
+    let (serial_models, serial) = ml::simd::with_simd(false, || ml::par::with_threads(1, run));
+    let (parallel_models, parallel) = ml::par::with_threads(8, run);
+    assert!(
+        serial_models == parallel_models,
+        "8-worker training diverged bitwise from the serial scalar-tile training"
+    );
     assert_eq!(
         serial, parallel,
-        "8-worker pipeline diverged from the serial pipeline"
+        "8-worker pipeline diverged from the serial scalar-tile pipeline"
     );
     // The comparison must be over a non-degenerate run to mean anything.
     assert!(!serial.iterations.is_empty(), "no iterations recovered");

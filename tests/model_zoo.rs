@@ -13,7 +13,8 @@
 //!    (the `tests/streaming.rs` contract, extended to every family);
 //! 4. a golden `AttackReport` snapshot per family
 //!    (`tests/golden/zoo_report_<family>.json`, blessed via
-//!    `LEAKY_GOLDEN_BLESS=1`);
+//!    `LEAKY_GOLDEN_BLESS=1`), reproduced both by the default GEMM dispatch
+//!    and by the scalar tile (`ml::simd::with_simd(false, ..)`);
 //! 5. inference-mode traces never carry backward-pass ground truth
 //!    (`*Grad` / `Apply*`), even under a uniform fault plan.
 
@@ -240,7 +241,8 @@ fn golden_path(family: &str) -> PathBuf {
 
 #[test]
 fn zoo_reports_match_golden_snapshots() {
-    for run in &fixture().runs {
+    let fx = fixture();
+    for run in &fx.runs {
         let actual = serde_json::to_string_pretty(&run.batch).expect("report serializes");
         let path = golden_path(run.family);
         if std::env::var("LEAKY_GOLDEN_BLESS").is_ok_and(|v| v == "1") {
@@ -261,6 +263,31 @@ fn zoo_reports_match_golden_snapshots() {
              LEAKY_GOLDEN_BLESS=1 and commit the diff",
             run.family,
             path.display()
+        );
+        // The AVX2 lanes and the scalar tile are bitwise-equal, so the
+        // scalar path must reproduce the golden from the same feature rows,
+        // and `Mlong`'s probabilities on them to the last bit: the report
+        // holds only argmax classes, which hide last-bit drift.
+        let scaled: Vec<Vec<f32>> = run
+            .features
+            .iter()
+            .map(|row| fx.moscons.scaler().transform_row(row))
+            .collect();
+        let rows = moscons::dataset::with_lookahead(&scaled);
+        let long_proba = || fx.moscons.long_model().classifier().predict_proba(&rows);
+        let dispatched_proba = long_proba();
+        let (scalar, scalar_proba) = ml::simd::with_simd(false, || {
+            (fx.moscons.extract(&run.features).report(), long_proba())
+        });
+        assert_eq!(
+            scalar, run.batch,
+            "family {}: the scalar GEMM tile's report diverged from the golden",
+            run.family
+        );
+        assert!(
+            scalar_proba == dispatched_proba,
+            "family {}: Mlong probabilities differ between the scalar tile and the dispatched GEMM",
+            run.family
         );
     }
 }
