@@ -1,6 +1,8 @@
-//! Combined evaluation: trains MoSConS once and regenerates Tables VII,
-//! VIII and IX in a single run (the individual `tableN` bins retrain from
-//! scratch; this bin exists because profiling dominates the wall time).
+//! Tables VII, VIII and IX from one training run: trains MoSConS once on
+//! the profiling suite, then prints op-inference accuracy (Table VII),
+//! hyper-parameter accuracy (Table VIII) and the recovered structures
+//! (Table IX). See `bench::print_table7`, `bench::print_table8` and
+//! `bench::print_table9`.
 
 use bench::{attack_tested_models, print_table7, print_table8, print_table9, train_moscons, Scale};
 

@@ -410,12 +410,12 @@ pub fn print_table8(moscons: &Moscons, scale: Scale) {
         let session = scale.session(model.clone());
         let raw = collect_trace(&session, &collection().with_seed(8800 + i as u64), &gpu);
         let labeled = LabeledTrace::from_raw(&raw, model.name.clone());
-        let iters = labeled.split_iterations_ground_truth(6);
+        let iters = labeled.split_iterations_ground_truth(moscons.config().gap.th_gap);
         for r in iters.iter().take(3) {
             let samples = &labeled.samples[r.clone()];
-            let features: Vec<Vec<f32>> = samples.iter().map(|s| s.features.clone()).collect();
+            let rows = labeled.prepared(r.clone(), moscons.scaler());
             for kind in HpKind::ALL {
-                let preds = moscons.hp_model(kind).predict(&features, moscons.scaler());
+                let preds = moscons.hp_model(kind).classifier().predict(&rows);
                 match kind {
                     HpKind::Optimizer => {
                         let truth = HpKind::optimizer_class(model.optimizer);

@@ -16,7 +16,7 @@ use gpu_sim::GpuConfig;
 use ml::MinMaxScaler;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{fit_scaler, LabeledTrace};
+use crate::dataset::{fit_scaler, with_lookahead, LabeledTrace};
 use crate::gap::{GapConfig, GapModel};
 use crate::hyperparams::{HpKind, HpModel};
 use crate::long_ops::{LongClass, LongOpModel, LstmTrainConfig};
@@ -180,31 +180,18 @@ impl Moscons {
         let mut long_examples = Vec::new();
         let mut op_examples = Vec::new();
         for (trace, trace_ranges) in traces.iter().zip(&ranges) {
-            // One feature materialization per range feeds both op models,
-            // and each model classifies all ranges as one packed batch —
-            // equal-length iterations share fused GEMMs, bitwise identical
-            // to looping over iterations (see
+            // Each range is prepared once for both op models, and each model
+            // classifies all ranges as one packed batch — equal-length
+            // iterations share fused GEMMs, bitwise identical to looping over
+            // iterations (see
             // [`ml::seq::SequenceClassifier::predict_proba_batch`]).
-            let range_feats: Vec<Vec<Vec<f32>>> = trace_ranges
+            let prepared: Vec<Vec<Vec<f32>>> = trace_ranges
                 .iter()
-                .map(|r| {
-                    trace.samples[r.clone()]
-                        .iter()
-                        .map(|s| s.features.clone())
-                        .collect()
-                })
+                .map(|r| trace.prepared(r.clone(), &scaler))
                 .collect();
-            let feat_refs: Vec<&[Vec<f32>]> = range_feats.iter().map(|f| f.as_slice()).collect();
-            let preds_long: Vec<Vec<usize>> = m_long
-                .predict_batch(&feat_refs, &scaler)
-                .into_iter()
-                .map(|seq| seq.into_iter().map(LongClass::index).collect())
-                .collect();
-            let preds_op: Vec<Vec<usize>> = m_op
-                .predict_batch(&feat_refs, &scaler)
-                .into_iter()
-                .map(|seq| seq.into_iter().map(OtherClass::index).collect())
-                .collect();
+            let refs: Vec<&[Vec<f32>]> = prepared.iter().map(Vec::as_slice).collect();
+            let preds_long = m_long.classifier().predict_batch(&refs);
+            let preds_op = m_op.classifier().predict_batch(&refs);
             for g in 0..trace_ranges.len().saturating_sub(n - 1) {
                 let base = &trace_ranges[g];
                 let truth_long: Vec<usize> = trace.samples[base.clone()]
@@ -370,41 +357,33 @@ impl Moscons {
     /// through [`crate::dataset::counter_features`] (as [`Moscons::attack`]
     /// does), in time order.
     pub fn extract(&self, features: &[Vec<f32>]) -> Extraction {
-        let iterations = self.gap.split_iterations(features, &self.scaler);
+        let scaled = self.scaler.transform(features);
+        let iterations = self.gap.split_scaled(&scaled);
         if iterations.is_empty() {
             return Self::empty_extraction(iterations);
         }
         let n = self.config.voting_iterations.min(iterations.len());
-        let group = &iterations[..n];
 
-        // Per-iteration predictions as one packed batch per model:
-        // equal-length iterations in the group share fused GEMMs, and the
-        // GEMM row blocks fan out over the worker pool on their own when
+        // The voting group's prepared rows, built once for `Mlong`, `Mop`
+        // and the five `Mhp` heads. Each op model classifies the group as
+        // one packed batch: equal-length iterations share fused GEMMs, and
+        // the GEMM row blocks fan out over the worker pool on their own when
         // the batch carries enough FLOPs (see [`ml::matrix`]). Bitwise
         // identical to classifying each iteration separately.
-        let group_feats: Vec<&[Vec<f32>]> = group.iter().map(|r| &features[r.clone()]).collect();
-        let preds_long: Vec<Vec<usize>> = self
-            .m_long
-            .predict_batch(&group_feats, &self.scaler)
-            .into_iter()
-            .map(|seq| seq.into_iter().map(LongClass::index).collect())
+        let prepared: Vec<Vec<Vec<f32>>> = iterations[..n]
+            .iter()
+            .map(|r| with_lookahead(&scaled[r.clone()]))
             .collect();
-        let preds_op: Vec<Vec<usize>> = self
-            .m_op
-            .predict_batch(&group_feats, &self.scaler)
-            .into_iter()
-            .map(|seq| seq.into_iter().map(OtherClass::index).collect())
-            .collect();
+        let refs: Vec<&[Vec<f32>]> = prepared.iter().map(Vec::as_slice).collect();
+        let preds_long = self.m_long.classifier().predict_batch(&refs);
+        let preds_op = self.m_op.classifier().predict_batch(&refs);
 
-        // Hyper-parameters on the base iteration's feature stream.
-        let base = &iterations[0];
-        let base_feats = &features[base.clone()];
-        let hp_preds: Vec<Vec<usize>> = ml::par::par_map_if_work(
-            base_feats.len(),
-            MIN_PARALLEL_EXTRACT_ROWS,
-            &self.hp,
-            |_, h| h.predict(base_feats, &self.scaler),
-        );
+        // Hyper-parameters on the base iteration's rows.
+        let base = &prepared[0];
+        let hp_preds: Vec<Vec<usize>> =
+            ml::par::par_map_if_work(base.len(), MIN_PARALLEL_EXTRACT_ROWS, &self.hp, |_, h| {
+                h.classifier().predict(base)
+            });
 
         self.assemble_extraction(iterations, &preds_long, &preds_op, &hp_preds)
     }

@@ -7,6 +7,7 @@ use gpu_sim::dominant_tag;
 use ml::MinMaxScaler;
 use serde::{Deserialize, Serialize};
 
+use crate::stream::SegmentSplitter;
 use crate::trace::RawTrace;
 
 /// Width of the model feature vectors produced by [`counter_features`].
@@ -95,16 +96,24 @@ impl LabeledTrace {
     /// Splits the trace into iterations using the **ground-truth** NOP
     /// labels (available to the adversary in the profiling phase; the attack
     /// phase uses `Mgap` instead). An iteration boundary is a run of at
-    /// least `th_gap` consecutive NOP samples.
+    /// least `th_gap` consecutive NOP samples; no busy run is bridged.
     pub fn split_iterations_ground_truth(&self, th_gap: usize) -> Vec<std::ops::Range<usize>> {
-        split_on_nop_runs(
-            &self
-                .samples
-                .iter()
-                .map(|s| s.class == OpClass::Nop)
-                .collect::<Vec<_>>(),
+        SegmentSplitter::segments(
+            self.samples.iter().map(|s| s.class == OpClass::Nop),
             th_gap,
+            0,
         )
+    }
+
+    /// The op models' input rows for the samples in `range`: each sample
+    /// MinMax-scaled, then extended with its successor
+    /// ([`with_lookahead`]).
+    pub fn prepared(&self, range: std::ops::Range<usize>, scaler: &MinMaxScaler) -> Vec<Vec<f32>> {
+        let scaled: Vec<Vec<f32>> = self.samples[range]
+            .iter()
+            .map(|s| scaler.transform_row(&s.features))
+            .collect();
+        with_lookahead(&scaled)
     }
 
     /// Per-class sample counts (diagnostics and Table VI denominators).
@@ -115,84 +124,6 @@ impl LabeledTrace {
             .filter(|(_, n)| *n > 0)
             .collect()
     }
-}
-
-/// Splits a boolean NOP sequence into busy segments separated by runs of at
-/// least `th_gap` NOPs. Returned ranges cover busy regions (leading/trailing
-/// NOP runs excluded, shorter NOP runs kept inside segments).
-pub fn split_on_nop_runs(is_nop: &[bool], th_gap: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(th_gap > 0, "th_gap must be positive");
-    let mut segments = Vec::new();
-    let mut seg_start: Option<usize> = None;
-    let mut nop_run = 0usize;
-    for (i, &nop) in is_nop.iter().enumerate() {
-        if nop {
-            nop_run += 1;
-            if nop_run == th_gap {
-                // Close the current segment before this run.
-                if let Some(start) = seg_start.take() {
-                    let end = i + 1 - th_gap;
-                    if end > start {
-                        segments.push(start..end);
-                    }
-                }
-            }
-        } else {
-            if seg_start.is_none() {
-                seg_start = Some(i);
-            }
-            nop_run = 0;
-        }
-    }
-    if let Some(start) = seg_start {
-        let mut end = is_nop.len();
-        // Trim trailing NOPs (a run shorter than th_gap may remain).
-        while end > start && is_nop[end - 1] {
-            end -= 1;
-        }
-        if end > start {
-            segments.push(start..end);
-        }
-    }
-    segments
-}
-
-/// Fault-tolerant variant of [`split_on_nop_runs`]: BUSY runs of at most
-/// `bridge` samples that are flanked by NOPs on both sides are treated as
-/// NOP before splitting. A missed host poll (see
-/// `CuptiSession::collect_faulted`) merges a quiet window into its busy
-/// successor, planting an isolated busy-looking sample inside a real
-/// iteration gap; without bridging, that one sample cuts the `TH_gap` run
-/// in two and glues two iterations together. `bridge == 0` is exactly
-/// [`split_on_nop_runs`].
-pub fn split_on_nop_runs_bridged(
-    is_nop: &[bool],
-    th_gap: usize,
-    bridge: usize,
-) -> Vec<std::ops::Range<usize>> {
-    if bridge == 0 {
-        return split_on_nop_runs(is_nop, th_gap);
-    }
-    let mut bridged = is_nop.to_vec();
-    let mut i = 0;
-    while i < bridged.len() {
-        if !bridged[i] {
-            let start = i;
-            while i < bridged.len() && !bridged[i] {
-                i += 1;
-            }
-            // Flanked on both sides by NOP (interior run) and short enough.
-            let flanked = start > 0 && i < bridged.len();
-            if flanked && i - start <= bridge {
-                for b in bridged.iter_mut().take(i).skip(start) {
-                    *b = true;
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    split_on_nop_runs(&bridged, th_gap)
 }
 
 /// Drops segments whose length is outside `[r_min, r_max]` times the
@@ -225,14 +156,20 @@ pub fn filter_valid_iterations(
 /// boundary often carries the op's penalty readings. The final row repeats
 /// itself as its own lookahead.
 pub fn with_lookahead(scaled: &[Vec<f32>]) -> Vec<Vec<f32>> {
-    (0..scaled.len())
-        .map(|i| {
-            let mut row = scaled[i].clone();
-            let next = scaled.get(i + 1).unwrap_or(&scaled[i]);
-            row.extend_from_slice(next);
-            row
-        })
+    scaled
+        .iter()
+        .enumerate()
+        .map(|(i, cur)| lookahead_row(cur, scaled.get(i + 1).unwrap_or(cur)))
         .collect()
+}
+
+/// One prepared row: a scaled sample followed by its lookahead neighbour.
+/// Every prepared row, batch or streamed, is built here.
+pub(crate) fn lookahead_row(cur: &[f32], next: &[f32]) -> Vec<f32> {
+    let mut row = Vec::with_capacity(cur.len() + next.len());
+    row.extend_from_slice(cur);
+    row.extend_from_slice(next);
+    row
 }
 
 /// Fits the MinMax scaler over every sample of the given traces (§IV-A
@@ -248,74 +185,6 @@ pub fn fit_scaler(traces: &[&LabeledTrace]) -> MinMaxScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_on_nop_runs_basic() {
-        // B B N N N B B N B  with th_gap = 3
-        let nop = [false, false, true, true, true, false, false, true, false];
-        let segs = split_on_nop_runs(&nop, 3);
-        assert_eq!(segs, vec![0..2, 5..9]);
-        // Shorter runs stay inside segments; trailing busy kept.
-    }
-
-    #[test]
-    fn split_trims_leading_and_trailing_nops() {
-        let nop = [true, true, false, false, true, true];
-        let segs = split_on_nop_runs(&nop, 2);
-        assert_eq!(segs, vec![2..4]);
-    }
-
-    #[test]
-    fn split_all_nop_is_empty() {
-        let nop = [true; 10];
-        assert!(split_on_nop_runs(&nop, 3).is_empty());
-    }
-
-    #[test]
-    fn bridged_split_absorbs_isolated_busy_samples() {
-        // A real gap of 6 NOPs with one busy-looking sample in the middle
-        // (a missed poll merged a quiet window into its successor).
-        let nop = [
-            false, false, true, true, true, false, true, true, true, false, false,
-        ];
-        // Unbridged: the spurious sample cuts the gap in two 3-runs < TH_gap,
-        // gluing the two iterations together.
-        assert_eq!(split_on_nop_runs(&nop, 6), vec![0..11]);
-        // Bridge = 1 restores the split.
-        assert_eq!(split_on_nop_runs_bridged(&nop, 6, 1), vec![0..2, 9..11]);
-    }
-
-    #[test]
-    fn bridge_zero_is_exactly_the_plain_splitter() {
-        let patterns: Vec<Vec<bool>> = vec![
-            vec![false, false, true, true, true, false, false, true, false],
-            vec![true, true, false, false, true, true],
-            vec![true; 10],
-            vec![false; 10],
-            vec![],
-        ];
-        for p in patterns {
-            for th in 1..5 {
-                assert_eq!(
-                    split_on_nop_runs_bridged(&p, th, 0),
-                    split_on_nop_runs(&p, th)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bridge_does_not_flip_long_busy_runs_or_edges() {
-        // A 3-sample busy run survives bridge = 2.
-        let nop = [true, false, false, false, true, true];
-        assert_eq!(
-            split_on_nop_runs_bridged(&nop, 2, 2),
-            split_on_nop_runs(&nop, 2)
-        );
-        // Edge busy runs (not flanked on both sides) are never bridged.
-        let nop = [false, true, true, false];
-        assert_eq!(split_on_nop_runs_bridged(&nop, 2, 1), vec![0..1, 3..4]);
-    }
 
     #[test]
     fn filter_valid_iterations_drops_outliers() {

@@ -3,29 +3,30 @@
 //! A LightGBM-style GBDT classifies each MinMax-scaled sample into `NOP` or
 //! `BUSY`; iterations are split wherever at least `TH_gap` consecutive `NOP`
 //! samples occur, and iterations whose sample count falls outside
-//! `[R_min, R_max]` x the mean are discarded as incomplete.
+//! `[R_min, R_max]` x the median are discarded as incomplete.
 
 use dnn_sim::OpClass;
 use ml::gbdt::{GbdtBinaryClassifier, GbdtConfig};
 use ml::MinMaxScaler;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{filter_valid_iterations, split_on_nop_runs_bridged, LabeledTrace};
+use crate::dataset::{filter_valid_iterations, LabeledTrace};
+use crate::stream::SegmentSplitter;
 
 /// Splitting parameters (§V-A: `TH_gap = 6`, `R_min = 0.8`, `R_max = 1.2`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GapConfig {
     /// Minimum consecutive NOP samples that constitute an iteration gap.
     pub th_gap: usize,
-    /// Minimum iteration length as a ratio of the mean.
+    /// Minimum iteration length as a ratio of the median.
     pub r_min: f64,
-    /// Maximum iteration length as a ratio of the mean.
+    /// Maximum iteration length as a ratio of the median.
     pub r_max: f64,
     /// Missing-sample tolerance: BUSY runs of at most this many samples that
     /// are flanked by NOPs are bridged before gap splitting (see
-    /// [`crate::dataset::split_on_nop_runs_bridged`]). `0` (the default, and
-    /// the paper's implicit setting) disables bridging; fault-tolerant runs
-    /// use `1`–`2` to survive missed CUPTI polls.
+    /// [`SegmentSplitter`]). `0` (the default, and the paper's implicit
+    /// setting) disables bridging; fault-tolerant runs use `1`–`2` to
+    /// survive missed CUPTI polls.
     pub nop_bridge: usize,
 }
 
@@ -80,24 +81,12 @@ pub struct GapModel {
     config: GapConfig,
 }
 
-/// Builds the context-augmented feature row for position `i` of a scaled
-/// sample stream: the sample itself plus its immediate neighbours (zeros at
-/// the stream edges). An iteration gap is a *run* of quiet samples, so the
-/// neighbourhood carries most of the discriminating power.
-fn context_row(scaled: &[Vec<f32>], i: usize) -> Vec<f32> {
-    context_row_parts(
-        i.checked_sub(1)
-            .and_then(|j| scaled.get(j))
-            .map(|r| r.as_slice()),
-        &scaled[i],
-        scaled.get(i + 1).map(|r| r.as_slice()),
-    )
-}
-
-/// [`context_row`] from explicit neighbour slices (`None` = stream edge,
-/// zero-padded) — the form the incremental splitter can evaluate with one
-/// sample of lookahead instead of the whole trace.
-fn context_row_parts(prev: Option<&[f32]>, cur: &[f32], next: Option<&[f32]>) -> Vec<f32> {
+/// The context-augmented feature row of one scaled sample: its previous
+/// neighbour, itself and its next neighbour (`None` = stream edge,
+/// zero-padded). An iteration gap is a *run* of quiet samples, so the
+/// neighbourhood carries most of the discriminating power, and one sample of
+/// lookahead is all the incremental splitter needs to evaluate it.
+fn context_row(prev: Option<&[f32]>, cur: &[f32], next: Option<&[f32]>) -> Vec<f32> {
     let width = cur.len();
     let mut row = Vec::with_capacity(3 * width);
     match prev {
@@ -110,6 +99,20 @@ fn context_row_parts(prev: Option<&[f32]>, cur: &[f32], next: Option<&[f32]>) ->
         None => row.extend(std::iter::repeat_n(0.0, width)),
     }
     row
+}
+
+/// Every row of a whole scaled stream with its [`context_row`] neighbours.
+fn neighbourhoods(
+    scaled: &[Vec<f32>],
+) -> impl Iterator<Item = (Option<&[f32]>, &[f32], Option<&[f32]>)> {
+    scaled.iter().enumerate().map(|(i, cur)| {
+        let prev = i.checked_sub(1).and_then(|j| scaled.get(j));
+        (
+            prev.map(Vec::as_slice),
+            cur.as_slice(),
+            scaled.get(i + 1).map(Vec::as_slice),
+        )
+    })
 }
 
 impl GapModel {
@@ -127,10 +130,8 @@ impl GapModel {
                 .iter()
                 .map(|s| scaler.transform_row(&s.features))
                 .collect();
-            for (i, s) in t.samples.iter().enumerate() {
-                rows.push(context_row(&scaled, i));
-                labels.push(s.class == OpClass::Nop);
-            }
+            rows.extend(neighbourhoods(&scaled).map(|(p, c, n)| context_row(p, c, n)));
+            labels.extend(t.samples.iter().map(|s| s.class == OpClass::Nop));
         }
         let gbdt = GbdtBinaryClassifier::fit(
             &rows,
@@ -148,41 +149,41 @@ impl GapModel {
         self.config
     }
 
-    /// Predicts NOP flags for a raw (unscaled) sample stream.
-    pub fn predict_nop(&self, features: &[Vec<f32>], scaler: &MinMaxScaler) -> Vec<bool> {
-        if features.is_empty() {
-            return Vec::new();
-        }
-        let scaled: Vec<Vec<f32>> = features.iter().map(|f| scaler.transform_row(f)).collect();
-        (0..scaled.len())
-            .map(|i| self.gbdt.predict(&context_row(&scaled, i)))
-            .collect()
-    }
-
     /// Predicts the NOP flag for one position given its already-scaled
-    /// neighbourhood (`None` = stream edge). Evaluating this per position
-    /// over a stream is bitwise identical to [`GapModel::predict_nop`] on
-    /// the whole trace — same context row, same GBDT — which is what lets
-    /// the streaming splitter decide each sample with one sample of
-    /// lookahead (see [`crate::stream`]).
+    /// neighbourhood (`None` = stream edge). The batch flags evaluate it at
+    /// every position of a whole trace, and the streaming splitter decides
+    /// each sample with one sample of lookahead (see [`crate::stream`]).
     pub fn predict_nop_scaled(
         &self,
         prev: Option<&[f32]>,
         cur: &[f32],
         next: Option<&[f32]>,
     ) -> bool {
-        self.gbdt.predict(&context_row_parts(prev, cur, next))
+        self.gbdt.predict(&context_row(prev, cur, next))
     }
 
-    /// Splits a sample stream into valid iterations: predict NOPs, split on
-    /// `TH_gap` runs, drop out-of-band segments.
+    /// The NOP flag of every row of a whole scaled stream.
+    fn nop_flags<'s>(&'s self, scaled: &'s [Vec<f32>]) -> impl Iterator<Item = bool> + 's {
+        neighbourhoods(scaled).map(|(prev, cur, next)| self.predict_nop_scaled(prev, cur, next))
+    }
+
+    /// Splits a raw (unscaled) sample stream into valid iterations: predict
+    /// NOPs, split on `TH_gap` runs, drop out-of-band segments.
     pub fn split_iterations(
         &self,
         features: &[Vec<f32>],
         scaler: &MinMaxScaler,
     ) -> Vec<std::ops::Range<usize>> {
-        let nops = self.predict_nop(features, scaler);
-        let segments = split_on_nop_runs_bridged(&nops, self.config.th_gap, self.config.nop_bridge);
+        self.split_scaled(&scaler.transform(features))
+    }
+
+    /// [`GapModel::split_iterations`] over rows the caller already scaled.
+    pub(crate) fn split_scaled(&self, scaled: &[Vec<f32>]) -> Vec<std::ops::Range<usize>> {
+        let segments = SegmentSplitter::segments(
+            self.nop_flags(scaled),
+            self.config.th_gap,
+            self.config.nop_bridge,
+        );
         filter_valid_iterations(segments, self.config.r_min, self.config.r_max)
     }
 
@@ -194,9 +195,12 @@ impl GapModel {
             busy_total: 0,
             busy_correct: 0,
         };
-        let features: Vec<Vec<f32>> = trace.samples.iter().map(|s| s.features.clone()).collect();
-        let preds = self.predict_nop(&features, scaler);
-        for (s, &pred_nop) in trace.samples.iter().zip(&preds) {
+        let scaled: Vec<Vec<f32>> = trace
+            .samples
+            .iter()
+            .map(|s| scaler.transform_row(&s.features))
+            .collect();
+        for (s, pred_nop) in trace.samples.iter().zip(self.nop_flags(&scaled)) {
             if s.class == OpClass::Nop {
                 eval.nop_total += 1;
                 if pred_nop {

@@ -12,7 +12,7 @@ use ml::seq::{SeqClassifierConfig, SequenceClassifier};
 use ml::{MinMaxScaler, SeqExample};
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::LabeledTrace;
+use crate::dataset::{with_lookahead, LabeledTrace};
 use crate::long_ops::LstmTrainConfig;
 
 /// Which hyper-parameter a model head predicts (paper Table VIII:
@@ -204,11 +204,7 @@ impl HpModel {
         for (trace, model, ranges) in data {
             for r in ranges.iter() {
                 let samples = &trace.samples[r.clone()];
-                let scaled: Vec<Vec<f32>> = samples
-                    .iter()
-                    .map(|s| scaler.transform_row(&s.features))
-                    .collect();
-                let features = crate::dataset::with_lookahead(&scaled);
+                let features = trace.prepared(r.clone(), scaler);
                 let mut labels = vec![0usize; samples.len()];
                 let mut mask = vec![false; samples.len()];
                 match kind {
@@ -268,8 +264,8 @@ impl HpModel {
 
     /// Predicts classes for the whole iteration (callers pick positions).
     pub fn predict(&self, features: &[Vec<f32>], scaler: &MinMaxScaler) -> Vec<usize> {
-        let scaled: Vec<Vec<f32>> = features.iter().map(|f| scaler.transform_row(f)).collect();
-        self.clf.predict(&crate::dataset::with_lookahead(&scaled))
+        self.clf
+            .predict(&with_lookahead(&scaler.transform(features)))
     }
 
     /// The underlying sequence classifier — the streaming engine

@@ -12,7 +12,7 @@ use ml::seq::{SeqClassifierConfig, SequenceClassifier};
 use ml::{MinMaxScaler, SeqExample};
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::LabeledTrace;
+use crate::dataset::{with_lookahead, LabeledTrace};
 
 /// The four `Mlong` classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -105,25 +105,6 @@ impl LstmTrainConfig {
     }
 }
 
-/// Builds one training example from an iteration's samples.
-fn iteration_example(
-    trace: &LabeledTrace,
-    range: &std::ops::Range<usize>,
-    scaler: &MinMaxScaler,
-) -> SeqExample {
-    let samples = &trace.samples[range.clone()];
-    let scaled: Vec<Vec<f32>> = samples
-        .iter()
-        .map(|s| scaler.transform_row(&s.features))
-        .collect();
-    let features = crate::dataset::with_lookahead(&scaled);
-    let labels = samples
-        .iter()
-        .map(|s| LongClass::of(s.class).index())
-        .collect();
-    SeqExample::new(features, labels)
-}
-
 /// The trained `Mlong` model.
 #[derive(Debug, Clone)]
 pub struct LongOpModel {
@@ -144,7 +125,11 @@ impl LongOpModel {
         let mut examples = Vec::new();
         for (trace, ranges) in data {
             for r in ranges.iter() {
-                examples.push(iteration_example(trace, r, scaler));
+                let labels = trace.samples[r.clone()]
+                    .iter()
+                    .map(|s| LongClass::of(s.class).index())
+                    .collect();
+                examples.push(SeqExample::new(trace.prepared(r.clone(), scaler), labels));
             }
         }
         assert!(!examples.is_empty(), "Mlong needs at least one iteration");
@@ -172,12 +157,9 @@ impl LongOpModel {
     ) -> Vec<Vec<LongClass>> {
         let prepared: Vec<Vec<Vec<f32>>> = iterations
             .iter()
-            .map(|feats| {
-                let scaled: Vec<Vec<f32>> = feats.iter().map(|f| scaler.transform_row(f)).collect();
-                crate::dataset::with_lookahead(&scaled)
-            })
+            .map(|feats| with_lookahead(&scaler.transform(feats)))
             .collect();
-        let refs: Vec<&[Vec<f32>]> = prepared.iter().map(|p| p.as_slice()).collect();
+        let refs: Vec<&[Vec<f32>]> = prepared.iter().map(Vec::as_slice).collect();
         self.clf
             .predict_batch(&refs)
             .into_iter()

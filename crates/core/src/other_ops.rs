@@ -13,7 +13,7 @@ use ml::seq::{SeqClassifierConfig, SequenceClassifier};
 use ml::{MinMaxScaler, SeqExample};
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::LabeledTrace;
+use crate::dataset::{with_lookahead, LabeledTrace};
 use crate::long_ops::LstmTrainConfig;
 
 /// Which `Mop` label space an attacker trains and serves with.
@@ -170,11 +170,7 @@ impl OtherOpModel {
         for (trace, ranges) in data {
             for r in ranges.iter() {
                 let samples = &trace.samples[r.clone()];
-                let scaled: Vec<Vec<f32>> = samples
-                    .iter()
-                    .map(|s| scaler.transform_row(&s.features))
-                    .collect();
-                let features = crate::dataset::with_lookahead(&scaled);
+                let features = trace.prepared(r.clone(), scaler);
                 let mut labels = Vec::with_capacity(samples.len());
                 let mut mask = Vec::with_capacity(samples.len());
                 for s in samples {
@@ -228,12 +224,9 @@ impl OtherOpModel {
     ) -> Vec<Vec<OtherClass>> {
         let prepared: Vec<Vec<Vec<f32>>> = iterations
             .iter()
-            .map(|feats| {
-                let scaled: Vec<Vec<f32>> = feats.iter().map(|f| scaler.transform_row(f)).collect();
-                crate::dataset::with_lookahead(&scaled)
-            })
+            .map(|feats| with_lookahead(&scaler.transform(feats)))
             .collect();
-        let refs: Vec<&[Vec<f32>]> = prepared.iter().map(|p| p.as_slice()).collect();
+        let refs: Vec<&[Vec<f32>]> = prepared.iter().map(Vec::as_slice).collect();
         self.clf
             .predict_batch(&refs)
             .into_iter()

@@ -19,11 +19,13 @@
 //!
 //! 1. per-sample NOP flags are the same GBDT over the same
 //!    [`crate::gap`] context rows ([`GapModel::predict_nop_scaled`]);
-//! 2. [`SegmentSplitter`] is an event-driven replay of
-//!    [`crate::dataset::split_on_nop_runs_bridged`] (property-tested below
-//!    over random streams and chunkings);
-//! 3. prepared rows (MinMax scale + one-step lookahead) are assembled
-//!    per segment exactly as [`crate::dataset::with_lookahead`] does;
+//! 2. both paths split with one [`SegmentSplitter`]: the batch path pushes
+//!    a whole flag sequence through [`SegmentSplitter::segments`], the
+//!    stream pushes flags as they are decided (property-tested below
+//!    against a whole-sequence oracle, over random streams and chunkings);
+//! 3. every prepared row (MinMax scale + one-step lookahead) is one
+//!    `dataset::lookahead_row`, whether [`crate::dataset::with_lookahead`]
+//!    builds a whole iteration or the stream completes one row at a time;
 //! 4. stateful chunked LSTM inference is bitwise identical to the packed
 //!    batch path for any chunking (proven by `ml::seq` property tests);
 //! 5. the back half (voting, OpSeq parse, `Mhp` attach, syntax correction)
@@ -45,7 +47,7 @@ use std::ops::Range;
 use ml::{MinMaxScaler, StreamState};
 
 use crate::attack::{Extraction, Moscons};
-use crate::dataset::filter_valid_iterations;
+use crate::dataset::{filter_valid_iterations, lookahead_row};
 use crate::gap::GapModel;
 use crate::hyperparams::HpKind;
 use crate::long_ops::LongClass;
@@ -76,12 +78,20 @@ pub enum SplitEvent {
     Close(Range<usize>),
 }
 
-/// Incremental replay of [`crate::dataset::split_on_nop_runs_bridged`]:
-/// feed per-sample NOP flags one at a time, get [`SplitEvent`]s out, and the
-/// closed ranges equal the batch splitter's segments on the same flags —
-/// for any chunking of the input.
+/// The `Mgap` splitter (§IV-A): feed per-sample NOP flags one at a time,
+/// get [`SplitEvent`]s out. A segment closes before every run of at least
+/// `th_gap` NOPs; leading and trailing NOPs fall outside every segment.
+/// Interior BUSY runs of at most `bridge` samples, flanked by NOPs on both
+/// sides, count as NOP: a missed host poll (see
+/// `CuptiSession::collect_faulted`) plants such a busy-looking sample inside
+/// a real gap, and without the bridge it would glue two iterations together.
+/// `bridge == 0` disables it.
 ///
-/// Two pieces of bounded state make that possible:
+/// It is the only splitter: [`SegmentSplitter::segments`] runs it over a
+/// whole flag sequence for the batch path, and the closed ranges are the
+/// same for any chunking of the pushes.
+///
+/// Two pieces of bounded state make the incremental form possible:
 ///
 /// * **bridge stage** — a BUSY run can only be flipped to NOP once it is
 ///   known to be interior (flanked by NOPs) and at most `bridge` long, so
@@ -134,6 +144,32 @@ impl SegmentSplitter {
         }
     }
 
+    /// The segments of a whole flag sequence: pushes every flag, finishes,
+    /// and keeps the [`SplitEvent::Close`] ranges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `th_gap == 0`.
+    pub fn segments(
+        flags: impl IntoIterator<Item = bool>,
+        th_gap: usize,
+        bridge: usize,
+    ) -> Vec<Range<usize>> {
+        let mut splitter = SegmentSplitter::new(th_gap, bridge);
+        let mut events = Vec::new();
+        for nop in flags {
+            splitter.push(nop, &mut events);
+        }
+        splitter.finish(&mut events);
+        events
+            .into_iter()
+            .filter_map(|e| match e {
+                SplitEvent::Close(r) => Some(r),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Pushes the NOP flag of the next sample, appending any decisions it
     /// unlocks to `out`.
     ///
@@ -153,7 +189,7 @@ impl SegmentSplitter {
             if let Some(s) = self.run_start.take() {
                 // Interior BUSY run of at most `bridge` samples, now flanked
                 // by NOP on both sides: flip it (the isolated-missing-sample
-                // repair of `split_on_nop_runs_bridged`).
+                // repair).
                 for j in s..i {
                     self.feed(j, true, out);
                 }
@@ -195,7 +231,7 @@ impl SegmentSplitter {
         }
         if let Some(start) = self.seg_start.take() {
             // Trailing NOPs (a run shorter than th_gap) stay outside the
-            // segment, exactly like the batch splitter's end trim.
+            // segment.
             out.push(SplitEvent::Close(start..self.seg_end));
             for j in self.seg_end..self.next {
                 out.push(SplitEvent::Discard(j));
@@ -213,7 +249,7 @@ impl SegmentSplitter {
                 Some(start) => {
                     if self.nop_run == self.th_gap {
                         // The run that closes the segment: the segment ends
-                        // at its last BUSY sample (batch: `i + 1 - th_gap`).
+                        // at its last BUSY sample (`i + 1 - th_gap`).
                         let end = self.seg_end;
                         self.seg_start = None;
                         out.push(SplitEvent::Close(start..end));
@@ -243,8 +279,8 @@ impl SegmentSplitter {
 
 /// Incremental `Mgap`: scaled sample rows in, [`SplitEvent`]s out, with one
 /// sample of lookahead (the GBDT's context row needs the *next* sample, see
-/// [`GapModel::predict_nop_scaled`]). Closed ranges are bitwise identical
-/// to [`GapModel::split_iterations`]'s pre-filter segments on the same rows,
+/// [`GapModel::predict_nop_scaled`]). Closed ranges are
+/// [`GapModel::split_iterations`]'s pre-filter segments on the same rows,
 /// for any chunking of the pushes.
 #[derive(Debug)]
 pub struct GapStream<'a> {
@@ -532,11 +568,8 @@ impl<'a> AttackStream<'a> {
                         .get_or_insert_with(|| OpenSegment::new(*i, moscons));
                     if let Some(prev) = seg.last_scaled.take() {
                         // Prepared row j of the segment is scaled[j] ++
-                        // scaled[j+1] (`with_lookahead`): completing row
-                        // j needs its successor.
-                        let mut prepared = prev;
-                        prepared.extend_from_slice(&row);
-                        seg.pending.push(prepared);
+                        // scaled[j+1]: completing row j needs its successor.
+                        seg.pending.push(lookahead_row(&prev, &row));
                     }
                     seg.last_scaled = Some(row);
                     if seg.pending.len() >= chunk_rows {
@@ -562,9 +595,7 @@ impl<'a> AttackStream<'a> {
                         continue;
                     };
                     // The segment's final row is its own lookahead.
-                    let mut prepared = last.clone();
-                    prepared.extend_from_slice(&last);
-                    seg.pending.push(prepared);
+                    seg.pending.push(lookahead_row(&last, &last));
                     Self::classify_pending(moscons, &mut seg, seg_id, labels);
                     debug_assert_eq!(
                         seg.preds_long.len(),
@@ -653,9 +684,67 @@ impl<'a> AttackStream<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::split_on_nop_runs_bridged;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The whole-sequence splitter, kept as the oracle for
+    /// [`SegmentSplitter`]: flip every interior BUSY run of at most `bridge`
+    /// samples to NOP, then close a segment before every run of `th_gap`
+    /// NOPs and trim the leading and trailing NOPs.
+    fn reference_segments(is_nop: &[bool], th_gap: usize, bridge: usize) -> Vec<Range<usize>> {
+        let mut bridged = is_nop.to_vec();
+        let mut i = 0;
+        while i < bridged.len() {
+            if !bridged[i] {
+                let start = i;
+                while i < bridged.len() && !bridged[i] {
+                    i += 1;
+                }
+                // Flanked on both sides by NOP (interior run) and short enough.
+                let flanked = start > 0 && i < bridged.len();
+                if flanked && i - start <= bridge {
+                    for b in bridged.iter_mut().take(i).skip(start) {
+                        *b = true;
+                    }
+                }
+            } else {
+                i += 1;
+            }
+        }
+        let mut segments = Vec::new();
+        let mut seg_start: Option<usize> = None;
+        let mut nop_run = 0usize;
+        for (i, &nop) in bridged.iter().enumerate() {
+            if nop {
+                nop_run += 1;
+                if nop_run == th_gap {
+                    // Close the current segment before this run.
+                    if let Some(start) = seg_start.take() {
+                        let end = i + 1 - th_gap;
+                        if end > start {
+                            segments.push(start..end);
+                        }
+                    }
+                }
+            } else {
+                if seg_start.is_none() {
+                    seg_start = Some(i);
+                }
+                nop_run = 0;
+            }
+        }
+        if let Some(start) = seg_start {
+            let mut end = bridged.len();
+            // Trim trailing NOPs (a run shorter than th_gap may remain).
+            while end > start && bridged[end - 1] {
+                end -= 1;
+            }
+            if end > start {
+                segments.push(start..end);
+            }
+        }
+        segments
+    }
 
     fn run_splitter(flags: &[bool], th_gap: usize, bridge: usize) -> Vec<SplitEvent> {
         let mut sp = SegmentSplitter::new(th_gap, bridge);
@@ -687,11 +776,16 @@ mod tests {
             let th_gap = rng.gen_range(1..=8);
             let bridge = rng.gen_range(0..=3);
             let events = run_splitter(&flags, th_gap, bridge);
-            let expect = split_on_nop_runs_bridged(&flags, th_gap, bridge);
+            let expect = reference_segments(&flags, th_gap, bridge);
             assert_eq!(
                 segments_of(&events),
                 expect,
                 "case {case}: flags {flags:?} th_gap {th_gap} bridge {bridge}"
+            );
+            assert_eq!(
+                SegmentSplitter::segments(flags.iter().copied(), th_gap, bridge),
+                expect,
+                "case {case}: segments() on flags {flags:?} th_gap {th_gap} bridge {bridge}"
             );
 
             // Every index resolves exactly once, in strictly increasing
@@ -733,6 +827,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn segments_close_before_gap_runs_and_trim_edge_nops() {
+        // B B N N N B B N B with th_gap = 3: the shorter NOP run stays
+        // inside its segment, and the trailing busy sample is kept.
+        let nop = [false, false, true, true, true, false, false, true, false];
+        assert_eq!(SegmentSplitter::segments(nop, 3, 0), vec![0..2, 5..9]);
+        // Leading and trailing NOPs fall outside every segment.
+        let nop = [true, true, false, false, true, true];
+        assert_eq!(SegmentSplitter::segments(nop, 2, 0), vec![2..4]);
+        // All NOP: no segment.
+        assert!(SegmentSplitter::segments([true; 10], 3, 0).is_empty());
+    }
+
+    #[test]
+    fn segments_bridge_only_short_interior_busy_runs() {
+        // A real gap of 6 NOPs with one busy-looking sample in the middle
+        // (a missed poll merged a quiet window into its successor).
+        let nop = [
+            false, false, true, true, true, false, true, true, true, false, false,
+        ];
+        // Unbridged: the spurious sample cuts the gap in two 3-runs < TH_gap,
+        // gluing the two iterations together.
+        assert_eq!(SegmentSplitter::segments(nop, 6, 0), vec![0..11]);
+        // Bridge = 1 restores the split.
+        assert_eq!(SegmentSplitter::segments(nop, 6, 1), vec![0..2, 9..11]);
+        // A 3-sample busy run survives bridge = 2.
+        let nop = [true, false, false, false, true, true];
+        assert_eq!(SegmentSplitter::segments(nop, 2, 2), vec![1..4]);
+        // Edge busy runs (not flanked on both sides) are never bridged.
+        let nop = [false, true, true, false];
+        assert_eq!(SegmentSplitter::segments(nop, 2, 1), vec![0..1, 3..4]);
     }
 
     #[test]

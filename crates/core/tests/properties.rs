@@ -3,9 +3,10 @@
 use std::fmt::Debug;
 
 use dnn_sim::OpClass;
-use moscons::dataset::{counter_features, filter_valid_iterations, split_on_nop_runs};
+use moscons::dataset::{counter_features, filter_valid_iterations};
 use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_zoo};
 use moscons::report::lcs_pairs;
+use moscons::stream::SegmentSplitter;
 use testkit::gen::{bool_with, choice, f32_in, u64_in, usize_in, vec_of, zip2, Gen};
 use testkit::prop::holds;
 use testkit::Config;
@@ -45,7 +46,7 @@ fn classes() -> Gen<Vec<OpClass>> {
 fn split_segments_are_sorted_disjoint_and_busy_bounded() {
     let cases = zip2(vec_of(bool_with(0.5), 0, 299), usize_in(1, 7));
     check("split_segments", &cases, |(nops, th)| {
-        let segs = split_on_nop_runs(nops, *th);
+        let segs = SegmentSplitter::segments(nops.iter().copied(), *th, 0);
         let mut prev_end = 0usize;
         for s in &segs {
             holds(s.start >= prev_end, "segments overlap or unsorted")?;

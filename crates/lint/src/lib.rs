@@ -30,7 +30,7 @@
 //! cargo run -p lint -- --json        # machine-readable, for the CI jq gate
 //! cargo run -p lint -- --sarif       # SARIF 2.1.0 for code scanning
 //! cargo run -p lint -- --explain A1  # what a rule means and why
-//! cargo run -p lint -- --check-config  # audit lint.toml for stale entries
+//! cargo run -p lint -- --check-config  # audit lint.toml for stale entries and dead roots
 //! ```
 //!
 //! Exit status: `0` clean (warnings allowed), `1` at least one
@@ -186,10 +186,12 @@ pub fn discover_crates(root: &Path) -> BTreeMap<String, String> {
     out
 }
 
-/// Audits `lint.toml` for stale allowlist entries: an `allow` path that
-/// prefixes zero walked files, or whose removal changes no diagnostic
-/// (it suppresses nothing — for D5, no `unsafe` left under it; for A4, no
-/// gate lives there). Returns human-readable problems, empty when clean.
+/// Audits `lint.toml` for stale entries: an `allow` path that prefixes
+/// zero walked files, or whose removal changes no diagnostic (it
+/// suppresses nothing — for D5, no `unsafe` left under it; for A4, no gate
+/// lives there), and a `roots` pattern that matches no non-test function
+/// (the rule checks nothing from it). Returns human-readable problems in
+/// config order, empty when clean.
 ///
 /// The files are analysed once; only the policy passes re-run per
 /// candidate entry.
@@ -217,6 +219,13 @@ pub fn check_config(root: &Path, config: &Config) -> std::io::Result<Vec<String>
             if analysis.diagnostics(&cfg2) == baseline {
                 problems.push(format!(
                     "rules.{id}.allow entry `{entry}` suppresses zero findings (stale)"
+                ));
+            }
+        }
+        for pattern in &rc.roots {
+            if analysis.graph.match_pattern(pattern).is_empty() {
+                problems.push(format!(
+                    "rules.{id}.roots entry `{pattern}` matches zero functions (dead root)"
                 ));
             }
         }

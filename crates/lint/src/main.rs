@@ -28,7 +28,8 @@ OPTIONS:
     --json             machine-readable output (diagnostics + counts + run stats)
     --sarif            SARIF 2.1.0 output (GitHub code scanning)
     --explain <rule>   print what a rule (D1..D8, A1..A4) means and how to fix it
-    --check-config     audit lint.toml for stale allowlist entries; exit 1 if any
+    --check-config     audit lint.toml for stale allowlist entries and roots that
+                       match no function; exit 1 if any
     --root <dir>       workspace root to lint (default: nearest dir with lint.toml,
                        else the workspace this binary was built from)
     --config <path>    config file (default: <root>/lint.toml)
@@ -144,7 +145,7 @@ fn main() -> ExitCode {
     if args.check_config {
         return match lint::check_config(&root, &config) {
             Ok(problems) if problems.is_empty() => {
-                println!("leaky-lint: config clean (no stale allowlist entries)");
+                println!("leaky-lint: config clean (no stale allowlist entries or dead roots)");
                 ExitCode::SUCCESS
             }
             Ok(problems) => {

@@ -260,9 +260,9 @@ fn cli_writes_nothing_under_the_root() {
     assert_eq!(before, after, "leaky-lint wrote under its root");
 }
 
-/// `--check-config` names both kinds of stale entry, in config order: one
-/// that matches a linted file but suppresses nothing, and one that matches
-/// no file at all.
+/// `--check-config` names every kind of stale entry, in config order: an
+/// allow entry that matches a linted file but suppresses nothing, one that
+/// matches no file at all, and a root that matches no function.
 #[test]
 fn check_config_reports_stale_entries() {
     let root = fixtures_root();
@@ -281,9 +281,17 @@ fn check_config_reports_stale_entries() {
             "good/d2_btree.rs".to_string(),
             "good/missing.rs".to_string(),
         ]);
+    config
+        .rules
+        .get_mut("A1")
+        .expect("lint-good.toml configures A1")
+        .roots
+        .push("workspace::good::*_missing".to_string());
     assert_eq!(
         lint::check_config(&root, &config).expect("check runs"),
         vec![
+            "rules.A1.roots entry `workspace::good::*_missing` matches zero functions (dead root)"
+                .to_string(),
             "rules.D8.allow entry `good/d2_btree.rs` suppresses zero findings (stale)".to_string(),
             "rules.D8.allow entry `good/missing.rs` matches zero linted files".to_string(),
         ]

@@ -15,8 +15,8 @@ use std::sync::OnceLock;
 use dnn_sim::{Activation, Layer, Model, Optimizer, TrainingConfig, TrainingSession};
 use gpu_sim::{FaultPlan, GpuConfig};
 use moscons::attack::{AttackConfig, Moscons};
-use moscons::dataset::split_on_nop_runs_bridged;
-use moscons::stream::SplitEvent;
+use moscons::dataset::filter_valid_iterations;
+use moscons::stream::{SegmentSplitter, SplitEvent};
 use moscons::{random_profiling_models, AttackReport, AttackStream, GapStream, HpKind};
 
 /// Clean-path fixture: attacker, per-sample feature rows of the victim's
@@ -105,8 +105,8 @@ fn gap_stream_is_chunking_invariant() {
     let scaler = fx.moscons.scaler();
     let cfg = gap.config();
 
-    // Whole-trace references: the batch splitter over the model's own NOP
-    // flags, and the event stream of a single uninterrupted streaming pass.
+    // Whole-trace references: the splitter over the model's own NOP flags,
+    // and the event stream of a single uninterrupted streaming pass.
     let scaled: Vec<Vec<f32>> = fx
         .features
         .iter()
@@ -121,7 +121,7 @@ fn gap_stream_is_chunking_invariant() {
             )
         })
         .collect();
-    let batch_segments = split_on_nop_runs_bridged(&is_nop, cfg.th_gap, cfg.nop_bridge);
+    let batch_segments = SegmentSplitter::segments(is_nop, cfg.th_gap, cfg.nop_bridge);
 
     let run_chunked = |chunk_lens: &[usize]| -> Vec<SplitEvent> {
         let mut stream = GapStream::new(gap, scaler);
@@ -153,6 +153,11 @@ fn gap_stream_is_chunking_invariant() {
         "streaming segments diverged from the batch splitter"
     );
     assert!(!batch_segments.is_empty(), "degenerate trace: no segments");
+    assert_eq!(
+        gap.split_iterations(&fx.features, scaler),
+        filter_valid_iterations(whole_segments, cfg.r_min, cfg.r_max),
+        "batch iterations diverged from the filtered streaming segments"
+    );
 
     // ANY chunking — 1-sample chunks, arbitrary boundaries (mid-gap ones
     // included by construction) — yields the identical event stream.
