@@ -1,11 +1,12 @@
 //! Shared harness code for the table/figure regeneration binaries.
 //!
-//! Every table and figure of the paper's evaluation has a dedicated binary
-//! (`cargo run -p bench --release --bin tableN`); this library holds the
-//! scaled experiment configuration, the profiling/tested model suites,
-//! small formatting helpers, and the timer and `BENCH_pipeline.json` writer
-//! the performance bins share. `EXPERIMENTS.md` records the outputs next to
-//! the paper's numbers.
+//! Tables I–VI and the figures each have a dedicated binary
+//! (`cargo run -p bench --release --bin tableN`); `eval_all` prints every
+//! table that scores a trained attacker. This library holds the scaled
+//! experiment configuration, the profiling/tested model suites, the
+//! ground-truth alignment and table printers, small formatting helpers, and
+//! the timer and `BENCH_pipeline.json` writer the performance bins share.
+//! `EXPERIMENTS.md` records the outputs next to the paper's numbers.
 
 // Enforced statically here and by leaky-lint rule D5: this crate's
 // determinism contract is easier to audit with zero unsafe code.
@@ -255,14 +256,12 @@ use dnn_sim::OpClass;
 use moscons::attack::Extraction;
 use moscons::LabeledTrace;
 
-/// One attacked victim with everything the table bins need.
+/// One attacked victim with everything Tables VII and IX need.
 pub struct VictimEval {
     /// Ground-truth model.
     pub model: Model,
     /// Extraction result.
     pub extraction: Extraction,
-    /// Ground-truth-labeled victim trace (bench-side only).
-    pub labeled: LabeledTrace,
     /// Ground-truth classes aligned to the extraction's base iteration.
     pub base_truth: Option<Vec<OpClass>>,
 }
@@ -276,21 +275,31 @@ pub fn attack_tested_models(moscons: &Moscons, scale: Scale) -> Vec<VictimEval> 
             let session = scale.session(model.clone());
             let (extraction, raw) = moscons.attack(&session, 9000 + i as u64);
             let labeled = LabeledTrace::from_raw(&raw, model.name.clone());
-            let gt_iters = labeled.split_iterations_ground_truth(moscons.config().gap.th_gap);
-            let base_truth = extraction.iterations.first().and_then(|base| {
-                gt_iters
-                    .iter()
-                    .find(|g| g.start.abs_diff(base.start) < 12)
-                    .map(|g| labeled.samples[g.clone()].iter().map(|s| s.class).collect())
-            });
+            let base_truth = aligned_truth(&extraction, &labeled, moscons.config().gap.th_gap);
             VictimEval {
                 model,
                 extraction,
-                labeled,
                 base_truth,
             }
         })
         .collect()
+}
+
+/// The ground-truth classes of the iteration aligned with the extraction's
+/// base iteration: the first ground-truth iteration that starts within 12
+/// samples of it, the pair the paper's tables score. `None` when the
+/// extraction found no iteration or none aligns.
+pub fn aligned_truth(
+    extraction: &Extraction,
+    labeled: &LabeledTrace,
+    th_gap: usize,
+) -> Option<Vec<OpClass>> {
+    let base = extraction.iterations.first()?;
+    labeled
+        .split_iterations_ground_truth(th_gap)
+        .into_iter()
+        .find(|g| g.start.abs_diff(base.start) < 12)
+        .map(|g| labeled.samples[g].iter().map(|s| s.class).collect())
 }
 
 /// Truncates two class sequences to their common length.
@@ -299,34 +308,39 @@ pub fn common<'a>(a: &'a [OpClass], b: &'a [OpClass]) -> (&'a [OpClass], &'a [Op
     (&a[..n], &b[..n])
 }
 
+/// Op accuracy of the extraction's fused classes against `truth`, over
+/// their common length.
+pub fn fused_op_accuracy(extraction: &Extraction, truth: &[OpClass]) -> f64 {
+    let (p, t) = common(&extraction.fused_classes, truth);
+    moscons::report::overall_op_accuracy(p, t)
+}
+
 /// Op accuracy of an extraction against a ground-truth-labeled trace: the
 /// ground-truth iteration aligned with the extraction's base iteration when
-/// one aligns (the paper's tables), otherwise the best-scoring ground-truth
-/// iteration. `None` when either side found no iterations.
+/// one aligns ([`aligned_truth`], the paper's tables), otherwise the
+/// best-scoring ground-truth iteration. `None` when either side found no
+/// iterations.
 pub fn op_accuracy_vs_truth(
     extraction: &Extraction,
     labeled: &LabeledTrace,
     th_gap: usize,
 ) -> Option<f64> {
-    use moscons::report::overall_op_accuracy;
-    let gt_iters = labeled.split_iterations_ground_truth(th_gap);
-    let base = extraction.iterations.first()?;
-    let score = |g: &std::ops::Range<usize>| {
-        let truth: Vec<OpClass> = labeled.samples[g.clone()].iter().map(|s| s.class).collect();
-        let (p, t) = common(&extraction.fused_classes, &truth);
-        overall_op_accuracy(p, t)
-    };
-    match gt_iters.iter().find(|g| g.start.abs_diff(base.start) < 12) {
-        Some(g) => Some(score(g)),
-        None => gt_iters
-            .iter()
-            .map(score)
-            .fold(None, |best, a| Some(best.map_or(a, |b: f64| b.max(a)))),
+    extraction.iterations.first()?;
+    if let Some(truth) = aligned_truth(extraction, labeled, th_gap) {
+        return Some(fused_op_accuracy(extraction, &truth));
     }
+    labeled
+        .split_iterations_ground_truth(th_gap)
+        .into_iter()
+        .map(|g| {
+            let truth: Vec<OpClass> = labeled.samples[g].iter().map(|s| s.class).collect();
+            fused_op_accuracy(extraction, &truth)
+        })
+        .reduce(f64::max)
 }
 
 // ---------------------------------------------------------------------------
-// table printers shared by the per-table bins and the combined `eval_all` bin
+// table printers of the `eval_all` bin
 // ---------------------------------------------------------------------------
 
 /// Prints Table VII (op-inference accuracy) for pre-attacked victims.

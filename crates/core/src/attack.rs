@@ -44,7 +44,8 @@ pub struct AttackConfig {
     pub hp_lstm: LstmTrainConfig,
     /// Iterations fused by voting (paper §V-B: 5).
     pub voting_iterations: usize,
-    /// Syntax-correction rules.
+    /// Syntax correction; [`SyntaxConfig`] has no fields, so every rule
+    /// runs.
     pub syntax: SyntaxConfig,
     /// Simulated GPU.
     pub gpu: GpuConfig,

@@ -473,11 +473,6 @@ impl<'a> AttackStream<'a> {
         self.next_index
     }
 
-    /// Segments closed so far (pre-validity-filter).
-    pub fn segments_closed(&self) -> usize {
-        self.closed.len()
-    }
-
     /// Pushes the next raw feature row
     /// ([`crate::dataset::counter_features`] output, time order), returning
     /// any labels it unlocked.

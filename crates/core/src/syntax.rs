@@ -19,31 +19,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::opseq::{RecoveredGraph, RecoveredKind, RecoveredLayer};
 
-/// Which corrections to apply (all on by default; the ablation bench turns
-/// them off individually).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SyntaxConfig {
-    /// Fill missing activations with the (group) majority.
-    pub fill_missing_activations: bool,
-    /// Override minority activations when a 2/3 majority exists.
-    pub harmonize_activations: bool,
-    /// Drop pools that no conv layer precedes.
-    pub drop_orphan_pools: bool,
-    /// Drop conv layers appearing after the dense head begins (sequential
-    /// CNNs never interleave convolutions into the classifier head).
-    pub drop_conv_after_dense: bool,
-}
-
-impl Default for SyntaxConfig {
-    fn default() -> Self {
-        SyntaxConfig {
-            fill_missing_activations: true,
-            harmonize_activations: true,
-            drop_orphan_pools: true,
-            drop_conv_after_dense: true,
-        }
-    }
-}
+/// The corrector's configuration. It has no fields: every rule always
+/// runs. The type stays because `leaky_bench/src/replica.rs` passes
+/// `&AttackConfig::syntax` to [`correct_graph`]; it goes when that replica
+/// does.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SyntaxConfig {}
 
 fn majority_activation(layers: &[&RecoveredLayer]) -> Option<(Activation, usize, usize)> {
     let mut counts = [0usize; 3];
@@ -91,9 +72,9 @@ fn majority_activation(layers: &[&RecoveredLayer]) -> Option<(Activation, usize,
 ///   `Mhp` label-space construction);
 /// - the activation fill/harmonize rules are unchanged (branch and trunk
 ///   share the block's activation by construction).
-pub fn correct_graph(graph: &mut RecoveredGraph, config: &SyntaxConfig) -> usize {
+pub fn correct_graph(graph: &mut RecoveredGraph, _config: &SyntaxConfig) -> usize {
     if graph.skips.is_empty() {
-        return correct_chain(&mut graph.layers, config);
+        return correct_chain(&mut graph.layers);
     }
     let mut edits = 0usize;
     let n = graph.layers.len();
@@ -104,34 +85,33 @@ pub fn correct_graph(graph: &mut RecoveredGraph, config: &SyntaxConfig) -> usize
         .collect();
     let mut keep = vec![true; n];
 
-    if config.drop_conv_after_dense {
-        let mut seen_dense = false;
-        for (i, l) in graph.layers.iter().enumerate() {
-            match l.kind {
-                RecoveredKind::Dense | RecoveredKind::Attention => seen_dense = true,
-                RecoveredKind::Conv | RecoveredKind::Separable
-                    if seen_dense && !protected.contains(&i) =>
-                {
-                    keep[i] = false;
-                }
-                _ => {}
+    // Conv layers after the dense head begins: sequential CNNs never
+    // interleave convolutions into the classifier head.
+    let mut seen_dense = false;
+    for (i, l) in graph.layers.iter().enumerate() {
+        match l.kind {
+            RecoveredKind::Dense | RecoveredKind::Attention => seen_dense = true,
+            RecoveredKind::Conv | RecoveredKind::Separable
+                if seen_dense && !protected.contains(&i) =>
+            {
+                keep[i] = false;
             }
+            _ => {}
         }
     }
 
-    if config.drop_orphan_pools {
-        let mut seen_conv = false;
-        for (i, l) in graph.layers.iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
-            match l.kind {
-                RecoveredKind::Conv | RecoveredKind::Separable => seen_conv = true,
-                RecoveredKind::Dense | RecoveredKind::Attention => seen_conv = false,
-                RecoveredKind::Pool => {
-                    if !seen_conv && !protected.contains(&i) {
-                        keep[i] = false;
-                    }
+    // Pools that no conv layer precedes.
+    let mut seen_conv = false;
+    for (i, l) in graph.layers.iter().enumerate() {
+        if !keep[i] {
+            continue;
+        }
+        match l.kind {
+            RecoveredKind::Conv | RecoveredKind::Separable => seen_conv = true,
+            RecoveredKind::Dense | RecoveredKind::Attention => seen_conv = false,
+            RecoveredKind::Pool => {
+                if !seen_conv && !protected.contains(&i) {
+                    keep[i] = false;
                 }
             }
         }
@@ -172,93 +152,85 @@ pub fn correct_graph(graph: &mut RecoveredGraph, config: &SyntaxConfig) -> usize
         }
     }
 
-    edits + activation_pass(&mut graph.layers, config)
+    edits + activation_pass(&mut graph.layers)
 }
 
 /// The chain rules [`correct_graph`] applies to a graph without skip edges.
-fn correct_chain(layers: &mut Vec<RecoveredLayer>, config: &SyntaxConfig) -> usize {
-    let mut edits = 0usize;
-
-    if config.drop_conv_after_dense {
-        let before = layers.len();
-        // Sequential models never interleave the two stacks: either the
-        // dense predictions ahead of the first conv are artifacts (a CNN) or
-        // the conv predictions are (an MLP). Decide by majority: whichever
-        // side is smaller is the misclassification.
-        let conv_total = layers
-            .iter()
-            .filter(|l| l.kind == RecoveredKind::Conv)
-            .count();
-        if let Some(first_conv) = layers.iter().position(|l| l.kind == RecoveredKind::Conv) {
-            let dense_before = layers[..first_conv]
-                .iter()
-                .filter(|l| l.kind == RecoveredKind::Dense)
-                .count();
-            if conv_total > dense_before && dense_before > 0 {
-                // CNN with stray leading denses: drop them so the conv stack
-                // survives the conv-after-dense rule below.
-                let mut idx = 0;
-                layers.retain(|l| {
-                    let keep = !(l.kind == RecoveredKind::Dense && idx < first_conv);
-                    idx += 1;
-                    keep
-                });
-            }
-        }
-        let mut seen_dense = false;
-        layers.retain(|l| match l.kind {
-            RecoveredKind::Dense | RecoveredKind::Attention => {
-                seen_dense = true;
-                true
-            }
-            RecoveredKind::Conv | RecoveredKind::Separable => !seen_dense,
-            RecoveredKind::Pool => true,
-        });
-        // A lone leading conv in an otherwise all-dense model (no pooling)
-        // is an artifact: MLPs flatten immediately.
-        let conv_count = layers
-            .iter()
-            .filter(|l| l.kind == RecoveredKind::Conv)
-            .count();
-        let pool_count = layers
-            .iter()
-            .filter(|l| l.kind == RecoveredKind::Pool)
-            .count();
-        let dense_count = layers
+fn correct_chain(layers: &mut Vec<RecoveredLayer>) -> usize {
+    let before = layers.len();
+    // Sequential models never interleave the two stacks: either the dense
+    // predictions ahead of the first conv are artifacts (a CNN) or the conv
+    // predictions are (an MLP). Decide by majority: whichever side is
+    // smaller is the misclassification.
+    let conv_total = layers
+        .iter()
+        .filter(|l| l.kind == RecoveredKind::Conv)
+        .count();
+    if let Some(first_conv) = layers.iter().position(|l| l.kind == RecoveredKind::Conv) {
+        let dense_before = layers[..first_conv]
             .iter()
             .filter(|l| l.kind == RecoveredKind::Dense)
             .count();
-        if conv_count == 1 && pool_count == 0 && dense_count >= 2 {
-            layers.retain(|l| l.kind != RecoveredKind::Conv);
+        if conv_total > dense_before && dense_before > 0 {
+            // CNN with stray leading denses: drop them so the conv stack
+            // survives the conv-after-dense rule below.
+            let mut idx = 0;
+            layers.retain(|l| {
+                let keep = !(l.kind == RecoveredKind::Dense && idx < first_conv);
+                idx += 1;
+                keep
+            });
         }
-        edits += before - layers.len();
+    }
+    let mut seen_dense = false;
+    layers.retain(|l| match l.kind {
+        RecoveredKind::Dense | RecoveredKind::Attention => {
+            seen_dense = true;
+            true
+        }
+        RecoveredKind::Conv | RecoveredKind::Separable => !seen_dense,
+        RecoveredKind::Pool => true,
+    });
+    // A lone leading conv in an otherwise all-dense model (no pooling) is
+    // an artifact: MLPs flatten immediately.
+    let conv_count = layers
+        .iter()
+        .filter(|l| l.kind == RecoveredKind::Conv)
+        .count();
+    let pool_count = layers
+        .iter()
+        .filter(|l| l.kind == RecoveredKind::Pool)
+        .count();
+    let dense_count = layers
+        .iter()
+        .filter(|l| l.kind == RecoveredKind::Dense)
+        .count();
+    if conv_count == 1 && pool_count == 0 && dense_count >= 2 {
+        layers.retain(|l| l.kind != RecoveredKind::Conv);
     }
 
-    if config.drop_orphan_pools {
-        let mut seen_conv = false;
-        let before = layers.len();
-        layers.retain(|l| match l.kind {
-            RecoveredKind::Conv | RecoveredKind::Separable => {
-                seen_conv = true;
-                true
-            }
-            RecoveredKind::Dense | RecoveredKind::Attention => {
-                // A dense layer ends the conv stack; later pools are bogus.
-                seen_conv = false;
-                true
-            }
-            RecoveredKind::Pool => seen_conv,
-        });
-        edits += before - layers.len();
-    }
+    // Pools that no conv layer precedes.
+    let mut seen_conv = false;
+    layers.retain(|l| match l.kind {
+        RecoveredKind::Conv | RecoveredKind::Separable => {
+            seen_conv = true;
+            true
+        }
+        RecoveredKind::Dense | RecoveredKind::Attention => {
+            // A dense layer ends the conv stack; later pools are bogus.
+            seen_conv = false;
+            true
+        }
+        RecoveredKind::Pool => seen_conv,
+    });
 
-    edits + activation_pass(layers, config)
+    before - layers.len() + activation_pass(layers)
 }
 
 /// The activation fill/harmonize rules, applied per group (the conv stack —
 /// including separable convs — and the dense head). Shared verbatim by the
 /// chain and graph correctors.
-fn activation_pass(layers: &mut [RecoveredLayer], config: &SyntaxConfig) -> usize {
+fn activation_pass(layers: &mut [RecoveredLayer]) -> usize {
     let mut edits = 0usize;
     for group_kind in [RecoveredKind::Conv, RecoveredKind::Dense] {
         let in_group = |k: RecoveredKind| match group_kind {
@@ -272,16 +244,11 @@ fn activation_pass(layers: &mut [RecoveredLayer], config: &SyntaxConfig) -> usiz
         let strong_majority = 3 * votes >= 2 * total;
         for l in layers.iter_mut().filter(|l| in_group(l.kind)) {
             match l.activation {
-                None if config.fill_missing_activations => {
+                None => {
                     l.activation = Some(majority);
                     edits += 1;
                 }
-                Some(a)
-                    if config.harmonize_activations
-                        && strong_majority
-                        && total >= 3
-                        && a != majority =>
-                {
+                Some(a) if strong_majority && total >= 3 && a != majority => {
                     l.activation = Some(majority);
                     edits += 1;
                 }
@@ -536,20 +503,5 @@ mod tests {
         correct_graph(&mut graph, &SyntaxConfig::default());
         assert_eq!(graph.layers.len(), 4);
         assert_eq!(graph.skips, vec![crate::opseq::Skip { from: 1, to: 2 }]);
-    }
-
-    #[test]
-    fn disabled_rules_do_nothing() {
-        let cfg = SyntaxConfig {
-            fill_missing_activations: false,
-            harmonize_activations: false,
-            drop_orphan_pools: false,
-            drop_conv_after_dense: false,
-        };
-        let mut graph = RecoveredGraph::linear(vec![pool(), conv(None)]);
-        let edits = correct_graph(&mut graph, &cfg);
-        assert_eq!(edits, 0);
-        assert_eq!(graph.layers.len(), 2);
-        assert_eq!(graph.layers[1].activation, None);
     }
 }

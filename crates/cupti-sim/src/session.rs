@@ -77,8 +77,9 @@ impl CuptiSession {
 
     /// Reduces counter precision: every reading is rounded to a multiple of
     /// `sectors`. This models the paper's §VI defense proposal ("reducing
-    /// the precision of CUPTI can interfere with the spy"); the `defense`
-    /// bench measures how much the attack degrades.
+    /// the precision of CUPTI can interfere with the spy"); the defense
+    /// table of the `eval_all` bench bin measures how much the attack
+    /// degrades.
     ///
     /// # Panics
     ///

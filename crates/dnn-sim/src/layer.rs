@@ -75,15 +75,6 @@ impl Optimizer {
         }
     }
 
-    /// TensorFlow apply-op name.
-    pub fn apply_op_name(self) -> &'static str {
-        match self {
-            Optimizer::Gd => "ApplyGradientDescent",
-            Optimizer::Adam => "ApplyAdam",
-            Optimizer::Adagrad => "ApplyAdagrad",
-        }
-    }
-
     /// All modelled optimizers.
     pub const ALL: [Optimizer; 3] = [Optimizer::Gd, Optimizer::Adam, Optimizer::Adagrad];
 }

@@ -120,15 +120,6 @@ impl OccupancyL2 {
         drained
     }
 
-    /// Discards up to `max_bytes` of `ctx`'s dirty pool without write-back
-    /// accounting (used when a context's data is invalidated wholesale).
-    pub fn invalidate_dirty(&mut self, ctx: usize, max_bytes: f64) -> f64 {
-        let occ = &mut self.contexts[ctx];
-        let dropped = occ.global_dirty.min(max_bytes.max(0.0));
-        occ.global_dirty -= dropped;
-        dropped
-    }
-
     /// Inserts `bytes` of data for `ctx` into the given pool, evicting other
     /// contexts as needed. Eviction priority:
     ///

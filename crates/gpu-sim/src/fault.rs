@@ -64,7 +64,8 @@ impl FaultPlan {
     }
 
     /// A one-knob plan: every fault kind scaled from a single `rate` in
-    /// `[0, 1)`. This is the axis the `fault_sweep` bench bin sweeps.
+    /// `[0, 1)`. This is the axis the fault sweep of the `eval_all` bench
+    /// bin sweeps.
     pub fn uniform(rate: f64, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&rate), "rate must be in [0, 1)");
         FaultPlan {

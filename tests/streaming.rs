@@ -5,8 +5,10 @@
 //! one row at a time — reproduces the batch `Moscons::attack` extraction
 //! bit for bit, while emitting per-sample op labels with bounded latency.
 //! A `testkit` property extends the same claim to the incremental gap
-//! splitter over arbitrary chunkings, and a fault-plan regression pins the
-//! NOP-bridge (isolated missing samples) at chunk boundaries.
+//! splitter over arbitrary chunkings, a fault-plan regression pins the
+//! NOP-bridge (isolated missing samples) at chunk boundaries, and the
+//! raw-row predicts of `Mlong`, `Mop` and `Mhp` must reproduce the streamed
+//! labels on every iteration.
 
 mod common;
 
@@ -17,7 +19,10 @@ use gpu_sim::{FaultPlan, GpuConfig};
 use moscons::attack::{AttackConfig, Moscons};
 use moscons::dataset::filter_valid_iterations;
 use moscons::stream::{SegmentSplitter, SplitEvent};
-use moscons::{random_profiling_models, AttackReport, AttackStream, GapStream, HpKind};
+use moscons::{
+    random_profiling_models, AttackReport, AttackStream, GapStream, HpKind, LongClass, OtherClass,
+    StreamLabel,
+};
 
 /// Clean-path fixture: attacker, per-sample feature rows of the victim's
 /// trace, and the batch report the stream must reproduce.
@@ -95,6 +100,56 @@ fn streaming_drain_reproduces_batch_attack_bitwise() {
     // the head trained for that kind.
     for kind in HpKind::ALL {
         assert_eq!(fx.moscons.hp_model(kind).kind(), kind);
+    }
+}
+
+#[test]
+fn raw_row_predicts_match_streamed_labels() {
+    // `LongOpModel::predict_batch`, `OtherOpModel::predict_batch` and
+    // `HpModel::predict` scale and prepare raw rows themselves; on every
+    // iteration `Mgap` splits out, they must give the labels the stream
+    // emitted for the same samples.
+    let fx = fixture();
+    let m = &fx.moscons;
+    let mut stream = AttackStream::new(m);
+    let mut streamed: Vec<Option<StreamLabel>> = vec![None; fx.features.len()];
+    let mut labels: Vec<StreamLabel> = fx
+        .features
+        .iter()
+        .flat_map(|row| stream.push(row))
+        .collect();
+    labels.extend(stream.finish().labels);
+    for label in labels {
+        let sample = label.sample;
+        streamed[sample] = Some(label);
+    }
+
+    let iterations = m.gap_model().split_iterations(&fx.features, m.scaler());
+    assert!(!iterations.is_empty(), "no iterations recovered");
+    let rows: Vec<&[Vec<f32>]> = iterations.iter().map(|r| &fx.features[r.clone()]).collect();
+    let long = m.long_model().predict_batch(&rows, m.scaler());
+    let op = m.op_model().predict_batch(&rows, m.scaler());
+    for (i, range) in iterations.iter().enumerate() {
+        let labels: Vec<&StreamLabel> = range
+            .clone()
+            .map(|s| {
+                streamed[s]
+                    .as_ref()
+                    .expect("every iteration sample is labelled")
+            })
+            .collect();
+        let got_long: Vec<LongClass> = labels.iter().map(|l| l.long).collect();
+        assert_eq!(long[i], got_long, "Mlong on iteration {range:?}");
+        let got_op: Vec<OtherClass> = labels.iter().map(|l| l.op).collect();
+        assert_eq!(op[i], got_op, "Mop on iteration {range:?}");
+        for kind in HpKind::ALL {
+            let got_hp: Vec<usize> = labels.iter().map(|l| l.hp[kind.index()]).collect();
+            assert_eq!(
+                m.hp_model(kind).predict(rows[i], m.scaler()),
+                got_hp,
+                "Mhp {kind:?} on iteration {range:?}"
+            );
+        }
     }
 }
 
