@@ -197,9 +197,11 @@ fn defense(moscons: &Moscons, scale: Scale) {
 
 /// Composite fault rates swept, in increasing hostility. `0.0` is the clean
 /// baseline; `FaultPlan::uniform` splits each rate across the individual
-/// fault knobs. The low end is realistic deployment noise (where bounded
-/// retry + gap bridging keep the attack nearly lossless); the high end is
-/// deliberately brutal so the decay shape is visible above seed noise.
+/// fault knobs. The low end is realistic deployment noise; the high end is
+/// deliberately brutal so the decay shape is visible above seed noise. At
+/// every rate the spy retries failed launches with bounded backoff, and the
+/// gap splitter's bridge (`GapConfig::nop_bridge`) stays off, as in every
+/// bin.
 const RATES: [f64; 5] = [0.0, 0.1, 0.25, 0.5, 0.8];
 
 /// Attack-collection seeds averaged per rate (one fault plan, several victim
@@ -307,8 +309,9 @@ fn format_acc(acc: Option<f64>) -> String {
 /// real CUPTI deployment: counter-read jitter, dropped/duplicated samples,
 /// failed spy launches and watchdog preemption bursts. The attack is expected
 /// to degrade *gracefully* — accuracy decays monotonically with the fault
-/// rate instead of falling off a cliff, because the spy retries launches with
-/// bounded backoff and the gap splitter bridges isolated missing samples.
+/// rate instead of falling off a cliff. The spy retries failed launches with
+/// bounded backoff; the gap splitter's bridge for missed polls is opt-in and
+/// off here.
 /// (Mild plans can even score above the clean baseline: their preemption
 /// bursts slow the victim down, which is the paper's §IV attack by accident.)
 fn fault_sweep(moscons: &Moscons, zoo_moscons: &Moscons, scale: Scale) {

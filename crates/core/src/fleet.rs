@@ -106,13 +106,6 @@ pub struct SessionOutcome {
     pub samples_streamed: usize,
 }
 
-impl SessionOutcome {
-    /// Number of streamed labels the session emitted.
-    pub fn labels_emitted(&self) -> usize {
-        self.label_latencies.len()
-    }
-}
-
 /// The whole fleet's result.
 #[derive(Debug)]
 pub struct FleetOutcome {

@@ -24,9 +24,10 @@ pub struct GapConfig {
     pub r_max: f64,
     /// Missing-sample tolerance: BUSY runs of at most this many samples that
     /// are flanked by NOPs are bridged before gap splitting (see
-    /// [`SegmentSplitter`]). `0` (the default, and the paper's implicit
-    /// setting) disables bridging; fault-tolerant runs use `1`–`2` to
-    /// survive missed CUPTI polls.
+    /// [`SegmentSplitter`]), so a missed CUPTI poll does not glue two
+    /// iterations together. `0` (the default, and the paper's implicit
+    /// setting) disables bridging. Bridging is opt-in: no bench bin turns it
+    /// on, and only `tests/streaming.rs` runs with it.
     pub nop_bridge: usize,
 }
 

@@ -1,18 +1,11 @@
 //! DNN-syntax correction (§IV-D).
 //!
 //! After op inference, the recovered structure still contains errors; the
-//! paper corrects them with heuristics every ML practitioner knows:
-//!
-//! 1. a conv/MatMul is always followed by `BiasAdd` + an activation (the
-//!    parser already inserts the layer; here we repair missing activations);
-//! 2. a model usually uses a single activation type, so a clear majority
-//!    overrides stragglers — applied separately to the conv stack and the
-//!    dense head, and only when a 2/3 majority exists (the profiled MLP
-//!    legitimately mixes activations);
-//! 3. pooling presupposes a preceding convolution: leading pools and pools
-//!    directly after dense layers are artifacts and are dropped;
-//! 4. filter/neuron counts come out of `Mhp`'s power-of-two label space by
-//!    construction, implementing the paper's "set to the power of two" rule.
+//! paper corrects them with heuristics every ML practitioner knows.
+//! [`correct_graph`] applies them as one list of rules, the same for a
+//! chain as for a graph with skip edges, and its doc lists each rule. The
+//! paper's "set to the power of two" rule needs no code: filter and neuron
+//! counts come out of `Mhp`'s power-of-two label space by construction.
 
 use dnn_sim::Activation;
 use serde::{Deserialize, Serialize};
@@ -59,70 +52,97 @@ fn majority_activation(layers: &[&RecoveredLayer]) -> Option<(Activation, usize,
 /// (§IV-D, extended to the model zoo). Correct a bare layer chain by
 /// wrapping it in [`RecoveredGraph::linear`].
 ///
-/// A graph without skip edges is corrected by the chain rules. With skip
-/// edges:
+/// The drop rules run in this order, each over the layers still kept:
 ///
-/// - the drop rules run with *in-branch protection*: a layer on a residual
-///   branch is structural (the skip edge proves it executed) and is never
-///   dropped; surviving indices remap the skip edges;
+/// 1. *leading denses in a CNN*: sequential models never interleave the
+///    two stacks, so when the convs outnumber the denses ahead of the first
+///    conv, those denses are artifacts and are dropped;
+/// 2. *convs after the dense head*: convs and separable convs after the
+///    first dense or attention layer are dropped;
+/// 3. *a lone conv in an MLP*: with no pool and at least two denses, the
+///    one conv is dropped (MLPs flatten immediately);
+/// 4. *orphan pools*: pooling presupposes a convolution, so a pool that no
+///    conv or separable conv precedes since the last dense or attention
+///    layer is dropped.
+///
+/// No rule drops a layer a skip edge covers: the edge proves the layer
+/// executed. Surviving indices remap the skip edges. Then:
+///
 /// - *merge-point shape agreement*: the element-wise `Add` at a skip's
 ///   merge requires every conv on the branch to produce the block's width,
-///   so branch conv filter counts are set to the merge-point conv's
-///   (per-path dimension chaining; the power-of-two rule already holds by
-///   `Mhp` label-space construction);
-/// - the activation fill/harmonize rules are unchanged (branch and trunk
-///   share the block's activation by construction).
+///   so branch conv filter counts are set to the merge-point conv's;
+/// - *activations*, per group (the conv stack with its separable convs, and
+///   the dense head): a conv or MatMul is always followed by an activation,
+///   so a missing one takes the group's majority; and a model usually uses
+///   one activation type, so a 2/3 majority of at least three layers
+///   overrides stragglers (the profiled MLPs legitimately mix them).
 pub fn correct_graph(graph: &mut RecoveredGraph, _config: &SyntaxConfig) -> usize {
-    if graph.skips.is_empty() {
-        return correct_chain(&mut graph.layers);
-    }
-    let mut edits = 0usize;
+    use RecoveredKind::{Attention, Conv, Dense, Pool, Separable};
     let n = graph.layers.len();
-    let protected: std::collections::HashSet<usize> = graph
-        .skips
-        .iter()
-        .flat_map(|s| s.from..=s.to.min(n.saturating_sub(1)))
-        .collect();
+    let skips = &graph.skips;
+    let protected = |i: usize| skips.iter().any(|s| s.from <= i && i <= s.to);
+    let layers = &graph.layers;
     let mut keep = vec![true; n];
 
-    // Conv layers after the dense head begins: sequential CNNs never
-    // interleave convolutions into the classifier head.
-    let mut seen_dense = false;
-    for (i, l) in graph.layers.iter().enumerate() {
-        match l.kind {
-            RecoveredKind::Dense | RecoveredKind::Attention => seen_dense = true,
-            RecoveredKind::Conv | RecoveredKind::Separable
-                if seen_dense && !protected.contains(&i) =>
-            {
-                keep[i] = false;
-            }
-            _ => {}
-        }
-    }
-
-    // Pools that no conv layer precedes.
-    let mut seen_conv = false;
-    for (i, l) in graph.layers.iter().enumerate() {
-        if !keep[i] {
-            continue;
-        }
-        match l.kind {
-            RecoveredKind::Conv | RecoveredKind::Separable => seen_conv = true,
-            RecoveredKind::Dense | RecoveredKind::Attention => seen_conv = false,
-            RecoveredKind::Pool => {
-                if !seen_conv && !protected.contains(&i) {
+    // 1. Leading denses in a CNN; the majority decides which stack is real.
+    let conv_total = count_kept(layers, &keep, Conv);
+    if let Some(first_conv) = layers.iter().position(|l| l.kind == Conv) {
+        let dense_before = count_kept(&layers[..first_conv], &keep, Dense);
+        if conv_total > dense_before && dense_before > 0 {
+            for (i, l) in layers[..first_conv].iter().enumerate() {
+                if l.kind == Dense && !protected(i) {
                     keep[i] = false;
                 }
             }
         }
     }
 
+    // 2. Convs after the dense head.
+    let mut seen_dense = false;
+    for (i, l) in layers.iter().enumerate() {
+        if !keep[i] {
+            continue;
+        }
+        match l.kind {
+            Dense | Attention => seen_dense = true,
+            Conv | Separable if seen_dense && !protected(i) => keep[i] = false,
+            _ => {}
+        }
+    }
+
+    // 3. A lone conv in an MLP.
+    if count_kept(layers, &keep, Conv) == 1
+        && count_kept(layers, &keep, Pool) == 0
+        && count_kept(layers, &keep, Dense) >= 2
+    {
+        for (i, l) in layers.iter().enumerate() {
+            if l.kind == Conv && !protected(i) {
+                keep[i] = false;
+            }
+        }
+    }
+
+    // 4. Orphan pools.
+    let mut seen_conv = false;
+    for (i, l) in layers.iter().enumerate() {
+        if !keep[i] {
+            continue;
+        }
+        match l.kind {
+            Conv | Separable => seen_conv = true,
+            Dense | Attention => seen_conv = false,
+            Pool if !seen_conv && !protected(i) => keep[i] = false,
+            Pool => {}
+        }
+    }
+
     // Rebuild the chain and remap the skip edges onto surviving indices
     // (branch endpoints are protected, so the remap is total on them).
-    if keep.iter().any(|&k| !k) {
+    let mut edits = 0usize;
+    if keep.contains(&false) {
         let mut remap = vec![usize::MAX; n];
         let mut survivors = Vec::with_capacity(n);
-        for (i, l) in graph.layers.iter().enumerate() {
+        for (i, l) in layers.iter().enumerate() {
             if keep[i] {
                 remap[i] = survivors.len();
                 survivors.push(*l);
@@ -143,9 +163,7 @@ pub fn correct_graph(graph: &mut RecoveredGraph, _config: &SyntaxConfig) -> usiz
         };
         for i in s.from..s.to.min(graph.layers.len()) {
             let l = &mut graph.layers[i];
-            if matches!(l.kind, RecoveredKind::Conv | RecoveredKind::Separable)
-                && l.filters != Some(target)
-            {
+            if matches!(l.kind, Conv | Separable) && l.filters != Some(target) {
                 l.filters = Some(target);
                 edits += 1;
             }
@@ -155,81 +173,17 @@ pub fn correct_graph(graph: &mut RecoveredGraph, _config: &SyntaxConfig) -> usiz
     edits + activation_pass(&mut graph.layers)
 }
 
-/// The chain rules [`correct_graph`] applies to a graph without skip edges.
-fn correct_chain(layers: &mut Vec<RecoveredLayer>) -> usize {
-    let before = layers.len();
-    // Sequential models never interleave the two stacks: either the dense
-    // predictions ahead of the first conv are artifacts (a CNN) or the conv
-    // predictions are (an MLP). Decide by majority: whichever side is
-    // smaller is the misclassification.
-    let conv_total = layers
+/// The layers of `kind` among `layers` that `keep` still keeps.
+fn count_kept(layers: &[RecoveredLayer], keep: &[bool], kind: RecoveredKind) -> usize {
+    layers
         .iter()
-        .filter(|l| l.kind == RecoveredKind::Conv)
-        .count();
-    if let Some(first_conv) = layers.iter().position(|l| l.kind == RecoveredKind::Conv) {
-        let dense_before = layers[..first_conv]
-            .iter()
-            .filter(|l| l.kind == RecoveredKind::Dense)
-            .count();
-        if conv_total > dense_before && dense_before > 0 {
-            // CNN with stray leading denses: drop them so the conv stack
-            // survives the conv-after-dense rule below.
-            let mut idx = 0;
-            layers.retain(|l| {
-                let keep = !(l.kind == RecoveredKind::Dense && idx < first_conv);
-                idx += 1;
-                keep
-            });
-        }
-    }
-    let mut seen_dense = false;
-    layers.retain(|l| match l.kind {
-        RecoveredKind::Dense | RecoveredKind::Attention => {
-            seen_dense = true;
-            true
-        }
-        RecoveredKind::Conv | RecoveredKind::Separable => !seen_dense,
-        RecoveredKind::Pool => true,
-    });
-    // A lone leading conv in an otherwise all-dense model (no pooling) is
-    // an artifact: MLPs flatten immediately.
-    let conv_count = layers
-        .iter()
-        .filter(|l| l.kind == RecoveredKind::Conv)
-        .count();
-    let pool_count = layers
-        .iter()
-        .filter(|l| l.kind == RecoveredKind::Pool)
-        .count();
-    let dense_count = layers
-        .iter()
-        .filter(|l| l.kind == RecoveredKind::Dense)
-        .count();
-    if conv_count == 1 && pool_count == 0 && dense_count >= 2 {
-        layers.retain(|l| l.kind != RecoveredKind::Conv);
-    }
-
-    // Pools that no conv layer precedes.
-    let mut seen_conv = false;
-    layers.retain(|l| match l.kind {
-        RecoveredKind::Conv | RecoveredKind::Separable => {
-            seen_conv = true;
-            true
-        }
-        RecoveredKind::Dense | RecoveredKind::Attention => {
-            // A dense layer ends the conv stack; later pools are bogus.
-            seen_conv = false;
-            true
-        }
-        RecoveredKind::Pool => seen_conv,
-    });
-
-    before - layers.len() + activation_pass(layers)
+        .zip(keep)
+        .filter(|&(l, &k)| k && l.kind == kind)
+        .count()
 }
 
-/// The activation fill/harmonize rules, applied per group (the conv stack —
-/// including separable convs — and the dense head). Shared verbatim by the
-/// chain and graph correctors.
+/// The activation rules of [`correct_graph`], applied per group (the conv
+/// stack — including separable convs — and the dense head).
 fn activation_pass(layers: &mut [RecoveredLayer]) -> usize {
     let mut edits = 0usize;
     for group_kind in [RecoveredKind::Conv, RecoveredKind::Dense] {
@@ -486,6 +440,34 @@ mod tests {
         ]);
         correct_graph(&mut chain, &SyntaxConfig::default());
         assert_eq!(chain.layers.len(), 3);
+    }
+
+    #[test]
+    fn stray_leading_dense_spares_the_trunk_of_a_skip_graph() {
+        // The leading-dense rule runs on skip graphs too: the stray dense
+        // goes, so it no longer wipes the unprotected stem conv.
+        let mut graph = RecoveredGraph {
+            layers: vec![
+                dense(Some(Activation::Relu)), // artifact
+                conv(Some(Activation::Relu)),
+                conv(None),
+                conv(Some(Activation::Relu)),
+                dense(Some(Activation::Relu)),
+            ],
+            skips: vec![crate::opseq::Skip { from: 2, to: 3 }],
+        };
+        correct_graph(&mut graph, &SyntaxConfig::default());
+        let kinds: Vec<RecoveredKind> = graph.layers.iter().map(|l| l.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                RecoveredKind::Conv,
+                RecoveredKind::Conv,
+                RecoveredKind::Conv,
+                RecoveredKind::Dense
+            ]
+        );
+        assert_eq!(graph.skips, vec![crate::opseq::Skip { from: 1, to: 2 }]);
     }
 
     #[test]

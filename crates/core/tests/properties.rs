@@ -4,9 +4,12 @@ use std::fmt::Debug;
 
 use dnn_sim::OpClass;
 use moscons::dataset::{counter_features, filter_valid_iterations};
-use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_zoo};
+use moscons::opseq::{
+    collapse, forward_boundary, parse_forward_layers_zoo, RecoveredGraph, RecoveredKind, Skip,
+};
 use moscons::report::lcs_pairs;
 use moscons::stream::SegmentSplitter;
+use moscons::syntax::{correct_graph, SyntaxConfig};
 use testkit::gen::{bool_with, choice, f32_in, u64_in, usize_in, vec_of, zip2, Gen};
 use testkit::prop::holds;
 use testkit::Config;
@@ -153,6 +156,78 @@ fn forward_boundary_is_a_valid_index_and_parse_is_sane() {
         holds(
             layers.iter().all(|l| l.last_sample < classes.len().max(1)),
             "layer anchor past the end",
+        )
+    });
+}
+
+#[test]
+fn syntax_correction_spares_skip_branches_and_keeps_its_rules() {
+    // The zoo alphabet: the classic classes, then `Add`, `Softmax`,
+    // `LayerNorm` and `Depthwise`, so the parse yields skip edges.
+    let zoo_classes = vec_of(choice(OpClass::ALL.to_vec()), 0, 199);
+    check("correct_graph", &zoo_classes, |classes| {
+        let mut before = parse_forward_layers_zoo(&collapse(classes), forward_boundary(classes));
+        // Tag each layer with its index; the corrector never reads the tag.
+        for (i, l) in before.layers.iter_mut().enumerate() {
+            l.last_sample = i;
+        }
+        let mut after = before.clone();
+        let edits = correct_graph(&mut after, &SyntaxConfig::default());
+        let covered =
+            |g: &RecoveredGraph, i: usize| g.skips.iter().any(|s| s.from <= i && i <= s.to);
+
+        // Protected layers survive, and every edge covers the same layers.
+        let origin: Vec<usize> = after.layers.iter().map(|l| l.last_sample).collect();
+        holds(
+            origin.windows(2).all(|w| w[0] < w[1]),
+            "survivors reordered",
+        )?;
+        if let Some(i) =
+            (0..before.layers.len()).find(|&i| covered(&before, i) && !origin.contains(&i))
+        {
+            return Err(format!("protected layer {i} dropped"));
+        }
+        holds(
+            after.skips.len() == before.skips.len(),
+            "skip edge count changed",
+        )?;
+        let branch = |g: &RecoveredGraph, s: &Skip| {
+            g.layers
+                .get(s.from..=s.to)
+                .map(|ls| ls.iter().map(|l| l.kind).collect::<Vec<_>>())
+        };
+        for (b, a) in before.skips.iter().zip(&after.skips) {
+            holds(
+                branch(&after, a).is_some() && branch(&after, a) == branch(&before, b),
+                format!("skip {b:?} remapped to {a:?} covers other layers"),
+            )?;
+        }
+
+        // No unprotected conv after the dense head, and no unprotected pool
+        // without a conv since the last dense or attention layer.
+        let mut head = false;
+        let mut conv_since_head = false;
+        for (j, l) in after.layers.iter().enumerate() {
+            let spared = covered(&after, j);
+            match l.kind {
+                RecoveredKind::Dense | RecoveredKind::Attention => {
+                    head = true;
+                    conv_since_head = false;
+                }
+                RecoveredKind::Conv | RecoveredKind::Separable => {
+                    holds(spared || !head, format!("conv {j} after the dense head"))?;
+                    conv_since_head = true;
+                }
+                RecoveredKind::Pool => {
+                    holds(spared || conv_since_head, format!("orphan pool {j}"))?;
+                }
+            }
+        }
+
+        let dropped = before.layers.len() - after.layers.len();
+        holds(
+            edits >= dropped,
+            format!("{edits} edits for {dropped} dropped layers"),
         )
     });
 }

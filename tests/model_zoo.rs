@@ -11,11 +11,14 @@
 //!    zoo grammar reproduces the victim's layer kinds and skip edges;
 //! 3. draining the streaming engine reproduces the batch report bitwise
 //!    (the `tests/streaming.rs` contract, extended to every family);
-//! 4. a golden `AttackReport` snapshot per family
+//! 4. one `run_fleet` over all five families reproduces each batch report
+//!    bitwise (the fleet contract of `tests/determinism.rs`, under the zoo
+//!    vocabulary);
+//! 5. a golden `AttackReport` snapshot per family
 //!    (`tests/golden/zoo_report_<family>.json`, blessed via
 //!    `LEAKY_GOLDEN_BLESS=1`), reproduced both by the default GEMM dispatch
 //!    and by the scalar tile (`ml::simd::with_simd(false, ..)`);
-//! 5. inference-mode traces never carry backward-pass ground truth
+//! 6. inference-mode traces never carry backward-pass ground truth
 //!    (`*Grad` / `Apply*`), even under a uniform fault plan.
 
 mod common;
@@ -31,7 +34,8 @@ use moscons::attack::Moscons;
 use moscons::opseq::collapse;
 use moscons::trace::{collect_trace, CollectionConfig};
 use moscons::{
-    parse_forward_layers_zoo, AttackReport, AttackStream, LabeledTrace, RecoveredKind, Skip,
+    parse_forward_layers_zoo, run_fleet, AttackReport, AttackStream, FleetConfig, LabeledTrace,
+    RecoveredKind, SessionSpec, Skip,
 };
 
 /// One attacked family: its victim, the batch report the stream and golden
@@ -230,6 +234,32 @@ fn streaming_matches_batch_for_every_family() {
                  at chunk_rows={chunk_rows}"
             );
         }
+    }
+}
+
+#[test]
+fn fleet_matches_batch_for_every_family() {
+    let fx = fixture();
+    let specs: Vec<SessionSpec> = fx
+        .runs
+        .iter()
+        .map(|run| SessionSpec {
+            victim: run.victim.clone(),
+            seed: 99,
+            gpu: fx.moscons.config().gpu.clone(),
+        })
+        .collect();
+    let fleet = ml::par::with_threads(4, || {
+        run_fleet(&fx.moscons, &specs, &FleetConfig::default())
+    });
+    assert_eq!(fleet.sessions.len(), specs.len(), "one outcome per spec");
+    for (run, session) in fx.runs.iter().zip(&fleet.sessions) {
+        assert_eq!(
+            session.extraction.report(),
+            run.batch,
+            "family {}: the fleet session diverged from the batch attack",
+            run.family
+        );
     }
 }
 
