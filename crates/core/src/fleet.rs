@@ -215,8 +215,12 @@ impl<'a> SessionState<'a> {
     }
 
     fn into_outcome(self) -> SessionOutcome {
+        let extraction = self.extraction.unwrap_or_else(|| {
+            debug_assert!(false, "run_fleet finalizes every session");
+            Moscons::empty_extraction(Vec::new())
+        });
         SessionOutcome {
-            extraction: self.extraction.expect("fleet loop runs to finalization"),
+            extraction,
             label_latencies: self.label_latencies,
             overflow_dropped: self.overflow_dropped,
             samples_streamed: self.samples_streamed,

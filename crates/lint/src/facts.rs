@@ -438,8 +438,9 @@ fn scan_body(body: &[Tok], guards: &[Vec<String>], parsed: &ParsedFile, ff: &mut
         // ---- free / path calls: `a::b::c(` --------------------------
         if is_punct(body, i + 1, ':') && is_punct(body, i + 2, ':') {
             // Collect the full path from here; only record if it ends in a
-            // call. (Walking forward from the first segment keeps `a::b::c(`
-            // from also matching at `c`.)
+            // call or is a function passed as an argument. (Walking forward
+            // from the first segment keeps `a::b::c(` from also matching at
+            // `c`.)
             if i > 1 && is_punct(body, i - 1, ':') && is_punct(body, i - 2, ':') {
                 i += 1; // mid-path segment; handled from the path head
                 continue;
@@ -461,7 +462,16 @@ fn scan_body(body: &[Tok], guards: &[Vec<String>], parsed: &ParsedFile, ff: &mut
                 || (is_punct(body, j, ':')
                     && is_punct(body, j + 1, ':')
                     && is_punct(body, j + 2, '<'));
-            if is_call && segs.len() >= 2 {
+            // `.map(Kind::decode)`, `unwrap_or_else(Workspace::new)`: the
+            // callee calls the path, so it is an edge too. A lowercase last
+            // segment keeps type names, variants and consts out.
+            let is_fn_arg = i > 0
+                && (is_punct(body, i - 1, '(') || is_punct(body, i - 1, ','))
+                && (is_punct(body, j, ')') || is_punct(body, j, ','))
+                && segs
+                    .last()
+                    .is_some_and(|s| s.starts_with(|c: char| c.is_ascii_lowercase()));
+            if (is_call || is_fn_arg) && segs.len() >= 2 {
                 if let [ty, m] = &segs[segs.len() - 2..] {
                     if ALLOC_PATHS.iter().any(|(t, mm)| t == ty && mm == m) {
                         ff.allocs.push(SiteFact {
@@ -836,11 +846,14 @@ mod tests {
     fn calls_free_path_and_method() {
         let (_, f) = facts_of(
             "fn a(xs: &[f32]) { helper(); ml::par::par_map(xs, id); \
-             self.step(); buf.push(1); self.gap.finish(); Vec::new(); }",
+             self.step(); buf.push(1); self.gap.finish(); Vec::new(); \
+             xs.iter().map(Kind::decode).map(Kind::Raw); }",
         );
         let calls = &f.fns[0].calls;
         let has = |c: &Callee| calls.iter().any(|cf| &cf.callee == c);
         assert!(has(&Callee::Free(vec!["helper".into()])));
+        assert!(has(&Callee::Free(vec!["Kind".into(), "decode".into()])));
+        assert!(!has(&Callee::Free(vec!["Kind".into(), "Raw".into()])));
         assert!(has(&Callee::Free(vec![
             "ml".into(),
             "par".into(),
@@ -865,12 +878,14 @@ mod tests {
         let (_, f) = facts_of(
             "fn a() { let v = Vec::new(); let b = Box::new(0); \
              let s = format!(\"x\"); let t = xs.to_vec(); \
-             let c: Vec<u8> = it.collect(); let w = vec![0; 4]; }",
+             let c: Vec<u8> = it.collect(); let w = vec![0; 4]; \
+             let n = o.unwrap_or_else(String::new); }",
         );
         let whats: Vec<&str> = f.fns[0].allocs.iter().map(|s| s.what.as_str()).collect();
         for want in [
             "Vec::new",
             "Box::new",
+            "String::new",
             "format!",
             ".to_vec()",
             ".collect()",

@@ -33,20 +33,6 @@ pub fn tanh_deriv_from_output(y: f32) -> f32 {
     1.0 - y * y
 }
 
-/// Rectified linear unit.
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// Derivative of ReLU with respect to its input.
-pub fn relu_deriv(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// Numerically stable softmax over a slice, written into a fresh `Vec`.
 ///
 /// # Panics
@@ -143,9 +129,5 @@ mod tests {
             let fd = (tanh(x + eps) - tanh(x - eps)) / (2.0 * eps);
             assert!((tanh_deriv_from_output(tanh(x)) - fd).abs() < 1e-3);
         }
-        assert_eq!(relu_deriv(1.0), 1.0);
-        assert_eq!(relu_deriv(-1.0), 0.0);
-        assert_eq!(relu(-2.0), 0.0);
-        assert_eq!(relu(2.0), 2.0);
     }
 }

@@ -1,8 +1,5 @@
-//! Sequence datasets for the per-timestep classifiers, plus small utilities
-//! (one-hot encoding, shuffled train/test splits).
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
+//! Sequence datasets for the per-timestep classifiers, plus one-hot
+//! encoding.
 
 /// One labeled sequence: per-timestep feature vectors, target classes, and a
 /// loss mask (`true` = this timestep contributes to the training loss).
@@ -85,32 +82,9 @@ pub fn one_hot(label: usize, classes: usize) -> Vec<f32> {
     v
 }
 
-/// Splits items into `(train, test)` with the given test fraction, after an
-/// in-place shuffle driven by `rng`.
-///
-/// # Panics
-///
-/// Panics unless `0.0 <= test_fraction < 1.0`.
-pub fn train_test_split<T>(
-    mut items: Vec<T>,
-    test_fraction: f64,
-    rng: &mut StdRng,
-) -> (Vec<T>, Vec<T>) {
-    assert!(
-        (0.0..1.0).contains(&test_fraction),
-        "test fraction must be in [0, 1)"
-    );
-    items.shuffle(rng);
-    let test_len = ((items.len() as f64) * test_fraction).round() as usize;
-    let train_len = items.len() - test_len;
-    let test = items.split_off(train_len);
-    (items, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn one_hot_encoding() {
@@ -136,25 +110,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn ragged_labels_panic() {
         let _ = SeqExample::new(vec![vec![1.0]; 3], vec![0, 1]);
-    }
-
-    #[test]
-    fn split_is_disjoint_and_complete() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let items: Vec<usize> = (0..100).collect();
-        let (train, test) = train_test_split(items, 0.2, &mut rng);
-        assert_eq!(train.len(), 80);
-        assert_eq!(test.len(), 20);
-        let mut all: Vec<usize> = train.into_iter().chain(test).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn split_zero_fraction_keeps_everything_in_train() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let (train, test) = train_test_split(vec![1, 2, 3], 0.0, &mut rng);
-        assert_eq!(train.len(), 3);
-        assert!(test.is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //! * [`seq`] — the assembled per-timestep [`seq::SequenceClassifier`];
 //! * [`tree`] / [`gbdt`] — histogram gradient-boosted trees (the LightGBM
 //!   stand-in);
-//! * [`optim`] — SGD / Adam / Adagrad and gradient clipping;
+//! * [`optim`] — Adam and gradient clipping;
 //! * [`par`] — persistent deterministic worker pool used by the
 //!   data-parallel training and inference paths;
 //! * [`simd`] — explicit-lane AVX2 kernels behind runtime dispatch, bitwise
@@ -21,8 +21,8 @@
 //! * [`workspace`] — pooled, reusable training buffers behind the
 //!   allocation-free epoch loop;
 //! * [`scale`] — MinMax scaling (§IV-A pre-processing);
-//! * [`metrics`] — accuracy, confusion matrices, `mean(σ)` summaries;
-//! * [`data`] — sequence datasets, one-hot encoding, splits.
+//! * [`metrics`] — `mean(σ)` summaries;
+//! * [`data`] — sequence datasets and one-hot encoding.
 //!
 //! # Examples
 //!
@@ -54,6 +54,6 @@ pub mod workspace;
 pub use data::SeqExample;
 pub use gbdt::{GbdtBinaryClassifier, GbdtConfig};
 pub use matrix::Matrix;
-pub use metrics::{accuracy, ConfusionMatrix, MeanStd};
+pub use metrics::MeanStd;
 pub use scale::MinMaxScaler;
 pub use seq::{SeqClassifierConfig, SequenceClassifier, StreamState};

@@ -29,8 +29,6 @@ pub struct LstmLayer {
 /// ([`LstmLayer::backward_batch_into`] / [`LstmLayer::backward_naive`]).
 #[derive(Debug, Clone)]
 pub struct LstmCache {
-    /// Inputs per timestep (T x I).
-    xs: Matrix,
     /// Gate activations per timestep: i, f, g, o each T x H.
     i: Matrix,
     f: Matrix,
@@ -62,7 +60,6 @@ impl LstmCache {
     /// [`LstmLayer::forward_batch_into`].
     pub fn empty() -> Self {
         LstmCache {
-            xs: Matrix::zeros(1, 1),
             i: Matrix::zeros(1, 1),
             f: Matrix::zeros(1, 1),
             g: Matrix::zeros(1, 1),
@@ -91,8 +88,8 @@ impl LstmGrads {
 /// ([`LstmLayer::forward_batch_into`], [`LstmLayer::backward_batch_into`])
 /// and [`LstmLayer::param_grads_into`]: every intermediate they need,
 /// resized (never reallocated, once warm) per call. One scratch serves any
-/// number of layers, bucket sizes and sequence lengths because each pass
-/// fully overwrites what it reads.
+/// bucket size and sequence length because each pass fully overwrites what
+/// it reads.
 #[derive(Debug, Clone)]
 pub struct LstmScratch {
     x_proj: Matrix,
@@ -202,7 +199,6 @@ impl LstmLayer {
         let t_len = xs.rows();
         let h_size = self.hidden_size;
         let mut cache = LstmCache {
-            xs: xs.clone(),
             i: Matrix::zeros(t_len, h_size),
             f: Matrix::zeros(t_len, h_size),
             g: Matrix::zeros(t_len, h_size),
@@ -343,7 +339,6 @@ impl LstmLayer {
         let rows = xs.rows();
         let t_len = rows / batch;
         let h_size = self.hidden_size;
-        cache.xs.copy_from(xs);
         cache.i.resize_zeroed(rows, h_size);
         cache.f.resize_zeroed(rows, h_size);
         cache.g.resize_zeroed(rows, h_size);
@@ -428,8 +423,7 @@ impl LstmLayer {
 
     /// Batched BPTT over a packed bucket (layout as in
     /// [`LstmLayer::forward_batch_into`]). Writes the packed gate-delta
-    /// matrix into `da_packed` ((T*B) x 4H) and the packed input gradient
-    /// into `dx` ((T*B) x I).
+    /// matrix into `da_packed` ((T*B) x 4H).
     ///
     /// The hidden-state carry `dh_next = da_t * wh` runs as one
     /// `(B x 4H) * (4H x H)` GEMM per timestep; per element it sums
@@ -445,7 +439,6 @@ impl LstmLayer {
         batch: usize,
         dh_out: &Matrix,
         da_packed: &mut Matrix,
-        dx: &mut Matrix,
         scratch: &mut LstmScratch,
     ) {
         let rows = cache.h.rows();
@@ -512,22 +505,21 @@ impl LstmLayer {
             );
             da_t.matmul_into(&self.wh, dh_next_b);
         }
-        // Packed dx: row-independent, and per element the ascending-`j`
-        // chain of `backward_naive`'s dx accumulation.
-        da_packed.matmul_into(&self.wx, dx);
     }
 
     /// Reference BPTT over one sequence: the straightforward per-timestep
-    /// accumulation loops. `dh_out` (T x H) is the upstream gradient on each
-    /// timestep's hidden state; returns the parameter gradients and the
-    /// gradient with respect to the inputs (T x I), for stacking layers.
-    /// Kept as the ground truth [`LstmLayer::backward_batch_into`] plus
+    /// accumulation loops. `cache` comes from [`LstmLayer::forward_naive`]
+    /// over the inputs `xs` (T x I), and `dh_out` (T x H) is the upstream
+    /// gradient on each timestep's hidden state; returns the parameter
+    /// gradients. Kept as the ground truth
+    /// [`LstmLayer::backward_batch_into`] plus
     /// [`LstmLayer::param_grads_into`] must match bitwise
     /// (property-tested), and as the backward half of
     /// [`crate::seq::SequenceClassifier::fit_reference`].
-    pub fn backward_naive(&self, cache: &LstmCache, dh_out: &Matrix) -> (LstmGrads, Matrix) {
+    pub fn backward_naive(&self, cache: &LstmCache, xs: &Matrix, dh_out: &Matrix) -> LstmGrads {
         let t_len = cache.h.rows();
         let h_size = self.hidden_size;
+        assert_eq!(xs.rows(), t_len, "xs timestep mismatch");
         assert_eq!(dh_out.rows(), t_len, "dh_out timestep mismatch");
         assert_eq!(dh_out.cols(), h_size, "dh_out width mismatch");
 
@@ -536,7 +528,6 @@ impl LstmLayer {
             wh: Matrix::zeros(4 * h_size, h_size),
             b: vec![0.0; 4 * h_size],
         };
-        let mut dx = Matrix::zeros(t_len, self.input_size);
         let mut dh_next = vec![0.0f32; h_size];
         let mut dc_next = vec![0.0f32; h_size];
         let mut da = vec![0.0f32; 4 * h_size];
@@ -565,7 +556,7 @@ impl LstmLayer {
                 da[3 * h_size + k] = d_o * sigmoid_deriv_from_output(o);
             }
 
-            let x = cache.xs.row(t);
+            let x = xs.row(t);
             let h_prev: &[f32] = if t == 0 { &[] } else { cache.h.row(t - 1) };
             dh_next.fill(0.0);
             for (j, &a) in da.iter().enumerate() {
@@ -580,17 +571,13 @@ impl LstmLayer {
                         *w += a * hv;
                     }
                 }
-                // dh_prev += wh[j]^T * a; dx += wx[j]^T * a
+                // dh_prev += wh[j]^T * a
                 for (d, &w) in dh_next.iter_mut().zip(self.wh.row(j)) {
-                    *d += a * w;
-                }
-                let dx_row = dx.row_mut(t);
-                for (d, &w) in dx_row.iter_mut().zip(self.wx.row(j)) {
                     *d += a * w;
                 }
             }
         }
-        (grads, dx)
+        grads
     }
 }
 
@@ -649,7 +636,7 @@ mod tests {
         let xs = sample_input();
         let cache = layer.forward_naive(&xs);
         let dh = Matrix::filled(3, 4, 1.0); // d(sum h)/dh = 1 everywhere
-        let (grads, dx) = layer.backward_naive(&cache, &dh);
+        let grads = layer.backward_naive(&cache, &xs, &dh);
 
         let eps = 1e-3f32;
         // Check a sample of wx entries.
@@ -696,22 +683,6 @@ mod tests {
                 "b[{}]: analytic {} vs fd {}",
                 j,
                 grads.b[j],
-                fd
-            );
-        }
-        // Check input gradients.
-        for &(t, c) in &[(0usize, 0usize), (1, 2), (2, 1)] {
-            let mut xp = xs.clone();
-            xp[(t, c)] += eps;
-            let mut xm = xs.clone();
-            xm[(t, c)] -= eps;
-            let fd = (objective(&layer, &xp) - objective(&layer, &xm)) / (2.0 * eps);
-            assert!(
-                (dx[(t, c)] - fd).abs() < 2e-2,
-                "dx[{},{}]: analytic {} vs fd {}",
-                t,
-                c,
-                dx[(t, c)],
                 fd
             );
         }
@@ -765,7 +736,6 @@ mod tests {
         cache: LstmCache,
         scratch: LstmScratch,
         da: Matrix,
-        dx: Matrix,
         grads: LstmGrads,
     }
 
@@ -775,7 +745,6 @@ mod tests {
                 cache: LstmCache::empty(),
                 scratch: LstmScratch::new(),
                 da: Matrix::zeros(1, 1),
-                dx: Matrix::zeros(1, 1),
                 grads: LstmGrads::empty(),
             }
         }
@@ -791,14 +760,7 @@ mod tests {
             batch: usize,
         ) -> Vec<LstmGrads> {
             layer.forward_batch_into(xs, batch, &mut self.cache, &mut self.scratch);
-            layer.backward_batch_into(
-                &self.cache,
-                batch,
-                dh,
-                &mut self.da,
-                &mut self.dx,
-                &mut self.scratch,
-            );
+            layer.backward_batch_into(&self.cache, batch, dh, &mut self.da, &mut self.scratch);
             (0..batch)
                 .map(|b| {
                     layer.param_grads_into(
@@ -816,7 +778,7 @@ mod tests {
 
     /// Packs `batch` distinct sequences batch-major and checks the packed
     /// kernels reproduce each sequence's naive forward/backward results
-    /// bitwise: `h`, `c`, `dx`, and the parameter gradients recovered
+    /// bitwise: `h`, `c`, and the parameter gradients recovered
     /// through `param_grads_into`. `batch = 1` is the single-sequence case.
     #[test]
     fn batched_kernels_match_naive_bitwise() {
@@ -846,7 +808,7 @@ mod tests {
 
                 for (b, ((xs, dh), g)) in seqs.iter().zip(&dhs).zip(&grads).enumerate() {
                     let naive = layer.forward_naive(xs);
-                    let (gn, dxn) = layer.backward_naive(&naive, dh);
+                    let gn = layer.backward_naive(&naive, xs, dh);
                     testkit::prop::holds(
                         unpack(&packed.cache.h, batch, b) == naive.h,
                         format!("forward h differs (b={b})"),
@@ -854,10 +816,6 @@ mod tests {
                     testkit::prop::holds(
                         unpack(&packed.cache.c, batch, b) == naive.c,
                         format!("forward c differs (b={b})"),
-                    )?;
-                    testkit::prop::holds(
-                        unpack(&packed.dx, batch, b) == dxn,
-                        format!("dx differs (b={b})"),
                     )?;
                     testkit::prop::holds(g.wx == gn.wx, format!("wx grads differ (b={b})"))?;
                     testkit::prop::holds(g.wh == gn.wh, format!("wh grads differ (b={b})"))?;
@@ -899,7 +857,6 @@ mod tests {
                     format!("c differs at {at}"),
                 )?;
                 testkit::prop::holds(reused.da == fresh.da, format!("da differs at {at}"))?;
-                testkit::prop::holds(reused.dx == fresh.dx, format!("dx differs at {at}"))?;
                 for (g, f) in grads.iter().zip(&fresh_grads) {
                     testkit::prop::holds(g.wx == f.wx, format!("wx differs at {at}"))?;
                     testkit::prop::holds(g.wh == f.wh, format!("wh differs at {at}"))?;

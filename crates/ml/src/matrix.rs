@@ -360,23 +360,6 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += scale * other` (axpy).
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "add_scaled shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += scale * b;
-        }
-    }
-
-    /// Element-wise product (Hadamard).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// Element-wise combination of two equally-shaped matrices.
     pub fn zip_with(&self, other: &Matrix, mut f: impl FnMut(f32, f32) -> f32) -> Matrix {
         assert_eq!(
@@ -400,31 +383,9 @@ impl Matrix {
         out
     }
 
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(f32) -> f32) {
-        for v in self.data.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Adds a row vector `bias` (1 x cols) to every row.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "broadcast length mismatch");
-        for r in 0..self.rows {
-            for (v, &b) in self.row_mut(r).iter_mut().zip(bias.iter()) {
-                *v += b;
-            }
-        }
     }
 }
 
@@ -795,17 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_and_axpy() {
-        let mut m = Matrix::filled(2, 3, 1.0);
-        m.add_row_broadcast(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.row(0), &[2.0, 3.0, 4.0]);
-        assert_eq!(m.row(1), &[2.0, 3.0, 4.0]);
-        let other = Matrix::filled(2, 3, 2.0);
-        m.add_scaled(&other, 0.5);
-        assert_eq!(m[(0, 0)], 3.0);
-    }
-
-    #[test]
     fn xavier_within_limit() {
         let mut rng = StdRng::seed_from_u64(1);
         let m = Matrix::xavier(16, 8, &mut rng);
@@ -841,8 +791,7 @@ mod tests {
         testkit::check("gemm_into_vs_allocating", &gemm_shape(), |&(m, k, n)| {
             let mut rng = shape_rng(0x17_70, (m, k, n));
             // Warm capacity with stale contents: `_into` must fully overwrite.
-            let mut out = Matrix::zeros(200, 200);
-            out.map_inplace(|_| 7.5);
+            let mut out = Matrix::filled(200, 200, 7.5);
             let a = Matrix::uniform(m, k, 1.0, &mut rng);
             let b = Matrix::uniform(k, n, 1.0, &mut rng);
             a.matmul_into(&b, &mut out);
@@ -866,11 +815,9 @@ mod tests {
     }
 
     #[test]
-    fn map_and_hadamard() {
+    fn map_is_elementwise() {
         let a = Matrix::from_rows(&[&[1.0, -2.0]]);
         let b = a.map(f32::abs);
         assert_eq!(b.row(0), &[1.0, 2.0]);
-        let h = a.hadamard(&b);
-        assert_eq!(h.row(0), &[1.0, -4.0]);
     }
 }

@@ -1,124 +1,7 @@
-//! Evaluation metrics: accuracy, confusion matrices, and the mean/σ summary
-//! format the paper uses for CUPTI readings ("average (standard deviation)").
+//! The mean/σ summary format the paper uses for CUPTI readings ("average
+//! (standard deviation)").
 
 use std::fmt;
-
-/// Fraction of positions where `pred == truth`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn accuracy(pred: &[usize], truth: &[usize]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "prediction/truth length mismatch");
-    assert!(!pred.is_empty(), "accuracy of empty slices");
-    let correct = pred.iter().zip(truth).filter(|(p, t)| p == t).count();
-    correct as f64 / pred.len() as f64
-}
-
-/// A square confusion matrix indexed `[truth][pred]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<usize>,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix for `classes` classes.
-    pub fn new(classes: usize) -> Self {
-        assert!(classes > 0, "need at least one class");
-        ConfusionMatrix {
-            classes,
-            counts: vec![0; classes * classes],
-        }
-    }
-
-    /// Builds a matrix from parallel prediction/truth slices.
-    pub fn from_predictions(pred: &[usize], truth: &[usize], classes: usize) -> Self {
-        let mut m = ConfusionMatrix::new(classes);
-        for (&p, &t) in pred.iter().zip(truth) {
-            m.record(t, p);
-        }
-        m
-    }
-
-    /// Records one observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn record(&mut self, truth: usize, pred: usize) {
-        assert!(
-            truth < self.classes && pred < self.classes,
-            "class out of range"
-        );
-        self.counts[truth * self.classes + pred] += 1;
-    }
-
-    /// Count of observations with the given truth/pred pair.
-    pub fn count(&self, truth: usize, pred: usize) -> usize {
-        self.counts[truth * self.classes + pred]
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Overall accuracy (diagonal mass / total); 0 if empty.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: usize = (0..self.classes).map(|i| self.count(i, i)).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Recall for one class: correct / truth-count (0 if never seen).
-    pub fn recall(&self, class: usize) -> f64 {
-        let row: usize = (0..self.classes).map(|p| self.count(class, p)).sum();
-        if row == 0 {
-            0.0
-        } else {
-            self.count(class, class) as f64 / row as f64
-        }
-    }
-
-    /// Precision for one class: correct / predicted-count (0 if never predicted).
-    pub fn precision(&self, class: usize) -> f64 {
-        let col: usize = (0..self.classes).map(|t| self.count(t, class)).sum();
-        if col == 0 {
-            0.0
-        } else {
-            self.count(class, class) as f64 / col as f64
-        }
-    }
-}
-
-impl fmt::Display for ConfusionMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "truth\\pred {}",
-            (0..self.classes)
-                .map(|c| format!("{:>7}", c))
-                .collect::<String>()
-        )?;
-        for t in 0..self.classes {
-            write!(f, "{:>10}", t)?;
-            for p in 0..self.classes {
-                write!(f, "{:>7}", self.count(t, p))?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
 
 /// Mean and (population) standard deviation of a sample, formatted the way
 /// the paper reports counter readings.
@@ -160,34 +43,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accuracy_basic() {
-        assert_eq!(accuracy(&[0, 1, 2], &[0, 1, 1]), 2.0 / 3.0);
-        assert_eq!(accuracy(&[1], &[1]), 1.0);
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_metrics() {
-        let pred = [0, 0, 1, 1, 1, 0];
-        let truth = [0, 1, 1, 1, 0, 0];
-        let m = ConfusionMatrix::from_predictions(&pred, &truth, 2);
-        assert_eq!(m.total(), 6);
-        assert_eq!(m.count(0, 0), 2);
-        assert_eq!(m.count(1, 0), 1);
-        assert_eq!(m.count(0, 1), 1);
-        assert_eq!(m.count(1, 1), 2);
-        assert!((m.accuracy() - 4.0 / 6.0).abs() < 1e-12);
-        assert!((m.recall(1) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((m.precision(1) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recall_of_unseen_class_is_zero() {
-        let m = ConfusionMatrix::from_predictions(&[0, 0], &[0, 0], 3);
-        assert_eq!(m.recall(2), 0.0);
-        assert_eq!(m.precision(2), 0.0);
-    }
-
-    #[test]
     fn mean_std_known_values() {
         let ms = MeanStd::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((ms.mean - 5.0).abs() < 1e-12);
@@ -200,11 +55,5 @@ mod tests {
         let ms = MeanStd::of(&[]);
         assert_eq!(ms.mean, 0.0);
         assert_eq!(ms.std, 0.0);
-    }
-
-    #[test]
-    fn display_confusion_matrix_nonempty() {
-        let m = ConfusionMatrix::from_predictions(&[0], &[0], 2);
-        assert!(!format!("{}", m).is_empty());
     }
 }

@@ -1,50 +1,5 @@
-//! First-order optimizers used to train the inference models (Adam) and
-//! mirrored in the victim framework (`dnn-sim` lowers GD/Adam/Adagrad apply
-//! ops to kernels; the math here is the reference semantics).
-
-/// A gradient-descent style parameter updater over flat `f32` buffers.
-///
-/// Implementations keep whatever per-parameter state they need (`Adam` keeps
-/// first/second moments, `Adagrad` an accumulator); one instance must be
-/// dedicated to one parameter buffer of fixed length.
-pub trait Optimizer: std::fmt::Debug {
-    /// Applies one update step: `params -= f(grads)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != grads.len()` or the length differs from the
-    /// one the optimizer was constructed with.
-    fn step(&mut self, params: &mut [f32], grads: &[f32]);
-
-    /// The configured learning rate.
-    fn learning_rate(&self) -> f32;
-}
-
-/// Plain stochastic gradient descent (the paper's "GD" optimizer).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD updater with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len(), "sgd buffer length mismatch");
-        for (p, &g) in params.iter_mut().zip(grads.iter()) {
-            *p -= self.lr * g;
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-}
+//! The optimizer that trains the inference models: Adam with bias
+//! correction, plus global-norm gradient clipping.
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
@@ -71,10 +26,15 @@ impl Adam {
             v: vec![0.0; len],
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
+    /// Applies one update step to `params`, the buffer this state was
+    /// created for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != grads.len()` or the length differs from the
+    /// one the optimizer was constructed with.
+    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "adam buffer length mismatch");
         assert_eq!(params.len(), self.m.len(), "adam state length mismatch");
         self.t += 1;
@@ -88,49 +48,6 @@ impl Optimizer for Adam {
             let v_hat = self.v[i] / bc2;
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// Adagrad with per-parameter accumulated squared gradients.
-#[derive(Debug, Clone)]
-pub struct Adagrad {
-    lr: f32,
-    eps: f32,
-    accum: Vec<f32>,
-}
-
-impl Adagrad {
-    /// Creates an Adagrad updater for a parameter buffer of length `len`.
-    pub fn new(len: usize, lr: f32) -> Self {
-        Adagrad {
-            lr,
-            eps: 1e-10,
-            accum: vec![0.0; len],
-        }
-    }
-}
-
-impl Optimizer for Adagrad {
-    fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(params.len(), grads.len(), "adagrad buffer length mismatch");
-        assert_eq!(
-            params.len(),
-            self.accum.len(),
-            "adagrad state length mismatch"
-        );
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.accum[i] += g * g;
-            params[i] -= self.lr * g / (self.accum[i].sqrt() + self.eps);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
     }
 }
 
@@ -161,7 +78,7 @@ mod tests {
     use super::*;
 
     /// Minimizes f(x) = (x - 3)^2 and checks convergence.
-    fn converges(opt: &mut dyn Optimizer, start: f32, steps: usize) -> f32 {
+    fn converges(opt: &mut Adam, start: f32, steps: usize) -> f32 {
         let mut x = [start];
         for _ in 0..steps {
             let g = [2.0 * (x[0] - 3.0)];
@@ -171,22 +88,8 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = converges(&mut opt, 0.0, 200);
-        assert!((x - 3.0).abs() < 1e-3, "got {}", x);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(1, 0.1);
-        let x = converges(&mut opt, 0.0, 500);
-        assert!((x - 3.0).abs() < 1e-2, "got {}", x);
-    }
-
-    #[test]
-    fn adagrad_converges_on_quadratic() {
-        let mut opt = Adagrad::new(1, 1.0);
         let x = converges(&mut opt, 0.0, 500);
         assert!((x - 3.0).abs() < 1e-2, "got {}", x);
     }
@@ -220,7 +123,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_buffers_panic() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(2, 0.1);
         let mut p = [0.0f32; 2];
         opt.step(&mut p, &[1.0]);
     }

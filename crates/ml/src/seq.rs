@@ -1,4 +1,4 @@
-//! Per-timestep sequence classifier: stacked LSTM layers, a dense head and a
+//! Per-timestep sequence classifier: one LSTM layer, a dense head and a
 //! (weighted, maskable) softmax cross-entropy loss — the shape shared by all
 //! five inference models in the paper's Table III.
 
@@ -14,7 +14,7 @@ use crate::dense::{Dense, DenseGrads};
 use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into, uniform_weights};
 use crate::lstm::{LstmGrads, LstmLayer};
 use crate::matrix::Matrix;
-use crate::optim::{clip_global_norm, Adam, Optimizer};
+use crate::optim::{clip_global_norm, Adam};
 use crate::workspace::{BatchWorkspace, BatchWorkspacePool, Workspace, WorkspacePool};
 
 // All work-size gates live in one audited module (leaky-lint rule A4);
@@ -27,9 +27,9 @@ pub use crate::par::thresholds::MIN_PARALLEL_FIT_SEQS;
 pub struct SeqClassifierConfig {
     /// Feature width per timestep.
     pub input_size: usize,
-    /// Hidden sizes of the stacked LSTM layers (Table III uses `[256]` for
-    /// Mlong/Mop/Vlong/Vop and `[128]` for Mhp).
-    pub hidden_sizes: Vec<usize>,
+    /// Hidden size of the LSTM layer (Table III uses 256 for
+    /// Mlong/Mop/Vlong/Vop and 128 for Mhp).
+    pub hidden: usize,
     /// Number of output classes.
     pub classes: usize,
     /// Adam learning rate.
@@ -55,7 +55,7 @@ impl SeqClassifierConfig {
     pub fn new(input_size: usize, hidden: usize, classes: usize) -> Self {
         SeqClassifierConfig {
             input_size,
-            hidden_sizes: vec![hidden],
+            hidden,
             classes,
             learning_rate: 0.01,
             epochs: 12,
@@ -103,35 +103,47 @@ pub struct EpochStats {
 #[derive(Debug, Clone)]
 pub struct SequenceClassifier {
     config: SeqClassifierConfig,
-    layers: Vec<LstmLayer>,
+    lstm: LstmLayer,
     head: Dense,
     history: Vec<EpochStats>,
 }
 
 /// Gradients and loss statistics from one example's forward/backward pass.
 struct ExamplePass {
-    layer_grads: Vec<crate::lstm::LstmGrads>,
-    head_grads: crate::dense::DenseGrads,
+    lstm_grads: LstmGrads,
+    head_grads: DenseGrads,
     /// Loss per unmasked timestep, in timestep order.
     losses: Vec<f32>,
     correct: usize,
 }
 
-/// Per-parameter Adam states for one [`SequenceClassifier::fit`] run,
-/// grouped so the epoch loop can borrow them apart from the model.
+/// Per-parameter Adam states for one training run, grouped so the epoch
+/// loop can borrow them apart from the model.
 struct FitOptimizers {
-    wx: Vec<Adam>,
-    wh: Vec<Adam>,
-    b: Vec<Adam>,
+    wx: Adam,
+    wh: Adam,
+    b: Adam,
     hw: Adam,
     hb: Adam,
+}
+
+impl FitOptimizers {
+    fn new(lstm: &LstmLayer, head: &Dense, lr: f32) -> Self {
+        FitOptimizers {
+            wx: Adam::new(lstm.wx.len(), lr),
+            wh: Adam::new(lstm.wh.len(), lr),
+            b: Adam::new(lstm.b.len(), lr),
+            hw: Adam::new(head.w.len(), lr),
+            hb: Adam::new(head.b.len(), lr),
+        }
+    }
 }
 
 /// Reused gradient accumulators and bucketing scratch for
 /// [`SequenceClassifier::fit_epoch`]; allocated once per `fit` call and
 /// threaded through every epoch.
 struct FitScratch {
-    acc_layers: Vec<LstmGrads>,
+    acc_lstm: LstmGrads,
     acc_head: DenseGrads,
     len_pos: Vec<(usize, usize)>,
     bucket_spans: Vec<(usize, usize)>,
@@ -143,24 +155,16 @@ impl SequenceClassifier {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has no hidden layers or zero classes.
+    /// Panics if the configuration has a zero input or hidden size, or
+    /// fewer than two classes.
     pub fn new(config: SeqClassifierConfig) -> Self {
-        assert!(
-            !config.hidden_sizes.is_empty(),
-            "need at least one LSTM layer"
-        );
         assert!(config.classes >= 2, "need at least two classes");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut layers = Vec::new();
-        let mut in_size = config.input_size;
-        for &h in &config.hidden_sizes {
-            layers.push(LstmLayer::new(in_size, h, &mut rng));
-            in_size = h;
-        }
-        let head = Dense::new(in_size, config.classes, &mut rng);
+        let lstm = LstmLayer::new(config.input_size, config.hidden, &mut rng);
+        let head = Dense::new(config.hidden, config.classes, &mut rng);
         SequenceClassifier {
             config,
-            layers,
+            lstm,
             head,
             history: Vec::new(),
         }
@@ -178,11 +182,7 @@ impl SequenceClassifier {
 
     /// Total trainable parameter count.
     pub fn param_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(LstmLayer::param_count)
-            .sum::<usize>()
-            + self.head.param_count()
+        self.lstm.param_count() + self.head.param_count()
     }
 
     fn features_to_matrix(features: &[Vec<f32>]) -> Matrix {
@@ -212,7 +212,7 @@ impl SequenceClassifier {
     /// [`Dense::param_grads_into`]).
     #[allow(clippy::too_many_arguments)]
     fn bucket_pass_into(
-        layers: &[LstmLayer],
+        lstm: &LstmLayer,
         head: &Dense,
         data: &[SeqExample],
         inputs: &[Matrix],
@@ -222,13 +222,12 @@ impl SequenceClassifier {
         bws: &mut BatchWorkspace,
         pool: &WorkspacePool,
     ) -> Vec<(usize, Workspace)> {
-        debug_assert_eq!(bws.layer_count(), layers.len());
         let b_n = bucket.len();
         let t_len = bucket[0].0;
         debug_assert!(bucket.iter().all(|&(len, _)| len == t_len));
 
         // Pack features batch-major.
-        bws.xs.resize_zeroed(t_len * b_n, layers[0].input_size());
+        bws.xs.resize_zeroed(t_len * b_n, lstm.input_size());
         for (bi, &(_, pos)) in bucket.iter().enumerate() {
             let xs = &inputs[batch[pos]];
             for t in 0..t_len {
@@ -236,15 +235,8 @@ impl SequenceClassifier {
             }
         }
 
-        // Forward through the LSTM stack; each layer reads the previous
-        // layer's packed hidden states directly.
-        for (li, layer) in layers.iter().enumerate() {
-            let (done, rest) = bws.caches.split_at_mut(li);
-            let input = if li == 0 { &bws.xs } else { &done[li - 1].h };
-            layer.forward_batch_into(input, b_n, &mut rest[0], &mut bws.scratch);
-        }
-        let last_h = &bws.caches[layers.len() - 1].h;
-        head.forward_into(last_h, &mut bws.logits);
+        lstm.forward_batch_into(&bws.xs, b_n, &mut bws.cache, &mut bws.scratch);
+        head.forward_into(&bws.cache.h, &mut bws.logits);
 
         // Loss + dlogits per example, `t` ascending within each example so
         // the per-example loss vectors match the reference pass exactly.
@@ -279,45 +271,31 @@ impl SequenceClassifier {
             passes.push((pos, ws));
         }
 
-        // Head backward: the input gradient is one packed row-independent
-        // GEMM; parameter gradients accumulate per example from extracted
-        // matrices (their `t`-ascending order is per example, which packed
-        // rows would interleave).
+        // Backward: the head's input gradient and the LSTM's BPTT carry are
+        // packed row-independent GEMMs; parameter gradients accumulate per
+        // example from extracted matrices (their `t` order is per example,
+        // which packed rows would interleave).
         bws.dlogits.matmul_into(&head.w, &mut bws.dh);
+        lstm.backward_batch_into(
+            &bws.cache,
+            b_n,
+            &bws.dh,
+            &mut bws.da_packed,
+            &mut bws.scratch,
+        );
         for (bi, (_, ws)) in passes.iter_mut().enumerate() {
+            extract_example_rows(&bws.cache.h, b_n, bi, &mut bws.h_ex);
             extract_example_rows(&bws.dlogits, b_n, bi, &mut bws.da_ex);
-            extract_example_rows(&bws.caches[layers.len() - 1].h, b_n, bi, &mut bws.h_ex);
             head.param_grads_into(&bws.h_ex, &bws.da_ex, &mut ws.head_grads);
-        }
-
-        // Backward down the stack; `dh`/`dx` swap roles exactly as in the
-        // reference pass.
-        for (li, layer) in layers.iter().enumerate().rev() {
-            layer.backward_batch_into(
-                &bws.caches[li],
-                b_n,
-                &bws.dh,
-                &mut bws.da_packed,
-                &mut bws.dx,
-                &mut bws.scratch,
+            extract_example_rows(&bws.da_packed, b_n, bi, &mut bws.da_ex);
+            extract_example_rows(&bws.xs, b_n, bi, &mut bws.x_ex);
+            lstm.param_grads_into(
+                &bws.da_ex,
+                &bws.x_ex,
+                &bws.h_ex,
+                &mut ws.lstm_grads,
+                &mut ws.scratch,
             );
-            for (bi, (_, ws)) in passes.iter_mut().enumerate() {
-                extract_example_rows(&bws.da_packed, b_n, bi, &mut bws.da_ex);
-                if li == 0 {
-                    extract_example_rows(&bws.xs, b_n, bi, &mut bws.x_ex);
-                } else {
-                    extract_example_rows(&bws.caches[li - 1].h, b_n, bi, &mut bws.x_ex);
-                }
-                extract_example_rows(&bws.caches[li].h, b_n, bi, &mut bws.h_ex);
-                layer.param_grads_into(
-                    &bws.da_ex,
-                    &bws.x_ex,
-                    &bws.h_ex,
-                    &mut ws.layer_grads[li],
-                    &mut ws.scratch,
-                );
-            }
-            std::mem::swap(&mut bws.dh, &mut bws.dx);
         }
         passes
     }
@@ -330,22 +308,14 @@ impl SequenceClassifier {
     /// [`SequenceClassifier::fit_reference`]; it shares no LSTM kernel with
     /// the packed pass it checks.
     fn example_pass(
-        layers: &[LstmLayer],
+        lstm: &LstmLayer,
         head: &Dense,
         ex: &SeqExample,
         weights: &[f32],
     ) -> ExamplePass {
         let xs = Self::features_to_matrix(&ex.features);
-
-        // Forward through the LSTM stack.
-        let mut caches = Vec::with_capacity(layers.len());
-        let mut cur = xs;
-        for layer in layers {
-            let cache = layer.forward_naive(&cur);
-            cur = cache.h.clone();
-            caches.push(cache);
-        }
-        let logits = head.forward(&cur);
+        let cache = lstm.forward_naive(&xs);
+        let logits = head.forward(&cache.h);
 
         // Loss + dlogits per timestep.
         let mut losses = Vec::new();
@@ -363,21 +333,33 @@ impl SequenceClassifier {
         }
 
         // Backward.
-        let (head_grads, mut dh) = head.backward(&cur, &dlogits);
-        let mut layer_grads = Vec::with_capacity(layers.len());
-        for (layer, cache) in layers.iter().zip(caches.iter()).rev() {
-            let (grads, dx) = layer.backward_naive(cache, &dh);
-            dh = dx;
-            layer_grads.push(grads);
-        }
-        layer_grads.reverse();
-
+        let (head_grads, dh) = head.backward(&cache.h, &dlogits);
         ExamplePass {
-            layer_grads,
+            lstm_grads: lstm.backward_naive(&cache, &xs, &dh),
             head_grads,
             losses,
             correct,
         }
+    }
+
+    /// Checks `data` against the config and returns the loss weights, the
+    /// shuffling RNG and the identity order every training loop starts from.
+    fn fit_setup(&self, data: &[SeqExample]) -> (Vec<f32>, StdRng, Vec<usize>) {
+        assert!(!data.is_empty(), "fit called with no data");
+        for ex in data {
+            assert_eq!(ex.width(), self.config.input_size, "feature width mismatch");
+            assert!(
+                ex.labels.iter().all(|&l| l < self.config.classes),
+                "label out of range"
+            );
+        }
+        let weights = self
+            .config
+            .class_weights
+            .clone()
+            .unwrap_or_else(|| uniform_weights(self.config.classes));
+        let rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e3779b97f4a7c15);
+        (weights, rng, (0..data.len()).collect())
     }
 
     /// Trains with Adam, shuffling sequences each epoch. Returns the stats of
@@ -394,72 +376,29 @@ impl SequenceClassifier {
     ///
     /// Panics if `data` is empty or feature widths mismatch the config.
     pub fn fit(&mut self, data: &[SeqExample]) -> EpochStats {
-        assert!(!data.is_empty(), "fit called with no data");
-        for ex in data {
-            assert_eq!(ex.width(), self.config.input_size, "feature width mismatch");
-            assert!(
-                ex.labels.iter().all(|&l| l < self.config.classes),
-                "label out of range"
-            );
-        }
-        let weights = self
-            .config
-            .class_weights
-            .clone()
-            .unwrap_or_else(|| uniform_weights(self.config.classes));
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e3779b97f4a7c15);
-        let mut order: Vec<usize> = (0..data.len()).collect();
+        let (weights, mut rng, mut order) = self.fit_setup(data);
         // Feature matrices are re-read every epoch but never change:
         // materialize them once instead of per pass.
         let inputs: Vec<Matrix> = data
             .iter()
             .map(|ex| Self::features_to_matrix(&ex.features))
             .collect();
-
-        let opt_wx: Vec<Adam> = self
-            .layers
-            .iter()
-            .map(|l| Adam::new(l.wx.len(), self.config.learning_rate))
-            .collect();
-        let opt_wh: Vec<Adam> = self
-            .layers
-            .iter()
-            .map(|l| Adam::new(l.wh.len(), self.config.learning_rate))
-            .collect();
-        let opt_b: Vec<Adam> = self
-            .layers
-            .iter()
-            .map(|l| Adam::new(l.b.len(), self.config.learning_rate))
-            .collect();
-        let opt_hw = Adam::new(self.head.w.len(), self.config.learning_rate);
-        let opt_hb = Adam::new(self.head.b.len(), self.config.learning_rate);
-
-        let pool = WorkspacePool::new(self.layers.len());
-        let batch_pool = BatchWorkspacePool::new(self.layers.len());
-        let acc_layers: Vec<LstmGrads> = self.layers.iter().map(|_| LstmGrads::empty()).collect();
-        let acc_head = DenseGrads::empty();
-        // Reusable bucketing scratch: (length, position-in-batch) pairs and
-        // the half-open spans of equal-length runs after the stable sort.
-        let len_pos: Vec<(usize, usize)> = Vec::new();
-        let bucket_spans: Vec<(usize, usize)> = Vec::new();
-        let slots: Vec<Option<Workspace>> = Vec::new();
+        let mut opts = FitOptimizers::new(&self.lstm, &self.head, self.config.learning_rate);
+        let pool = WorkspacePool::new();
+        let batch_pool = BatchWorkspacePool::new();
+        let mut scratch = FitScratch {
+            acc_lstm: LstmGrads::empty(),
+            acc_head: DenseGrads::empty(),
+            // Reusable bucketing scratch: (length, position-in-batch) pairs
+            // and the half-open spans of equal-length runs after the stable
+            // sort.
+            len_pos: Vec::new(),
+            bucket_spans: Vec::new(),
+            slots: Vec::new(),
+        };
 
         self.history.clear();
         let batch_size = self.config.batch_size.max(1);
-        let mut opts = FitOptimizers {
-            wx: opt_wx,
-            wh: opt_wh,
-            b: opt_b,
-            hw: opt_hw,
-            hb: opt_hb,
-        };
-        let mut scratch = FitScratch {
-            acc_layers,
-            acc_head,
-            len_pos,
-            bucket_spans,
-            slots,
-        };
         let mut last = EpochStats {
             mean_loss: 0.0,
             accuracy: 0.0,
@@ -502,216 +441,146 @@ impl SequenceClassifier {
         scratch: &mut FitScratch,
     ) -> EpochStats {
         let FitScratch {
-            acc_layers,
+            acc_lstm,
             acc_head,
             len_pos,
             bucket_spans,
             slots,
         } = scratch;
-        let FitOptimizers {
-            wx: opt_wx,
-            wh: opt_wh,
-            b: opt_b,
-            hw: opt_hw,
-            hb: opt_hb,
-        } = opts;
-        {
-            let mut loss_sum = 0.0f64;
-            let mut loss_count = 0usize;
-            let mut correct = 0usize;
-            for batch in order.chunks(batch_size) {
-                // Bucket the batch by exact sequence length: each bucket
-                // runs as one packed pass (one fused GEMM per timestep over
-                // the whole bucket). The sort is stable, so batch order is
-                // preserved within every bucket; results carry their batch
-                // position and are scattered back below, so bucket
-                // composition cannot affect the reduction order. Buckets
-                // only fan out over the worker pool when the batch is big
-                // enough to pay for the dispatch.
-                len_pos.clear();
-                len_pos.extend(
-                    batch
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &idx)| (inputs[idx].rows(), pos)),
-                );
-                len_pos.sort_by_key(|&(len, _)| len);
-                bucket_spans.clear();
-                let mut start = 0;
-                for end in 1..=len_pos.len() {
-                    if end == len_pos.len() || len_pos[end].0 != len_pos[start].0 {
-                        bucket_spans.push((start, end));
-                        start = end;
-                    }
+        let mut tally = EpochTally::default();
+        for batch in order.chunks(batch_size) {
+            // Bucket the batch by exact sequence length: each bucket runs as
+            // one packed pass (one fused GEMM per timestep over the whole
+            // bucket). The sort is stable, so batch order is preserved
+            // within every bucket; results carry their batch position and
+            // are scattered back below, so bucket composition cannot affect
+            // the reduction order. Buckets only fan out over the worker pool
+            // when the batch is big enough to pay for the dispatch.
+            len_pos.clear();
+            len_pos.extend(
+                batch
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &idx)| (inputs[idx].rows(), pos)),
+            );
+            len_pos.sort_by_key(|&(len, _)| len);
+            bucket_spans.clear();
+            let mut start = 0;
+            for end in 1..=len_pos.len() {
+                if end == len_pos.len() || len_pos[end].0 != len_pos[start].0 {
+                    bucket_spans.push((start, end));
+                    start = end;
                 }
-                let layers = &self.layers;
-                let head = &self.head;
-                let (pool_ref, batch_pool_ref) = (pool, batch_pool);
-                let (inputs_ref, weights_ref) = (inputs, weights);
-                let len_pos_ref: &[(usize, usize)] = len_pos;
-                let bucket_results = crate::par::par_map_if_work(
-                    batch.len(),
-                    MIN_PARALLEL_FIT_SEQS,
-                    bucket_spans,
-                    |_, &(s, e)| {
-                        let mut bws = batch_pool_ref.acquire();
-                        let passes = Self::bucket_pass_into(
-                            layers,
-                            head,
-                            data,
-                            inputs_ref,
-                            &len_pos_ref[s..e],
-                            batch,
-                            weights_ref,
-                            &mut bws,
-                            pool_ref,
-                        );
-                        batch_pool_ref.release(bws);
-                        passes
-                    },
-                );
-                slots.clear();
-                slots.resize_with(batch.len(), || None);
-                for bucket in bucket_results {
-                    for (pos, ws) in bucket {
-                        slots[pos] = Some(ws);
-                    }
-                }
-
-                // Fixed-order reduce over batch positions: the first pass's
-                // gradients are copied into the persistent accumulators
-                // (bitwise identical to seeding the sum with them, unlike
-                // adding onto zeros) and the remaining passes added in batch
-                // order — the same order as before bucketing, whatever the
-                // bucket layout was.
-                let mut results = slots
-                    .iter_mut()
-                    .map(|slot| slot.take().expect("every batch position filled"));
-                let first = results.next().expect("chunks yields non-empty batches");
-                for (acc, g) in acc_layers.iter_mut().zip(first.layer_grads.iter()) {
-                    acc.wx.copy_from(&g.wx);
-                    acc.wh.copy_from(&g.wh);
-                    acc.b.clear();
-                    acc.b.extend_from_slice(&g.b);
-                }
-                acc_head.w.copy_from(&first.head_grads.w);
-                acc_head.b.clear();
-                acc_head.b.extend_from_slice(&first.head_grads.b);
-                for &l in &first.losses {
-                    loss_sum += l as f64;
-                }
-                loss_count += first.losses.len();
-                correct += first.correct;
-                pool.release(first);
-                for pass in results {
-                    for (acc, g) in acc_layers.iter_mut().zip(pass.layer_grads.iter()) {
-                        acc.wx.add_assign(&g.wx);
-                        acc.wh.add_assign(&g.wh);
-                        for (a, &b) in acc.b.iter_mut().zip(g.b.iter()) {
-                            *a += b;
-                        }
-                    }
-                    acc_head.w.add_assign(&pass.head_grads.w);
-                    for (a, &b) in acc_head.b.iter_mut().zip(pass.head_grads.b.iter()) {
-                        *a += b;
-                    }
-                    for &l in &pass.losses {
-                        loss_sum += l as f64;
-                    }
-                    loss_count += pass.losses.len();
-                    correct += pass.correct;
-                    pool.release(pass);
-                }
-
-                // Average, clip and apply one optimizer step per batch.
-                {
-                    // 3*layers+2 pointers into the persistent accumulators;
-                    // holds `&mut` so it cannot outlive the batch or be
-                    // pooled. lint: allow(A1)
-                    let mut bufs: Vec<&mut [f32]> = Vec::new();
-                    for g in acc_layers.iter_mut() {
-                        bufs.push(g.wx.as_mut_slice());
-                        bufs.push(g.wh.as_mut_slice());
-                        bufs.push(&mut g.b);
-                    }
-                    bufs.push(acc_head.w.as_mut_slice());
-                    bufs.push(&mut acc_head.b);
-                    if batch.len() > 1 {
-                        let inv = 1.0 / batch.len() as f32;
-                        for buf in bufs.iter_mut() {
-                            for v in buf.iter_mut() {
-                                *v *= inv;
-                            }
-                        }
-                    }
-                    clip_global_norm(&mut bufs, self.config.clip_norm);
-                }
-                for (i, g) in acc_layers.iter().enumerate() {
-                    opt_wx[i].step(self.layers[i].wx.as_mut_slice(), g.wx.as_slice());
-                    opt_wh[i].step(self.layers[i].wh.as_mut_slice(), g.wh.as_slice());
-                    opt_b[i].step(&mut self.layers[i].b, &g.b);
-                }
-                opt_hw.step(self.head.w.as_mut_slice(), acc_head.w.as_slice());
-                opt_hb.step(&mut self.head.b, &acc_head.b);
             }
-            EpochStats {
-                mean_loss: if loss_count > 0 {
-                    (loss_sum / loss_count as f64) as f32
-                } else {
-                    0.0
+            let lstm = &self.lstm;
+            let head = &self.head;
+            let len_pos_ref: &[(usize, usize)] = len_pos;
+            let bucket_results = crate::par::par_map_if_work(
+                batch.len(),
+                MIN_PARALLEL_FIT_SEQS,
+                bucket_spans,
+                |_, &(s, e)| {
+                    let mut bws = batch_pool.acquire();
+                    let passes = Self::bucket_pass_into(
+                        lstm,
+                        head,
+                        data,
+                        inputs,
+                        &len_pos_ref[s..e],
+                        batch,
+                        weights,
+                        &mut bws,
+                        pool,
+                    );
+                    batch_pool.release(bws);
+                    passes
                 },
-                accuracy: if loss_count > 0 {
-                    correct as f64 / loss_count as f64
-                } else {
-                    0.0
-                },
+            );
+            slots.clear();
+            slots.resize_with(batch.len(), || None);
+            for bucket in bucket_results {
+                for (pos, ws) in bucket {
+                    slots[pos] = Some(ws);
+                }
+            }
+
+            // Fixed-order reduce over batch positions: the first pass's
+            // gradients are copied into the persistent accumulators (bitwise
+            // identical to seeding the sum with them, unlike adding onto
+            // zeros) and the remaining passes added in batch order — the
+            // same order as before bucketing, whatever the bucket layout was.
+            let mut results = slots
+                .iter_mut()
+                .map(|slot| slot.take().expect("every batch position filled"));
+            let first = results.next().expect("chunks yields non-empty batches");
+            acc_lstm.wx.copy_from(&first.lstm_grads.wx);
+            acc_lstm.wh.copy_from(&first.lstm_grads.wh);
+            acc_lstm.b.clear();
+            acc_lstm.b.extend_from_slice(&first.lstm_grads.b);
+            acc_head.w.copy_from(&first.head_grads.w);
+            acc_head.b.clear();
+            acc_head.b.extend_from_slice(&first.head_grads.b);
+            tally.add(&first.losses, first.correct);
+            pool.release(first);
+            for pass in results {
+                add_grads(acc_lstm, acc_head, &pass.lstm_grads, &pass.head_grads);
+                tally.add(&pass.losses, pass.correct);
+                pool.release(pass);
+            }
+            self.apply_step(opts, acc_lstm, acc_head, batch.len());
+        }
+        tally.stats()
+    }
+
+    /// Averages one batch's summed gradients, clips them to the global norm
+    /// and takes one Adam step on every parameter.
+    fn apply_step(
+        &mut self,
+        opts: &mut FitOptimizers,
+        lstm: &mut LstmGrads,
+        head: &mut DenseGrads,
+        batch_len: usize,
+    ) {
+        let mut bufs: [&mut [f32]; 5] = [
+            lstm.wx.as_mut_slice(),
+            lstm.wh.as_mut_slice(),
+            &mut lstm.b,
+            head.w.as_mut_slice(),
+            &mut head.b,
+        ];
+        if batch_len > 1 {
+            let inv = 1.0 / batch_len as f32;
+            for buf in bufs.iter_mut() {
+                for v in buf.iter_mut() {
+                    *v *= inv;
+                }
             }
         }
+        clip_global_norm(&mut bufs, self.config.clip_norm);
+        opts.wx
+            .step(self.lstm.wx.as_mut_slice(), lstm.wx.as_slice());
+        opts.wh
+            .step(self.lstm.wh.as_mut_slice(), lstm.wh.as_slice());
+        opts.b.step(&mut self.lstm.b, &lstm.b);
+        opts.hw.step(self.head.w.as_mut_slice(), head.w.as_slice());
+        opts.hb.step(&mut self.head.b, &head.b);
     }
 
     /// Pre-workspace reference training loop: allocates every intermediate
     /// per example, exactly as `fit` did before the allocation-free rework.
     /// Kept as the ground truth [`SequenceClassifier::fit`] must match
     /// bitwise (property-tested in this crate and in the repo's determinism
-    /// suite).
+    /// suite). It shares the setup, the per-example gradient sum and the
+    /// optimizer step with `fit`, but none of the forward/backward pass it
+    /// checks; `crates/ml/tests/trained_bits.rs` pins the shared arithmetic,
+    /// which this comparison cannot see.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty or feature widths mismatch the config.
     pub fn fit_reference(&mut self, data: &[SeqExample]) -> EpochStats {
-        assert!(!data.is_empty(), "fit called with no data");
-        for ex in data {
-            assert_eq!(ex.width(), self.config.input_size, "feature width mismatch");
-            assert!(
-                ex.labels.iter().all(|&l| l < self.config.classes),
-                "label out of range"
-            );
-        }
-        let weights = self
-            .config
-            .class_weights
-            .clone()
-            .unwrap_or_else(|| uniform_weights(self.config.classes));
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9e3779b97f4a7c15);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-
-        let mut opt_wx: Vec<Adam> = self
-            .layers
-            .iter()
-            .map(|l| Adam::new(l.wx.len(), self.config.learning_rate))
-            .collect();
-        let mut opt_wh: Vec<Adam> = self
-            .layers
-            .iter()
-            .map(|l| Adam::new(l.wh.len(), self.config.learning_rate))
-            .collect();
-        let mut opt_b: Vec<Adam> = self
-            .layers
-            .iter()
-            .map(|l| Adam::new(l.b.len(), self.config.learning_rate))
-            .collect();
-        let mut opt_hw = Adam::new(self.head.w.len(), self.config.learning_rate);
-        let mut opt_hb = Adam::new(self.head.b.len(), self.config.learning_rate);
+        let (weights, mut rng, mut order) = self.fit_setup(data);
+        let mut opts = FitOptimizers::new(&self.lstm, &self.head, self.config.learning_rate);
 
         self.history.clear();
         let batch_size = self.config.batch_size.max(1);
@@ -721,85 +590,32 @@ impl SequenceClassifier {
         };
         for _epoch in 0..self.config.epochs {
             order.shuffle(&mut rng);
-            let mut loss_sum = 0.0f64;
-            let mut loss_count = 0usize;
-            let mut correct = 0usize;
+            let mut tally = EpochTally::default();
             for batch in order.chunks(batch_size) {
-                let layers = &self.layers;
+                let lstm = &self.lstm;
                 let head = &self.head;
                 let results = crate::par::par_map(batch, |_, &idx| {
-                    Self::example_pass(layers, head, &data[idx], &weights)
+                    Self::example_pass(lstm, head, &data[idx], &weights)
                 });
 
                 // Fixed-order reduce: sum gradients and loss stats in batch
                 // order, then average the gradients.
                 let mut results = results.into_iter();
                 let first = results.next().expect("chunks yields non-empty batches");
-                let (mut layer_grads, mut head_grads) = (first.layer_grads, first.head_grads);
-                for &l in &first.losses {
-                    loss_sum += l as f64;
-                }
-                loss_count += first.losses.len();
-                correct += first.correct;
+                tally.add(&first.losses, first.correct);
+                let (mut lstm_grads, mut head_grads) = (first.lstm_grads, first.head_grads);
                 for pass in results {
-                    for (acc, g) in layer_grads.iter_mut().zip(pass.layer_grads.iter()) {
-                        acc.wx.add_assign(&g.wx);
-                        acc.wh.add_assign(&g.wh);
-                        for (a, &b) in acc.b.iter_mut().zip(g.b.iter()) {
-                            *a += b;
-                        }
-                    }
-                    head_grads.w.add_assign(&pass.head_grads.w);
-                    for (a, &b) in head_grads.b.iter_mut().zip(pass.head_grads.b.iter()) {
-                        *a += b;
-                    }
-                    for &l in &pass.losses {
-                        loss_sum += l as f64;
-                    }
-                    loss_count += pass.losses.len();
-                    correct += pass.correct;
+                    add_grads(
+                        &mut lstm_grads,
+                        &mut head_grads,
+                        &pass.lstm_grads,
+                        &pass.head_grads,
+                    );
+                    tally.add(&pass.losses, pass.correct);
                 }
-
-                // Average, clip and apply one optimizer step per batch.
-                {
-                    let mut bufs: Vec<&mut [f32]> = Vec::new();
-                    for g in layer_grads.iter_mut() {
-                        bufs.push(g.wx.as_mut_slice());
-                        bufs.push(g.wh.as_mut_slice());
-                        bufs.push(&mut g.b);
-                    }
-                    bufs.push(head_grads.w.as_mut_slice());
-                    bufs.push(&mut head_grads.b);
-                    if batch.len() > 1 {
-                        let inv = 1.0 / batch.len() as f32;
-                        for buf in bufs.iter_mut() {
-                            for v in buf.iter_mut() {
-                                *v *= inv;
-                            }
-                        }
-                    }
-                    clip_global_norm(&mut bufs, self.config.clip_norm);
-                }
-                for (i, g) in layer_grads.iter().enumerate() {
-                    opt_wx[i].step(self.layers[i].wx.as_mut_slice(), g.wx.as_slice());
-                    opt_wh[i].step(self.layers[i].wh.as_mut_slice(), g.wh.as_slice());
-                    opt_b[i].step(&mut self.layers[i].b, &g.b);
-                }
-                opt_hw.step(self.head.w.as_mut_slice(), head_grads.w.as_slice());
-                opt_hb.step(&mut self.head.b, &head_grads.b);
+                self.apply_step(&mut opts, &mut lstm_grads, &mut head_grads, batch.len());
             }
-            last = EpochStats {
-                mean_loss: if loss_count > 0 {
-                    (loss_sum / loss_count as f64) as f32
-                } else {
-                    0.0
-                },
-                accuracy: if loss_count > 0 {
-                    correct as f64 / loss_count as f64
-                } else {
-                    0.0
-                },
-            };
+            last = tally.stats();
             self.history.push(last);
         }
         last
@@ -818,12 +634,13 @@ impl SequenceClassifier {
             .unwrap_or_default()
     }
 
-    /// Fully scalar per-sequence inference: walks [`LstmLayer::forward_naive`]
-    /// — per-gate horizontal dot products, no fused GEMM, no batching —
-    /// through the stack. This is the serving benchmark's "f32-scalar"
-    /// baseline (the per-label cost before any of the batching/tiling/SIMD
-    /// work), and the inference oracle: [`SequenceClassifier::predict_proba`]
-    /// and [`SequenceClassifier::predict_proba_batch`] must agree with it
+    /// Fully scalar per-sequence inference: runs [`LstmLayer::forward_naive`]
+    /// — per-gate horizontal dot products, no fused GEMM, no batching — and
+    /// the head one row at a time. This is the serving benchmark's
+    /// "f32-scalar" baseline (the per-label cost before any of the
+    /// batching/tiling/SIMD work), and the inference oracle:
+    /// [`SequenceClassifier::predict_proba`] and
+    /// [`SequenceClassifier::predict_proba_batch`] must agree with it
     /// bitwise, because the fused paths preserve per-element summation
     /// order (property-tested).
     pub fn predict_proba_naive(&self, features: &[Vec<f32>]) -> Vec<Vec<f32>> {
@@ -835,13 +652,13 @@ impl SequenceClassifier {
             self.config.input_size,
             "feature width mismatch"
         );
-        let mut cur = Self::features_to_matrix(features);
-        for layer in &self.layers {
-            cur = layer.forward_naive(&cur).h;
-        }
-        let mut probs = Vec::with_capacity(cur.rows());
-        for t in 0..cur.rows() {
-            let logits = self.head.forward_one(cur.row(t));
+        let h = self
+            .lstm
+            .forward_naive(&Self::features_to_matrix(features))
+            .h;
+        let mut probs = Vec::with_capacity(h.rows());
+        for t in 0..h.rows() {
+            let logits = self.head.forward_one(h.row(t));
             probs.push(crate::activation::softmax(&logits));
         }
         probs
@@ -890,17 +707,10 @@ impl SequenceClassifier {
     /// A fresh (all-zero) carry state for one streamed sequence — the state
     /// every sequence implicitly starts from in the batch paths.
     pub fn stream_state(&self) -> StreamState {
+        let h_size = self.lstm.hidden_size();
         StreamState {
-            h: self
-                .layers
-                .iter()
-                .map(|l| vec![0.0; l.hidden_size()])
-                .collect(),
-            c: self
-                .layers
-                .iter()
-                .map(|l| vec![0.0; l.hidden_size()])
-                .collect(),
+            h: vec![0.0; h_size],
+            c: vec![0.0; h_size],
         }
     }
 
@@ -938,17 +748,18 @@ impl SequenceClassifier {
     /// [`SequenceClassifier::predict_proba_batch`] (`states: None`: every
     /// sequence starts from zero state) and
     /// [`SequenceClassifier::predict_proba_stream_chunks`] (`Some`: one
-    /// `(h, c)` carry per sequence, copied in before and out after each
-    /// layer's recurrence). Buckets sequences by exact length (a
-    /// `BTreeMap`, so bucket order is deterministic), packs each bucket
-    /// batch-major, runs the LSTM stack and the head over it and returns
-    /// each sequence's softmax rows in input order. Empty sequences yield
-    /// empty outputs and leave their carry untouched.
+    /// `(h, c)` carry per sequence, copied in before and out after the
+    /// recurrence). Buckets sequences by exact length (a `BTreeMap`, so
+    /// bucket order is deterministic), packs each bucket batch-major, runs
+    /// the LSTM and the head over it and returns each sequence's softmax
+    /// rows in input order. Empty sequences yield empty outputs and leave
+    /// their carry untouched.
     fn packed_predict_proba(
         &self,
         seqs: &[&[Vec<f32>]],
         mut states: Option<&mut [StreamState]>,
     ) -> Vec<Vec<Vec<f32>>> {
+        let h_size = self.lstm.hidden_size();
         let mut results: Vec<Vec<Vec<f32>>> = vec![Vec::new(); seqs.len()];
         let mut buckets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, seq) in seqs.iter().enumerate() {
@@ -961,15 +772,11 @@ impl SequenceClassifier {
                 "feature width mismatch"
             );
             if let Some(states) = &states {
-                assert_eq!(
-                    states[i].h.len(),
-                    self.layers.len(),
-                    "carry state layer count mismatch"
-                );
+                assert_eq!(states[i].h.len(), h_size, "carry state width mismatch");
             }
             buckets.entry(seq.len()).or_default().push(i);
         }
-        let mut bws = BatchWorkspace::new(self.layers.len());
+        let mut bws = BatchWorkspace::new();
         let mut h0 = Matrix::zeros(1, 1);
         let mut c0 = Matrix::zeros(1, 1);
         for (&t_len, idxs) in &buckets {
@@ -980,36 +787,32 @@ impl SequenceClassifier {
                     bws.xs.set_row(t * b_n + bi, row);
                 }
             }
-            for (li, layer) in self.layers.iter().enumerate() {
-                let (done, rest) = bws.caches.split_at_mut(li);
-                let input = if li == 0 { &bws.xs } else { &done[li - 1].h };
-                match states.as_deref_mut() {
-                    None => layer.forward_batch_into(input, b_n, &mut rest[0], &mut bws.scratch),
-                    Some(states) => {
-                        let h_size = layer.hidden_size();
-                        h0.resize_zeroed(b_n, h_size);
-                        c0.resize_zeroed(b_n, h_size);
-                        for (bi, &i) in idxs.iter().enumerate() {
-                            assert_eq!(states[i].h[li].len(), h_size, "carry state width mismatch");
-                            h0.row_mut(bi).copy_from_slice(&states[i].h[li]);
-                            c0.row_mut(bi).copy_from_slice(&states[i].c[li]);
-                        }
-                        layer.forward_batch_stateful_into(
-                            input,
-                            b_n,
-                            Some((&mut h0, &mut c0)),
-                            &mut rest[0],
-                            &mut bws.scratch,
-                        );
-                        for (bi, &i) in idxs.iter().enumerate() {
-                            states[i].h[li].copy_from_slice(h0.row(bi));
-                            states[i].c[li].copy_from_slice(c0.row(bi));
-                        }
+            match states.as_deref_mut() {
+                None => {
+                    self.lstm
+                        .forward_batch_into(&bws.xs, b_n, &mut bws.cache, &mut bws.scratch)
+                }
+                Some(states) => {
+                    h0.resize_zeroed(b_n, h_size);
+                    c0.resize_zeroed(b_n, h_size);
+                    for (bi, &i) in idxs.iter().enumerate() {
+                        h0.row_mut(bi).copy_from_slice(&states[i].h);
+                        c0.row_mut(bi).copy_from_slice(&states[i].c);
+                    }
+                    self.lstm.forward_batch_stateful_into(
+                        &bws.xs,
+                        b_n,
+                        Some((&mut h0, &mut c0)),
+                        &mut bws.cache,
+                        &mut bws.scratch,
+                    );
+                    for (bi, &i) in idxs.iter().enumerate() {
+                        states[i].h.copy_from_slice(h0.row(bi));
+                        states[i].c.copy_from_slice(c0.row(bi));
                     }
                 }
             }
-            self.head
-                .forward_into(&bws.caches[self.layers.len() - 1].h, &mut bws.logits);
+            self.head.forward_into(&bws.cache.h, &mut bws.logits);
             for (bi, &i) in idxs.iter().enumerate() {
                 results[i] = (0..t_len)
                     .map(|t| crate::activation::softmax(bws.logits.row(t * b_n + bi)))
@@ -1033,38 +836,66 @@ impl SequenceClassifier {
             .map(|probs| probs.iter().map(|p| argmax(p)).collect())
             .collect()
     }
-
-    /// Single-stream convenience for
-    /// [`SequenceClassifier::predict_proba_stream_chunks`].
-    pub fn predict_proba_stream_chunk(
-        &self,
-        chunk: &[Vec<f32>],
-        state: &mut StreamState,
-    ) -> Vec<Vec<f32>> {
-        self.predict_proba_stream_chunks(&[chunk], std::slice::from_mut(state))
-            .pop()
-            .expect("one result per stream")
-    }
 }
 
-/// Per-stream `(h, c)` carry for chunked stateful inference: one hidden and
-/// one cell vector per stacked LSTM layer. Obtained from
+/// Per-stream `(h, c)` carry for chunked stateful inference: the LSTM's
+/// hidden and cell vectors. Obtained from
 /// [`SequenceClassifier::stream_state`]; passing it back to the streaming
 /// predict calls advances it in place. A fresh state is all zeros — exactly
 /// where the batch paths start every sequence — so chunked and whole-sequence
 /// inference agree bitwise from the first timestep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamState {
-    h: Vec<Vec<f32>>,
-    c: Vec<Vec<f32>>,
+    h: Vec<f32>,
+    c: Vec<f32>,
 }
 
-impl StreamState {
-    /// Resets the carry to the all-zero start-of-sequence state, reusing the
-    /// allocations.
-    pub fn reset(&mut self) {
-        for v in self.h.iter_mut().chain(self.c.iter_mut()) {
-            v.iter_mut().for_each(|x| *x = 0.0);
+/// Adds one example's gradients onto a batch's running sums.
+fn add_grads(
+    acc_lstm: &mut LstmGrads,
+    acc_head: &mut DenseGrads,
+    lstm: &LstmGrads,
+    head: &DenseGrads,
+) {
+    acc_lstm.wx.add_assign(&lstm.wx);
+    acc_lstm.wh.add_assign(&lstm.wh);
+    for (a, &b) in acc_lstm.b.iter_mut().zip(&lstm.b) {
+        *a += b;
+    }
+    acc_head.w.add_assign(&head.w);
+    for (a, &b) in acc_head.b.iter_mut().zip(&head.b) {
+        *a += b;
+    }
+}
+
+/// One epoch's running loss and accuracy counts over its unmasked
+/// timesteps, summed in batch order.
+#[derive(Default)]
+struct EpochTally {
+    loss_sum: f64,
+    loss_count: usize,
+    correct: usize,
+}
+
+impl EpochTally {
+    fn add(&mut self, losses: &[f32], correct: usize) {
+        for &l in losses {
+            self.loss_sum += l as f64;
+        }
+        self.loss_count += losses.len();
+        self.correct += correct;
+    }
+
+    fn stats(&self) -> EpochStats {
+        if self.loss_count == 0 {
+            return EpochStats {
+                mean_loss: 0.0,
+                accuracy: 0.0,
+            };
+        }
+        EpochStats {
+            mean_loss: (self.loss_sum / self.loss_count as f64) as f32,
+            accuracy: self.correct as f64 / self.loss_count as f64,
         }
     }
 }
@@ -1081,6 +912,8 @@ fn extract_example_rows(packed: &Matrix, batch: usize, bi: usize, out: &mut Matr
 
 #[cfg(test)]
 mod tests {
+    use std::slice;
+
     use super::*;
 
     /// Synthetic task: class = quadrant of the (noisy) 2-d input.
@@ -1227,11 +1060,17 @@ mod tests {
                 "history differs (batch {})",
                 batch_size
             );
-            for (a, b) in one.layers.iter().zip(&eight.layers) {
-                assert_eq!(a.wx, b.wx, "wx differs (batch {})", batch_size);
-                assert_eq!(a.wh, b.wh, "wh differs (batch {})", batch_size);
-                assert_eq!(a.b, b.b, "b differs (batch {})", batch_size);
-            }
+            assert_eq!(
+                one.lstm.wx, eight.lstm.wx,
+                "wx differs (batch {})",
+                batch_size
+            );
+            assert_eq!(
+                one.lstm.wh, eight.lstm.wh,
+                "wh differs (batch {})",
+                batch_size
+            );
+            assert_eq!(one.lstm.b, eight.lstm.b, "b differs (batch {})", batch_size);
             assert_eq!(
                 one.head.w, eight.head.w,
                 "head differs (batch {})",
@@ -1271,11 +1110,10 @@ mod tests {
                     (a, b)
                 });
                 testkit::prop::holds(pooled.history() == reference.history(), "history differs")?;
-                for (a, b) in pooled.layers.iter().zip(&reference.layers) {
-                    testkit::prop::holds(a.wx == b.wx, "wx differs")?;
-                    testkit::prop::holds(a.wh == b.wh, "wh differs")?;
-                    testkit::prop::holds(a.b == b.b, "b differs")?;
-                }
+                let (a, b) = (&pooled.lstm, &reference.lstm);
+                testkit::prop::holds(a.wx == b.wx, "wx differs")?;
+                testkit::prop::holds(a.wh == b.wh, "wh differs")?;
+                testkit::prop::holds(a.b == b.b, "b differs")?;
                 testkit::prop::holds(pooled.head.w == reference.head.w, "head w differs")?;
                 testkit::prop::holds(pooled.head.b == reference.head.b, "head b differs")
             },
@@ -1344,9 +1182,7 @@ mod tests {
     #[test]
     fn stream_chunked_inference_matches_whole_sequence_bitwise() {
         use rand::Rng;
-        // Two stacked layers so the carry covers the multi-layer path.
         let mut cfg = SeqClassifierConfig::new(2, 12, 4);
-        cfg.hidden_sizes = vec![12, 8];
         cfg.epochs = 2;
         cfg.seed = 0x57_ea;
         let data = quadrant_dataset(8, 6, 41);
@@ -1370,13 +1206,17 @@ mod tests {
                     if rng.gen_bool(0.2) {
                         // Interleave empty chunks: no output, carry untouched.
                         let before = state.clone();
-                        let out = clf.predict_proba_stream_chunk(&[], &mut state);
-                        testkit::prop::holds(out.is_empty(), "empty chunk must be empty")?;
+                        let out =
+                            clf.predict_proba_stream_chunks(&[&[]], slice::from_mut(&mut state));
+                        testkit::prop::holds(out[0].is_empty(), "empty chunk must be empty")?;
                         testkit::prop::holds(state == before, "empty chunk moved the carry")?;
                     }
                     let take = rng.gen_range(1..=4usize).min(t_len - at);
-                    streamed
-                        .extend(clf.predict_proba_stream_chunk(&seq[at..at + take], &mut state));
+                    let chunk = &seq[at..at + take];
+                    streamed.extend(
+                        clf.predict_proba_stream_chunks(&[chunk], slice::from_mut(&mut state))
+                            .remove(0),
+                    );
                     at += take;
                 }
                 testkit::prop::holds(
@@ -1384,8 +1224,8 @@ mod tests {
                     format!("chunked stream diverged from whole sequence (seed {seed:#x})"),
                 )?;
                 // The label path must be the argmax of the proba path.
-                state.reset();
-                let labels = clf.predict_stream_chunks(&[&seq], std::slice::from_mut(&mut state));
+                let mut state = clf.stream_state();
+                let labels = clf.predict_stream_chunks(&[&seq], slice::from_mut(&mut state));
                 testkit::prop::holds(
                     labels[0] == clf.predict(&seq),
                     "streamed labels diverged from batch labels",
@@ -1443,7 +1283,10 @@ mod tests {
             let mut at = 0usize;
             while at < seq.len() {
                 let end = (at + chunk_sizes[i]).min(seq.len());
-                solo.extend(clf.predict_proba_stream_chunk(&seq[at..end], &mut state));
+                solo.extend(
+                    clf.predict_proba_stream_chunks(&[&seq[at..end]], slice::from_mut(&mut state))
+                        .remove(0),
+                );
                 at = end;
             }
             assert_eq!(
@@ -1479,11 +1322,9 @@ mod tests {
         let one = run(1);
         let eight = run(8);
         assert_eq!(one.history(), eight.history());
-        for (a, b) in one.layers.iter().zip(&eight.layers) {
-            assert_eq!(a.wx, b.wx);
-            assert_eq!(a.wh, b.wh);
-            assert_eq!(a.b, b.b);
-        }
+        assert_eq!(one.lstm.wx, eight.lstm.wx);
+        assert_eq!(one.lstm.wh, eight.lstm.wh);
+        assert_eq!(one.lstm.b, eight.lstm.b);
         assert_eq!(one.head.w, eight.head.w);
         assert_eq!(one.head.b, eight.head.b);
     }

@@ -28,8 +28,8 @@ use crate::matrix::Matrix;
 pub struct Workspace {
     /// Temporaries for [`crate::lstm::LstmLayer::param_grads_into`].
     pub(crate) scratch: LstmScratch,
-    /// Per-layer parameter gradients (outputs of the pass).
-    pub(crate) layer_grads: Vec<LstmGrads>,
+    /// LSTM parameter gradients (output of the pass).
+    pub(crate) lstm_grads: LstmGrads,
     /// Head parameter gradients (output of the pass).
     pub(crate) head_grads: DenseGrads,
     /// Softmax probability scratch for one timestep.
@@ -41,22 +41,16 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// A cold workspace for a stack of `layer_count` LSTM layers; every
-    /// buffer grows on first use and is then reused.
-    pub fn new(layer_count: usize) -> Self {
+    /// A cold workspace; every buffer grows on first use and is then reused.
+    pub(crate) fn new() -> Self {
         Workspace {
             scratch: LstmScratch::new(),
-            layer_grads: (0..layer_count).map(|_| LstmGrads::empty()).collect(),
+            lstm_grads: LstmGrads::empty(),
             head_grads: DenseGrads::empty(),
             probs: Vec::new(),
             losses: Vec::new(),
             correct: 0,
         }
-    }
-
-    /// Number of LSTM layers this workspace is shaped for.
-    pub fn layer_count(&self) -> usize {
-        self.layer_grads.len()
     }
 }
 
@@ -66,38 +60,25 @@ impl Workspace {
 /// no pass allocates. `acquire`/`release` take a mutex, but the critical
 /// section is a `Vec` pop/push — nanoseconds against the milliseconds of a
 /// BPTT pass.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: Mutex<Vec<Workspace>>,
-    layer_count: usize,
 }
 
 impl WorkspacePool {
-    /// An empty pool for classifiers with `layer_count` LSTM layers.
-    pub fn new(layer_count: usize) -> Self {
-        WorkspacePool {
-            free: Mutex::new(Vec::new()),
-            layer_count,
-        }
+    /// An empty pool.
+    pub fn new() -> Self {
+        WorkspacePool::default()
     }
 
     /// Pops a warm workspace, or builds a cold one when the pool is empty.
     pub fn acquire(&self) -> Workspace {
         let ws = self.free.lock().expect("workspace pool poisoned").pop();
-        ws.unwrap_or_else(|| Workspace::new(self.layer_count))
+        ws.unwrap_or_else(Workspace::new)
     }
 
     /// Returns a workspace to the free list for reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace was shaped for a different layer count.
     pub fn release(&self, ws: Workspace) {
-        assert_eq!(
-            ws.layer_count(),
-            self.layer_count,
-            "workspace layer count mismatch"
-        );
         self.free.lock().expect("workspace pool poisoned").push(ws);
     }
 
@@ -116,67 +97,55 @@ impl WorkspacePool {
 pub struct BatchWorkspace {
     /// Packed input features, (T*B) x I.
     pub(crate) xs: Matrix,
-    /// Per-layer packed forward caches.
-    pub(crate) caches: Vec<LstmCache>,
-    /// Shared temporaries for the batched LSTM kernels.
+    /// Packed LSTM forward cache.
+    pub(crate) cache: LstmCache,
+    /// Temporaries for the batched LSTM kernels.
     pub(crate) scratch: LstmScratch,
     /// Packed head logits, (T*B) x classes.
     pub(crate) logits: Matrix,
     /// Packed loss gradient on the logits, (T*B) x classes.
     pub(crate) dlogits: Matrix,
-    /// Packed upstream hidden-state gradient walking down the stack.
+    /// Packed hidden-state gradient from the head, (T*B) x H.
     pub(crate) dh: Matrix,
-    /// Packed input gradient produced by the current layer.
-    pub(crate) dx: Matrix,
-    /// Packed gate deltas of the current layer, (T*B) x 4H.
+    /// Packed LSTM gate deltas, (T*B) x 4H.
     pub(crate) da_packed: Matrix,
     /// Per-example extraction buffers (reused serially across the bucket):
-    /// gate deltas (T x 4H), layer inputs (T x I) and hidden states (T x H)
-    /// of the example whose parameter gradients are being accumulated.
+    /// gate deltas (T x 4H), inputs (T x I) and hidden states (T x H) of
+    /// the example whose parameter gradients are being accumulated.
     pub(crate) da_ex: Matrix,
     pub(crate) x_ex: Matrix,
     pub(crate) h_ex: Matrix,
 }
 
 impl BatchWorkspace {
-    /// A cold batch workspace for a stack of `layer_count` LSTM layers.
-    pub fn new(layer_count: usize) -> Self {
+    /// A cold batch workspace; every buffer grows on first use.
+    pub(crate) fn new() -> Self {
         BatchWorkspace {
             xs: Matrix::zeros(1, 1),
-            caches: (0..layer_count).map(|_| LstmCache::empty()).collect(),
+            cache: LstmCache::empty(),
             scratch: LstmScratch::new(),
             logits: Matrix::zeros(1, 1),
             dlogits: Matrix::zeros(1, 1),
             dh: Matrix::zeros(1, 1),
-            dx: Matrix::zeros(1, 1),
             da_packed: Matrix::zeros(1, 1),
             da_ex: Matrix::zeros(1, 1),
             x_ex: Matrix::zeros(1, 1),
             h_ex: Matrix::zeros(1, 1),
         }
     }
-
-    /// Number of LSTM layers this workspace is shaped for.
-    pub fn layer_count(&self) -> usize {
-        self.caches.len()
-    }
 }
 
 /// A free list of [`BatchWorkspace`]s shared by the bucket workers, same
 /// recycling discipline as [`WorkspacePool`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchWorkspacePool {
     free: Mutex<Vec<BatchWorkspace>>,
-    layer_count: usize,
 }
 
 impl BatchWorkspacePool {
-    /// An empty pool for classifiers with `layer_count` LSTM layers.
-    pub fn new(layer_count: usize) -> Self {
-        BatchWorkspacePool {
-            free: Mutex::new(Vec::new()),
-            layer_count,
-        }
+    /// An empty pool.
+    pub fn new() -> Self {
+        BatchWorkspacePool::default()
     }
 
     /// Pops a warm batch workspace, or builds a cold one when the pool is
@@ -187,20 +156,11 @@ impl BatchWorkspacePool {
             .lock()
             .expect("batch workspace pool poisoned")
             .pop();
-        ws.unwrap_or_else(|| BatchWorkspace::new(self.layer_count))
+        ws.unwrap_or_else(BatchWorkspace::new)
     }
 
     /// Returns a batch workspace to the free list for reuse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace was shaped for a different layer count.
     pub fn release(&self, ws: BatchWorkspace) {
-        assert_eq!(
-            ws.layer_count(),
-            self.layer_count,
-            "batch workspace layer count mismatch"
-        );
         self.free
             .lock()
             .expect("batch workspace pool poisoned")
@@ -222,10 +182,9 @@ mod tests {
 
     #[test]
     fn batch_pool_recycles_workspaces() {
-        let pool = BatchWorkspacePool::new(1);
+        let pool = BatchWorkspacePool::new();
         assert_eq!(pool.idle(), 0);
         let a = pool.acquire();
-        assert_eq!(a.layer_count(), 1);
         pool.release(a);
         assert_eq!(pool.idle(), 1);
         let _b = pool.acquire();
@@ -234,22 +193,14 @@ mod tests {
 
     #[test]
     fn pool_recycles_workspaces() {
-        let pool = WorkspacePool::new(2);
+        let pool = WorkspacePool::new();
         assert_eq!(pool.idle(), 0);
         let a = pool.acquire();
         let b = pool.acquire();
-        assert_eq!(a.layer_count(), 2);
         pool.release(a);
         pool.release(b);
         assert_eq!(pool.idle(), 2);
         let _c = pool.acquire();
         assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "layer count mismatch")]
-    fn pool_rejects_foreign_workspace() {
-        let pool = WorkspacePool::new(2);
-        pool.release(Workspace::new(3));
     }
 }
