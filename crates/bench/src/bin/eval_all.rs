@@ -199,9 +199,8 @@ fn defense(moscons: &Moscons, scale: Scale) {
 /// baseline; `FaultPlan::uniform` splits each rate across the individual
 /// fault knobs. The low end is realistic deployment noise; the high end is
 /// deliberately brutal so the decay shape is visible above seed noise. At
-/// every rate the spy retries failed launches with bounded backoff, and the
-/// gap splitter's bridge (`GapConfig::nop_bridge`) stays off, as in every
-/// bin.
+/// every rate the spy retries failed launches with bounded backoff; the gap
+/// splitter has no repair for missed polls.
 const RATES: [f64; 5] = [0.0, 0.1, 0.25, 0.5, 0.8];
 
 /// Attack-collection seeds averaged per rate (one fault plan, several victim
@@ -310,8 +309,7 @@ fn format_acc(acc: Option<f64>) -> String {
 /// failed spy launches and watchdog preemption bursts. The attack is expected
 /// to degrade *gracefully* — accuracy decays monotonically with the fault
 /// rate instead of falling off a cliff. The spy retries failed launches with
-/// bounded backoff; the gap splitter's bridge for missed polls is opt-in and
-/// off here.
+/// bounded backoff; the gap splitter has no repair for missed polls.
 /// (Mild plans can even score above the clean baseline: their preemption
 /// bursts slow the victim down, which is the paper's §IV attack by accident.)
 fn fault_sweep(moscons: &Moscons, zoo_moscons: &Moscons, scale: Scale) {

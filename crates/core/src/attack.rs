@@ -379,14 +379,7 @@ impl Moscons {
         let preds_long = self.m_long.classifier().predict_batch(&refs);
         let preds_op = self.m_op.classifier().predict_batch(&refs);
 
-        // Hyper-parameters on the base iteration's rows.
-        let base = &prepared[0];
-        let hp_preds: Vec<Vec<usize>> =
-            ml::par::par_map_if_work(base.len(), MIN_PARALLEL_EXTRACT_ROWS, &self.hp, |_, h| {
-                h.classifier().predict(base)
-            });
-
-        self.assemble_extraction(iterations, &preds_long, &preds_op, &hp_preds)
+        self.assemble_extraction(iterations, &preds_long, &preds_op, &prepared[0])
     }
 
     /// The empty-stream extraction (`Mgap` found no valid iterations).
@@ -403,20 +396,22 @@ impl Moscons {
         }
     }
 
-    /// Assembles the final [`Extraction`] from already-computed per-iteration
-    /// labels: voting fusion, OpSeq collapse/parse, hyper-parameter
+    /// Assembles the final [`Extraction`] from the voting group's op labels
+    /// and the base iteration's prepared rows: the five `Mhp` heads over
+    /// those rows, voting fusion, OpSeq collapse/parse, hyper-parameter
     /// attachment, optimizer vote and syntax correction.
     ///
-    /// This is the pure back half of [`Moscons::extract`] —
-    /// it looks only at labels and lengths, never at features — shared
-    /// verbatim with the streaming engine ([`crate::stream::AttackStream`]),
-    /// which is what reduces the streaming-vs-batch golden proof to label
-    /// equality.
+    /// This is the back half of [`Moscons::extract`], shared verbatim with
+    /// the streaming engine ([`crate::stream::AttackStream`]). It reads
+    /// `Mlong`/`Mop` labels and the base iteration's rows, nothing else, so
+    /// the streaming-vs-batch golden proof reduces to equal labels and
+    /// equal base rows.
     ///
     /// `iterations` are the valid iteration ranges, `preds_long`/`preds_op`
     /// the per-iteration label sequences of the first
-    /// `voting_iterations.min(len)` of them, and `hp_preds` the five `Mhp`
-    /// head outputs over the base (first) iteration.
+    /// `voting_iterations.min(len)` of them, and `base_rows` the prepared
+    /// rows (scaled, with lookahead) of the base (first) iteration, one per
+    /// sample.
     ///
     /// # Panics
     ///
@@ -427,18 +422,24 @@ impl Moscons {
         iterations: Vec<std::ops::Range<usize>>,
         preds_long: &[Vec<usize>],
         preds_op: &[Vec<usize>],
-        hp_preds: &[Vec<usize>],
+        base_rows: &[Vec<f32>],
     ) -> Extraction {
         if iterations.is_empty() {
             return Self::empty_extraction(iterations);
         }
         let base_len = iterations[0].len();
         assert_eq!(preds_long.len(), preds_op.len(), "one group per model");
-        assert_eq!(hp_preds.len(), self.hp.len(), "one stream per Mhp head");
-        assert!(
-            hp_preds.iter().all(|p| p.len() == base_len),
-            "Mhp labels must cover the base iteration"
+        debug_assert_eq!(base_rows.len(), base_len, "one row per base sample");
+
+        // The five `Mhp` heads over the base iteration's rows, one output
+        // per head in `HpKind::ALL` order; `hp` decodes one head's label.
+        let hp_preds: Vec<Vec<usize>> = ml::par::par_map_if_work(
+            base_rows.len(),
+            MIN_PARALLEL_EXTRACT_ROWS,
+            &self.hp,
+            |_, h| h.classifier().predict(base_rows),
         );
+        let hp = |kind: HpKind, pos: usize| kind.decode(hp_preds[kind.index()][pos]);
 
         // Voting on the base timeline.
         let fused_long: Vec<LongClass> = self
@@ -490,12 +491,12 @@ impl Moscons {
             let pos = layer.last_sample.min(base_len.saturating_sub(1));
             match layer.kind {
                 RecoveredKind::Conv | RecoveredKind::Separable => {
-                    layer.filters = Some(HpKind::Filters.decode(hp_preds[0][pos]));
-                    layer.filter_size = Some(HpKind::FilterSize.decode(hp_preds[1][pos]));
-                    layer.stride = Some(HpKind::Stride.decode(hp_preds[3][pos]));
+                    layer.filters = Some(hp(HpKind::Filters, pos));
+                    layer.filter_size = Some(hp(HpKind::FilterSize, pos));
+                    layer.stride = Some(hp(HpKind::Stride, pos));
                 }
                 RecoveredKind::Dense | RecoveredKind::Attention => {
-                    layer.units = Some(HpKind::Neurons.decode(hp_preds[2][pos]));
+                    layer.units = Some(hp(HpKind::Neurons, pos));
                 }
                 RecoveredKind::Pool => {}
             }
@@ -519,7 +520,7 @@ impl Moscons {
             };
             let mut counts = [0usize; 3];
             for &p in &positions {
-                counts[hp_preds[4][p].min(2)] += 1;
+                counts[hp(HpKind::Optimizer, p).min(2)] += 1;
             }
             // Last maximum wins, matching Iterator::max_by_key's tie rule,
             // without an Option to unwrap on the serving path.

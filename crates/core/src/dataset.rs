@@ -96,13 +96,9 @@ impl LabeledTrace {
     /// Splits the trace into iterations using the **ground-truth** NOP
     /// labels (available to the adversary in the profiling phase; the attack
     /// phase uses `Mgap` instead). An iteration boundary is a run of at
-    /// least `th_gap` consecutive NOP samples; no busy run is bridged.
+    /// least `th_gap` consecutive NOP samples.
     pub fn split_iterations_ground_truth(&self, th_gap: usize) -> Vec<std::ops::Range<usize>> {
-        SegmentSplitter::segments(
-            self.samples.iter().map(|s| s.class == OpClass::Nop),
-            th_gap,
-            0,
-        )
+        SegmentSplitter::segments(self.samples.iter().map(|s| s.class == OpClass::Nop), th_gap)
     }
 
     /// The op models' input rows for the samples in `range`: each sample

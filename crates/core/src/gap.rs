@@ -22,13 +22,6 @@ pub struct GapConfig {
     pub r_min: f64,
     /// Maximum iteration length as a ratio of the median.
     pub r_max: f64,
-    /// Missing-sample tolerance: BUSY runs of at most this many samples that
-    /// are flanked by NOPs are bridged before gap splitting (see
-    /// [`SegmentSplitter`]), so a missed CUPTI poll does not glue two
-    /// iterations together. `0` (the default, and the paper's implicit
-    /// setting) disables bridging. Bridging is opt-in: no bench bin turns it
-    /// on, and only `tests/streaming.rs` runs with it.
-    pub nop_bridge: usize,
 }
 
 impl Default for GapConfig {
@@ -37,7 +30,6 @@ impl Default for GapConfig {
             th_gap: 6,
             r_min: 0.8,
             r_max: 1.2,
-            nop_bridge: 0,
         }
     }
 }
@@ -180,11 +172,7 @@ impl GapModel {
 
     /// [`GapModel::split_iterations`] over rows the caller already scaled.
     pub(crate) fn split_scaled(&self, scaled: &[Vec<f32>]) -> Vec<std::ops::Range<usize>> {
-        let segments = SegmentSplitter::segments(
-            self.nop_flags(scaled),
-            self.config.th_gap,
-            self.config.nop_bridge,
-        );
+        let segments = SegmentSplitter::segments(self.nop_flags(scaled), self.config.th_gap);
         filter_valid_iterations(segments, self.config.r_min, self.config.r_max)
     }
 
@@ -288,6 +276,5 @@ mod tests {
         assert_eq!(c.th_gap, 6);
         assert_eq!(c.r_min, 0.8);
         assert_eq!(c.r_max, 1.2);
-        assert_eq!(c.nop_bridge, 0, "bridging is opt-in: clean path unchanged");
     }
 }

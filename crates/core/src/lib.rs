@@ -21,8 +21,8 @@
 //! * [`syntax`] — DNN-syntax correction (§IV-D);
 //! * [`attack`] — the end-to-end [`attack::Moscons`] orchestration;
 //! * [`stream`] — the streaming attack engine: incremental gap splitting +
-//!   stateful LSTM inference, labels with bounded latency, and a final
-//!   extraction bitwise equal to the batch attack;
+//!   stateful `Mlong`/`Mop` inference, labels with bounded latency, and a
+//!   final extraction bitwise equal to the batch attack;
 //! * [`fleet`] — the sharded orchestrator multiplexing N concurrent spy
 //!   sessions over the worker pool with bounded queues and back-pressure;
 //! * [`report`] — `AccuracyL` / `AccuracyHP` / per-class scoring.

@@ -49,7 +49,7 @@ fn classes() -> Gen<Vec<OpClass>> {
 fn split_segments_are_sorted_disjoint_and_busy_bounded() {
     let cases = zip2(vec_of(bool_with(0.5), 0, 299), usize_in(1, 7));
     check("split_segments", &cases, |(nops, th)| {
-        let segs = SegmentSplitter::segments(nops.iter().copied(), *th, 0);
+        let segs = SegmentSplitter::segments(nops.iter().copied(), *th);
         let mut prev_end = 0usize;
         for s in &segs {
             holds(s.start >= prev_end, "segments overlap or unsorted")?;

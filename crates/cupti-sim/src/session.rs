@@ -178,10 +178,9 @@ impl CuptiSession {
     /// `plan`: each poll boundary is missed with `poll_miss_prob`, merging
     /// the window into its successor (the next host read covers both, so
     /// sample *timestamps* go missing while counter mass is conserved; the
-    /// gap splitter's opt-in bridge, `moscons::GapConfig::nop_bridge`, is
-    /// the tolerance for it). Deterministic in `plan.seed`; with
-    /// `poll_miss_prob == 0` this is `collect` exactly, with zero fault
-    /// draws.
+    /// gap splitter does not repair the merged windows). Deterministic in
+    /// `plan.seed`; with `poll_miss_prob == 0` this is `collect` exactly,
+    /// with zero fault draws.
     pub fn collect_faulted(
         &self,
         trace: &[CounterSlice],

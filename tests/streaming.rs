@@ -4,11 +4,12 @@
 //! [`moscons::AttackStream`] over a trace — at **any** chunk size, including
 //! one row at a time — reproduces the batch `Moscons::attack` extraction
 //! bit for bit, while emitting per-sample op labels with bounded latency.
-//! A `testkit` property extends the same claim to the incremental gap
-//! splitter over arbitrary chunkings, a fault-plan regression pins the
-//! NOP-bridge (isolated missing samples) at chunk boundaries, and the
-//! raw-row predicts of `Mlong`, `Mop` and `Mhp` must reproduce the streamed
-//! labels on every iteration.
+//! The stream runs `Mhp` once, on the first segment that survives the
+//! median-length filter, and a trace that starts mid-iteration pins that
+//! choice. A `testkit` property extends the claim to the incremental gap
+//! splitter over arbitrary chunkings, a fault-plan regression checks a
+//! faulted trace at chunk boundaries, and the raw-row predicts of `Mlong`
+//! and `Mop` must reproduce the streamed labels on every iteration.
 
 mod common;
 
@@ -84,9 +85,9 @@ fn streaming_drain_reproduces_batch_attack_bitwise() {
             "no labels streamed at chunk_rows={chunk_rows}"
         );
         // Bounded latency: a label can be held back by at most one
-        // unfilled classification chunk plus the splitter's lookback
-        // (gap run + bridge) plus the one-row scaling lookahead.
-        let bound = chunk_rows + gap_cfg.th_gap + gap_cfg.nop_bridge + 2;
+        // unfilled classification chunk plus the splitter's lookback (one
+        // gap run) plus the one-row scaling lookahead.
+        let bound = chunk_rows + gap_cfg.th_gap + 2;
         let worst = latencies.iter().copied().max().unwrap_or(0);
         assert!(
             worst <= bound,
@@ -96,19 +97,52 @@ fn streaming_drain_reproduces_batch_attack_bitwise() {
     // Meaningful comparison requires a non-degenerate batch run.
     assert!(!fx.batch.iterations.is_empty(), "no iterations recovered");
     assert!(!fx.batch.fused_classes.is_empty(), "no fused classes");
-    // The streams read each `Mhp` head by kind; every lookup must land on
-    // the head trained for that kind.
+    // The extraction reads each `Mhp` head by kind; every lookup must land
+    // on the head trained for that kind.
     for kind in HpKind::ALL {
         assert_eq!(fx.moscons.hp_model(kind).kind(), kind);
     }
 }
 
 #[test]
+fn stream_reads_mhp_from_the_first_valid_segment() {
+    // Starting halfway through `Mgap`'s first iteration leaves a fragment
+    // as the first closed segment, and the median-length filter drops it.
+    // The base of the voting group, whose rows `Mhp` reads, is then the
+    // second closed segment.
+    let fx = fixture();
+    let m = &fx.moscons;
+    let first = &fx.batch.iterations[0];
+    let rows = &fx.features[first.start + first.len() / 2..];
+    let batch = m.extract(rows).report();
+    assert!(!batch.iterations.is_empty(), "no iterations recovered");
+
+    let mut gap = GapStream::new(m.gap_model(), m.scaler());
+    let mut events = Vec::new();
+    for row in rows {
+        gap.push(row, &mut events);
+    }
+    gap.finish(&mut events);
+    let first_closed = events.iter().find_map(|e| match e {
+        SplitEvent::Close(r) => Some(r),
+        _ => None,
+    });
+    assert_ne!(
+        first_closed,
+        batch.iterations.first(),
+        "the first closed segment must fail the length filter"
+    );
+
+    let (report, _) = stream_report(m, rows, 7);
+    assert_eq!(report, batch, "streamed extraction diverged from batch");
+}
+
+#[test]
 fn raw_row_predicts_match_streamed_labels() {
-    // `LongOpModel::predict_batch`, `OtherOpModel::predict_batch` and
-    // `HpModel::predict` scale and prepare raw rows themselves; on every
-    // iteration `Mgap` splits out, they must give the labels the stream
-    // emitted for the same samples.
+    // `LongOpModel::predict_batch` and `OtherOpModel::predict_batch` scale
+    // and prepare raw rows themselves; on every iteration `Mgap` splits
+    // out, they must give the labels the stream emitted for the same
+    // samples.
     let fx = fixture();
     let m = &fx.moscons;
     let mut stream = AttackStream::new(m);
@@ -142,14 +176,6 @@ fn raw_row_predicts_match_streamed_labels() {
         assert_eq!(long[i], got_long, "Mlong on iteration {range:?}");
         let got_op: Vec<OtherClass> = labels.iter().map(|l| l.op).collect();
         assert_eq!(op[i], got_op, "Mop on iteration {range:?}");
-        for kind in HpKind::ALL {
-            let got_hp: Vec<usize> = labels.iter().map(|l| l.hp[kind.index()]).collect();
-            assert_eq!(
-                m.hp_model(kind).predict(rows[i], m.scaler()),
-                got_hp,
-                "Mhp {kind:?} on iteration {range:?}"
-            );
-        }
     }
 }
 
@@ -176,7 +202,7 @@ fn gap_stream_is_chunking_invariant() {
             )
         })
         .collect();
-    let batch_segments = SegmentSplitter::segments(is_nop, cfg.th_gap, cfg.nop_bridge);
+    let batch_segments = SegmentSplitter::segments(is_nop, cfg.th_gap);
 
     let run_chunked = |chunk_lens: &[usize]| -> Vec<SplitEvent> {
         let mut stream = GapStream::new(gap, scaler);
@@ -232,11 +258,11 @@ fn gap_stream_is_chunking_invariant() {
 }
 
 #[test]
-fn fault_bridge_streaming_matches_batch_at_chunk_boundaries() {
-    // Isolated missing samples (poll-miss faults) read as 1-sample NOP
-    // blips; `nop_bridge = 1` heals them in the batch splitter (PR 4). The
-    // incremental splitter must apply the identical bridge even when the
-    // blip, its flanks, or the bridged run straddle a chunk boundary.
+fn faulted_stream_matches_batch_at_chunk_boundaries() {
+    // Faults (missed polls, dropped and duplicated counter slices, failed
+    // launches, preemption bursts) put odd NOP and BUSY runs into the
+    // trace. The incremental splitter must cut them as the batch splitter
+    // does even when a run straddles a chunk boundary.
     let faults = FaultPlan::uniform(0.15, 7);
     let profiled: Vec<TrainingSession> = random_profiling_models(3, common::input(), 19)
         .into_iter()
@@ -249,7 +275,6 @@ fn fault_bridge_streaming_matches_batch_at_chunk_boundaries() {
     config.hp_lstm.epochs = 3;
     config.hp_lstm.hidden = 24;
     config.voting_iterations = 3;
-    config.gap.nop_bridge = 1;
     config.gpu = GpuConfig::gtx_1080_ti().with_faults(faults);
     let moscons = Moscons::profile(&profiled, config);
 
@@ -272,7 +297,7 @@ fn fault_bridge_streaming_matches_batch_at_chunk_boundaries() {
         let (report, _) = stream_report(&moscons, &features, chunk_rows);
         assert_eq!(
             report, batch,
-            "bridged faulted stream diverged from batch at chunk_rows={chunk_rows}"
+            "faulted stream diverged from batch at chunk_rows={chunk_rows}"
         );
     }
 }
