@@ -49,10 +49,7 @@ pub struct AttackConfig {
     pub syntax: SyntaxConfig,
     /// Simulated GPU.
     pub gpu: GpuConfig,
-    /// `Mop` label space (serde-defaulted to [`OpVocab::Classic`] so every
-    /// existing config — and cached trace key — keeps deserializing and the
-    /// classic pipeline stays bitwise-identical).
-    #[serde(default)]
+    /// `Mop` label space ([`OpVocab::Classic`] in [`AttackConfig::default`]).
     pub vocab: OpVocab,
 }
 

@@ -146,6 +146,11 @@ pub fn trace_key(
     h.write_serialize(collection);
     h.write_serialize(gpu_config);
     h.write_str(cupti_fingerprint);
+    // A value tree holds every number as an `f64`, which drops the low bits
+    // of a seed at or above 2^53; mix the seeds exactly as well.
+    h.write_u64(collection.seed);
+    h.write_u64(gpu_config.seed);
+    h.write_u64(gpu_config.faults.seed);
     h.finish()
 }
 
@@ -336,6 +341,23 @@ mod tests {
 
         let other_seed = collection.with_seed(collection.seed ^ 1);
         assert_ne!(base, trace_key(&session, &other_seed, &gpu, fp));
+
+        // Seeds above 2^53 that differ only below an f64's mantissa.
+        let (big, next) = (1u64 << 60, (1u64 << 60) + 1);
+        let key = |c: &CollectionConfig, g: &GpuConfig| trace_key(&session, c, g, fp);
+        let with_fault_seed = |seed| gpu.clone().with_faults(gpu.faults.with_seed(seed));
+        assert_ne!(
+            key(&collection.with_seed(big), &gpu),
+            key(&collection.with_seed(next), &gpu)
+        );
+        assert_ne!(
+            key(&collection, &gpu.clone().with_seed(big)),
+            key(&collection, &gpu.clone().with_seed(next))
+        );
+        assert_ne!(
+            key(&collection, &with_fault_seed(big)),
+            key(&collection, &with_fault_seed(next))
+        );
 
         let other_spy = CollectionConfig {
             spy_kernel: crate::spy::SpyKernelKind::MatMul,

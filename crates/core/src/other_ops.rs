@@ -18,12 +18,11 @@ use crate::long_ops::LstmTrainConfig;
 
 /// Which `Mop` label space an attacker trains and serves with.
 ///
-/// `Classic` is the paper's six-class alphabet and is the default: every
-/// existing config deserializes to it (`#[serde(default)]` at the config
-/// field) and its training/inference paths are bitwise-identical to the
-/// pre-zoo pipeline. `Zoo` appends the model-zoo classes (`Add`, `Softmax`,
-/// `LayerNorm`, `Depthwise`), growing the LSTM output layer — a different
-/// model, so a deliberate opt-in.
+/// `Classic` is the paper's six-class alphabet and is the default, and its
+/// training/inference paths are bitwise-identical to the pre-zoo pipeline.
+/// `Zoo` appends the model-zoo classes (`Add`, `Softmax`, `LayerNorm`,
+/// `Depthwise`), growing the LSTM output layer — a different model, so a
+/// deliberate opt-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum OpVocab {
     /// The paper's Table VII alphabet (6 `Mop` classes).

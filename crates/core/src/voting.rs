@@ -123,16 +123,6 @@ impl VotingModel {
         }
     }
 
-    /// Number of classes being fused.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Number of iterations the model was trained to fuse.
-    pub fn n_iterations(&self) -> usize {
-        self.n_iterations
-    }
-
     /// Fuses a group of prediction sequences into one corrected sequence on
     /// the first sequence's timeline. Extra iterations beyond the trained
     /// `n` are ignored; missing ones appear as all-zero inputs.

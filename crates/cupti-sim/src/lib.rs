@@ -33,12 +33,10 @@
 
 pub mod driver;
 pub mod events;
-pub mod metrics;
 pub mod session;
 pub mod stream;
 
 pub use driver::{DriverError, DriverVersion, VmInstance};
 pub use events::{counters_of, replay_factor, table_iv_groups, EventGroup, GROUP_REPLAY_OVERHEAD};
-pub use metrics::{derive, DerivedMetrics};
 pub use session::{session_fingerprint, CuptiSample, CuptiSession};
 pub use stream::CuptiStream;

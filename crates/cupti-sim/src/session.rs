@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::driver::{DriverError, VmInstance};
-use crate::events::{replay_factor, EventGroup};
+use crate::events::{counters_of, replay_factor, EventGroup};
 
 /// One aggregated counter sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -144,11 +144,7 @@ impl CuptiSession {
         if samples.is_empty() {
             return samples;
         }
-        let enabled: Vec<CounterId> = CounterId::ALL
-            .iter()
-            .copied()
-            .filter(|c| self.groups.iter().any(|g| g.counters.contains(c)))
-            .collect();
+        let enabled = counters_of(&self.groups);
         for slice in trace {
             if slice.ctx != self.ctx || slice.end_us <= t_start || slice.start_us >= t_end {
                 continue;

@@ -35,6 +35,7 @@ use gpu_sim::{CounterId, CounterSlice, CounterValues, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::events::counters_of;
 use crate::session::{CuptiSample, CuptiSession};
 
 /// Streaming sample aggregation over one session (see module docs).
@@ -61,8 +62,6 @@ pub struct CuptiStream {
     held: Option<CuptiSample>,
     /// A missed sample waiting to merge into its successor.
     carry: Option<CuptiSample>,
-    /// Samples emitted to the caller so far (diagnostics).
-    emitted: usize,
 }
 
 impl CuptiStream {
@@ -70,11 +69,7 @@ impl CuptiStream {
     /// The collection window's start is fixed here; its end is only decided
     /// by [`CuptiStream::finish`].
     pub fn open(session: CuptiSession, t_start: f64, plan: FaultPlan) -> Self {
-        let enabled: Vec<CounterId> = CounterId::ALL
-            .iter()
-            .copied()
-            .filter(|c| session.groups().iter().any(|g| g.counters.contains(c)))
-            .collect();
+        let enabled = counters_of(session.groups());
         let rng =
             (plan.poll_miss_prob > 0.0).then(|| StdRng::seed_from_u64(plan.seed ^ 0x9011_c0de));
         CuptiStream {
@@ -88,18 +83,7 @@ impl CuptiStream {
             watermark: t_start,
             held: None,
             carry: None,
-            emitted: 0,
         }
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &CuptiSession {
-        &self.session
-    }
-
-    /// Samples handed to the caller so far (not counting the held-back one).
-    pub fn emitted(&self) -> usize {
-        self.emitted
     }
 
     /// Slices currently buffered awaiting window completion (diagnostics —
@@ -190,7 +174,6 @@ impl CuptiStream {
     /// sequence identical (one draw per sample except the last, in order).
     fn push_ready(&mut self, mut sample: CuptiSample, out: &mut Vec<CuptiSample>) {
         let Some(rng) = self.rng.as_mut() else {
-            self.emitted += 1;
             out.push(sample);
             return;
         };
@@ -198,7 +181,6 @@ impl CuptiStream {
             if rng.gen_bool(self.plan.poll_miss_prob) {
                 self.carry = Some(prev);
             } else {
-                self.emitted += 1;
                 out.push(prev);
             }
         }
@@ -260,7 +242,6 @@ impl CuptiStream {
             }
         }
         if let Some(last) = self.held.take() {
-            self.emitted += 1;
             out.push(last);
         }
         out
@@ -424,12 +405,13 @@ mod tests {
         let (trace, _) = random_trace(2, 50.0);
         let mut stream = CuptiStream::open(s, 0.0, FaultPlan::none());
         let mut max_pending = 0;
+        let mut emitted = 0;
         for sl in &trace {
-            stream.push(std::slice::from_ref(sl), sl.end_us);
+            emitted += stream.push(std::slice::from_ref(sl), sl.end_us).len();
             max_pending = max_pending.max(stream.pending_slices());
         }
         // The frontier trails the watermark by at most ~2 windows of slices.
         assert!(max_pending < 60, "pending grew to {}", max_pending);
-        assert!(stream.emitted() > 0);
+        assert!(emitted > 0);
     }
 }

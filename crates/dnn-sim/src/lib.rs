@@ -3,10 +3,11 @@
 //! Models the victim's side of the paper: sequential CNN/MLP models
 //! ([`model`], with the full Table V / Table IX zoo), the per-iteration op
 //! sequence a training step executes ([`planner`]), the lowering of each op
-//! to a GPU kernel with a shape-derived footprint ([`kernels`]), the
-//! host-side training loop with inter-iteration gaps ([`trainer`]), and the
-//! TensorFlow-timeline profiler used to label profiling traces
-//! ([`timeline`]).
+//! to a GPU kernel with a shape-derived footprint ([`kernels`]), and the
+//! host-side training loop with inter-iteration gaps ([`trainer`]). Each
+//! lowered kernel carries its op's ground-truth tag ([`op_tag`]), and
+//! [`gpu_sim::dominant_tag`] labels profiling samples from those tags in the
+//! kernel log (§V-A).
 //!
 //! # Examples
 //!
@@ -31,7 +32,6 @@ pub mod model;
 pub mod ops;
 pub mod planner;
 pub mod tensor;
-pub mod timeline;
 pub mod trainer;
 
 pub use kernels::{lower_op, op_tag, parse_op_tag};
@@ -40,5 +40,4 @@ pub use model::{zoo, InputSpec, Model};
 pub use ops::{Op, OpClass, OpKind};
 pub use planner::{plan_iteration, plan_iteration_mode, ExecutionMode};
 pub use tensor::TensorShape;
-pub use timeline::chrome_trace_json;
 pub use trainer::{TrainingConfig, TrainingSession};

@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::layer::{Activation, Layer, Optimizer};
+use crate::planner::layer_shapes;
 use crate::tensor::TensorShape;
 
 /// Input specification of a model.
@@ -95,11 +96,6 @@ impl Model {
         self
     }
 
-    /// Number of trainable layers.
-    pub fn trainable_layers(&self) -> usize {
-        self.layers.iter().filter(|l| l.trainable()).count()
-    }
-
     /// The paper's structure string, e.g.
     /// `C3,64,1,R-P-M4096,R-OptimizerAdam`.
     pub fn structure_string(&self) -> String {
@@ -108,114 +104,29 @@ impl Model {
         parts.join("-")
     }
 
-    /// Total trainable parameters given the input spec (weights + biases).
+    /// Total trainable parameters given the input spec (weights + biases),
+    /// summed over the planner's forward shape walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a convolutional or pooling layer appears after the
+    /// activations have been flattened by a dense layer.
     pub fn parameter_count(&self, batch: usize) -> usize {
-        let mut shape = self.input.shape(batch);
-        let mut params = 0usize;
-        for layer in &self.layers {
-            match *layer {
-                Layer::Conv2D {
-                    filter_size,
-                    filters,
-                    stride,
-                    ..
-                } => {
-                    let (h, w, c) = match shape {
-                        TensorShape::Nhwc {
-                            height,
-                            width,
-                            channels,
-                            ..
-                        } => (height, width, channels),
-                        TensorShape::Flat { .. } => {
-                            panic!("conv layer after flatten in model {}", self.name)
-                        }
-                    };
-                    params += filter_size * filter_size * c * filters + filters;
-                    shape = TensorShape::nhwc(
-                        batch,
-                        crate::tensor::conv_out_size(h, stride),
-                        crate::tensor::conv_out_size(w, stride),
-                        filters,
-                    );
-                }
-                Layer::Dense { units, .. } => {
-                    let in_features = shape.elements_per_item();
-                    params += in_features * units + units;
-                    shape = TensorShape::flat(batch, units);
-                }
-                Layer::MaxPool => {
-                    if let TensorShape::Nhwc {
-                        height,
-                        width,
-                        channels,
-                        ..
-                    } = shape
-                    {
-                        shape = TensorShape::nhwc(
-                            batch,
-                            height.div_ceil(2),
-                            width.div_ceil(2),
-                            channels,
-                        );
+        self.layers
+            .iter()
+            .zip(layer_shapes(self, batch))
+            .map(|(layer, s)| {
+                let biases = match *layer {
+                    Layer::Conv2D { filters, .. } | Layer::SeparableConv2D { filters, .. } => {
+                        filters
                     }
-                }
-                Layer::Residual {
-                    filter_size,
-                    filters,
-                    ..
-                } => {
-                    let (h, w, c) = match shape {
-                        TensorShape::Nhwc {
-                            height,
-                            width,
-                            channels,
-                            ..
-                        } => (height, width, channels),
-                        TensorShape::Flat { .. } => {
-                            panic!("residual layer after flatten in model {}", self.name)
-                        }
-                    };
-                    params += filter_size * filter_size * c * filters + filters;
-                    params += filter_size * filter_size * filters * filters + filters;
-                    if c != filters {
-                        params += c * filters;
-                    }
-                    shape = TensorShape::nhwc(batch, h, w, filters);
-                }
-                Layer::SeparableConv2D {
-                    filter_size,
-                    filters,
-                    stride,
-                    ..
-                } => {
-                    let (h, w, c) = match shape {
-                        TensorShape::Nhwc {
-                            height,
-                            width,
-                            channels,
-                            ..
-                        } => (height, width, channels),
-                        TensorShape::Flat { .. } => {
-                            panic!("separable layer after flatten in model {}", self.name)
-                        }
-                    };
-                    params += filter_size * filter_size * c + c * filters + filters;
-                    shape = TensorShape::nhwc(
-                        batch,
-                        crate::tensor::conv_out_size(h, stride),
-                        crate::tensor::conv_out_size(w, stride),
-                        filters,
-                    );
-                }
-                Layer::Attention { dim } => {
-                    let in_features = shape.elements_per_item();
-                    params += 2 * in_features * dim + 2 * dim;
-                    shape = TensorShape::flat(batch, dim);
-                }
-            }
-        }
-        params
+                    Layer::Residual { filters, .. } => 2 * filters,
+                    Layer::Dense { units, .. } => units,
+                    Layer::Attention { .. } | Layer::MaxPool => 0,
+                };
+                s.weight_elems + biases
+            })
+            .sum()
     }
 }
 
@@ -507,7 +418,10 @@ mod tests {
         assert_eq!(tested_mlp().layers.len(), 5);
         assert_eq!(vgg16().layers.len(), 13 + 5 + 3);
         assert_eq!(profiled_vgg19().layers.len(), 16 + 5 + 3);
-        assert_eq!(zfnet().trainable_layers(), 5 + 3);
+        assert_eq!(
+            zfnet().layers.iter().filter(|l| l.trainable()).count(),
+            5 + 3
+        );
     }
 
     #[test]
@@ -577,6 +491,40 @@ mod tests {
             .parameter_count(1)
         };
         assert!(mk(sep_layer) < mk(conv_layer) / 4);
+    }
+
+    #[test]
+    fn parameter_count_matches_hand_counts_per_layer_kind() {
+        let count = |layers: Vec<Layer>| {
+            let input = InputSpec::Image {
+                height: 16,
+                width: 16,
+                channels: 8,
+            };
+            Model::new("p", input, layers, Optimizer::Gd).parameter_count(1)
+        };
+        assert_eq!(count(vec![Layer::conv(3, 16, 1)]), 3 * 3 * 8 * 16 + 16);
+        // Two convs with biases, plus the bias-free 1x1 projection the
+        // channel change (8 -> 32) adds to the skip path.
+        assert_eq!(
+            count(vec![Layer::residual(3, 32)]),
+            3 * 3 * 8 * 32 + 32 + 3 * 3 * 32 * 32 + 32 + 8 * 32
+        );
+        // Depthwise filters, pointwise weights, one bias per output channel.
+        assert_eq!(
+            count(vec![Layer::separable(3, 64, 2)]),
+            3 * 3 * 8 + 8 * 64 + 64
+        );
+        // Two projections over the flattened input plus LayerNorm gain and
+        // bias.
+        assert_eq!(
+            count(vec![Layer::attention(128)]),
+            2 * (16 * 16 * 8) * 128 + 2 * 128
+        );
+        assert_eq!(
+            count(vec![Layer::MaxPool, Layer::dense(10, Activation::Relu)]),
+            8 * 8 * 8 * 10 + 10
+        );
     }
 
     #[test]

@@ -43,10 +43,12 @@ fn act_grad_kind(a: Activation) -> OpKind {
 
 /// Per-layer shape information resolved during the forward walk.
 #[derive(Debug, Clone)]
-struct LayerShapes {
+pub(crate) struct LayerShapes {
     input: TensorShape,
     output: TensorShape,
-    weight_elems: usize,
+    /// Weight elements, without the per-output-channel biases (attention's
+    /// LayerNorm gain and bias are included).
+    pub(crate) weight_elems: usize,
 }
 
 /// Plans the op sequence of one training iteration
@@ -70,145 +72,7 @@ pub fn plan_iteration(model: &Model, batch: usize) -> Vec<Op> {
 /// have been flattened by a dense layer.
 pub fn plan_iteration_mode(model: &Model, batch: usize, mode: ExecutionMode) -> Vec<Op> {
     assert!(batch > 0, "batch size must be positive");
-    let mut shapes: Vec<LayerShapes> = Vec::with_capacity(model.layers.len());
-    let mut shape = model.input.shape(batch);
-
-    // Forward shape resolution.
-    for (i, layer) in model.layers.iter().enumerate() {
-        match *layer {
-            Layer::Conv2D {
-                filter_size,
-                filters,
-                stride,
-                ..
-            } => {
-                let (h, w, c) = match shape {
-                    TensorShape::Nhwc {
-                        height,
-                        width,
-                        channels,
-                        ..
-                    } => (height, width, channels),
-                    TensorShape::Flat { .. } => panic!("layer {}: conv after flatten", i),
-                };
-                let out = TensorShape::nhwc(
-                    batch,
-                    conv_out_size(h, stride),
-                    conv_out_size(w, stride),
-                    filters,
-                );
-                shapes.push(LayerShapes {
-                    input: shape,
-                    output: out,
-                    weight_elems: filter_size * filter_size * c * filters,
-                });
-                shape = out;
-            }
-            Layer::Dense { units, .. } => {
-                let flat = shape.flattened();
-                let in_features = flat.elements_per_item();
-                let out = TensorShape::flat(batch, units);
-                shapes.push(LayerShapes {
-                    input: flat,
-                    output: out,
-                    weight_elems: in_features * units,
-                });
-                shape = out;
-            }
-            Layer::MaxPool => {
-                let (h, w, c) = match shape {
-                    TensorShape::Nhwc {
-                        height,
-                        width,
-                        channels,
-                        ..
-                    } => (height, width, channels),
-                    TensorShape::Flat { .. } => panic!("layer {}: pool after flatten", i),
-                };
-                let out = TensorShape::nhwc(batch, h.div_ceil(2), w.div_ceil(2), c);
-                shapes.push(LayerShapes {
-                    input: shape,
-                    output: out,
-                    weight_elems: 0,
-                });
-                shape = out;
-            }
-            Layer::Residual {
-                filter_size,
-                filters,
-                ..
-            } => {
-                let (h, w, c) = match shape {
-                    TensorShape::Nhwc {
-                        height,
-                        width,
-                        channels,
-                        ..
-                    } => (height, width, channels),
-                    TensorShape::Flat { .. } => panic!("layer {}: residual after flatten", i),
-                };
-                // Stride-1 SAME on both convs keeps the spatial dims, so the
-                // skip path needs no resampling — only a 1x1 projection when
-                // the channel count changes.
-                let out = TensorShape::nhwc(batch, h, w, filters);
-                let mut weight_elems = filter_size * filter_size * c * filters
-                    + filter_size * filter_size * filters * filters;
-                if c != filters {
-                    weight_elems += c * filters;
-                }
-                shapes.push(LayerShapes {
-                    input: shape,
-                    output: out,
-                    weight_elems,
-                });
-                shape = out;
-            }
-            Layer::SeparableConv2D {
-                filter_size,
-                filters,
-                stride,
-                ..
-            } => {
-                let (h, w, c) = match shape {
-                    TensorShape::Nhwc {
-                        height,
-                        width,
-                        channels,
-                        ..
-                    } => (height, width, channels),
-                    TensorShape::Flat { .. } => panic!("layer {}: separable after flatten", i),
-                };
-                let out = TensorShape::nhwc(
-                    batch,
-                    conv_out_size(h, stride),
-                    conv_out_size(w, stride),
-                    filters,
-                );
-                shapes.push(LayerShapes {
-                    input: shape,
-                    output: out,
-                    // Depthwise filters (one per input channel) plus the 1x1
-                    // pointwise mixing weights.
-                    weight_elems: filter_size * filter_size * c + c * filters,
-                });
-                shape = out;
-            }
-            Layer::Attention { dim } => {
-                let flat = shape.flattened();
-                let in_features = flat.elements_per_item();
-                let out = TensorShape::flat(batch, dim);
-                shapes.push(LayerShapes {
-                    input: flat,
-                    output: out,
-                    // Two projection matrices (scores and values) plus the
-                    // LayerNorm gain and bias.
-                    weight_elems: 2 * in_features * dim + 2 * dim,
-                });
-                shape = out;
-            }
-        }
-    }
-
+    let shapes = layer_shapes(model, batch);
     let mut ops = Vec::new();
 
     // Forward pass.
@@ -671,6 +535,154 @@ pub fn plan_iteration_mode(model: &Model, batch: usize, mode: ExecutionMode) -> 
     }
 
     ops
+}
+
+/// Resolves every layer's input and output shapes and weight count, in
+/// layer order: the one forward shape walk behind both the planner and
+/// [`Model::parameter_count`].
+///
+/// # Panics
+///
+/// Panics if a convolutional or pooling layer appears after the activations
+/// have been flattened by a dense layer.
+pub(crate) fn layer_shapes(model: &Model, batch: usize) -> Vec<LayerShapes> {
+    let mut shapes: Vec<LayerShapes> = Vec::with_capacity(model.layers.len());
+    let mut shape = model.input.shape(batch);
+    for (i, layer) in model.layers.iter().enumerate() {
+        match *layer {
+            Layer::Conv2D {
+                filter_size,
+                filters,
+                stride,
+                ..
+            } => {
+                let (h, w, c) = match shape {
+                    TensorShape::Nhwc {
+                        height,
+                        width,
+                        channels,
+                        ..
+                    } => (height, width, channels),
+                    TensorShape::Flat { .. } => panic!("layer {}: conv after flatten", i),
+                };
+                let out = TensorShape::nhwc(
+                    batch,
+                    conv_out_size(h, stride),
+                    conv_out_size(w, stride),
+                    filters,
+                );
+                shapes.push(LayerShapes {
+                    input: shape,
+                    output: out,
+                    weight_elems: filter_size * filter_size * c * filters,
+                });
+                shape = out;
+            }
+            Layer::Dense { units, .. } => {
+                let flat = shape.flattened();
+                let in_features = flat.elements_per_item();
+                let out = TensorShape::flat(batch, units);
+                shapes.push(LayerShapes {
+                    input: flat,
+                    output: out,
+                    weight_elems: in_features * units,
+                });
+                shape = out;
+            }
+            Layer::MaxPool => {
+                let (h, w, c) = match shape {
+                    TensorShape::Nhwc {
+                        height,
+                        width,
+                        channels,
+                        ..
+                    } => (height, width, channels),
+                    TensorShape::Flat { .. } => panic!("layer {}: pool after flatten", i),
+                };
+                let out = TensorShape::nhwc(batch, h.div_ceil(2), w.div_ceil(2), c);
+                shapes.push(LayerShapes {
+                    input: shape,
+                    output: out,
+                    weight_elems: 0,
+                });
+                shape = out;
+            }
+            Layer::Residual {
+                filter_size,
+                filters,
+                ..
+            } => {
+                let (h, w, c) = match shape {
+                    TensorShape::Nhwc {
+                        height,
+                        width,
+                        channels,
+                        ..
+                    } => (height, width, channels),
+                    TensorShape::Flat { .. } => panic!("layer {}: residual after flatten", i),
+                };
+                // Stride-1 SAME on both convs keeps the spatial dims, so the
+                // skip path needs no resampling — only a 1x1 projection when
+                // the channel count changes.
+                let out = TensorShape::nhwc(batch, h, w, filters);
+                let mut weight_elems = filter_size * filter_size * c * filters
+                    + filter_size * filter_size * filters * filters;
+                if c != filters {
+                    weight_elems += c * filters;
+                }
+                shapes.push(LayerShapes {
+                    input: shape,
+                    output: out,
+                    weight_elems,
+                });
+                shape = out;
+            }
+            Layer::SeparableConv2D {
+                filter_size,
+                filters,
+                stride,
+                ..
+            } => {
+                let (h, w, c) = match shape {
+                    TensorShape::Nhwc {
+                        height,
+                        width,
+                        channels,
+                        ..
+                    } => (height, width, channels),
+                    TensorShape::Flat { .. } => panic!("layer {}: separable after flatten", i),
+                };
+                let out = TensorShape::nhwc(
+                    batch,
+                    conv_out_size(h, stride),
+                    conv_out_size(w, stride),
+                    filters,
+                );
+                shapes.push(LayerShapes {
+                    input: shape,
+                    output: out,
+                    // Depthwise filters (one per input channel) plus the 1x1
+                    // pointwise mixing weights.
+                    weight_elems: filter_size * filter_size * c + c * filters,
+                });
+                shape = out;
+            }
+            Layer::Attention { dim } => {
+                let flat = shape.flattened();
+                let in_features = flat.elements_per_item();
+                let out = TensorShape::flat(batch, dim);
+                shapes.push(LayerShapes {
+                    input: flat,
+                    output: out,
+                    // Two projection matrices (scores and values) plus the
+                    // LayerNorm gain and bias.
+                    weight_elems: 2 * in_features * dim + 2 * dim,
+                });
+                shape = out;
+            }
+        }
+    }
+    shapes
 }
 
 fn channels_of(shape: &TensorShape) -> usize {

@@ -30,9 +30,7 @@ pub struct TrainingConfig {
     /// Length of an intra-iteration stall, microseconds.
     pub intra_stall_us: f64,
     /// Execution mode: full training steps or forward-only inference
-    /// (serde-defaulted to [`ExecutionMode::Training`] so cached trace keys
-    /// of existing configs keep deserializing).
-    #[serde(default)]
+    /// ([`ExecutionMode::Training`] from [`TrainingConfig::new`]).
     pub mode: ExecutionMode,
 }
 

@@ -163,29 +163,6 @@ impl Sub for CounterValues {
     }
 }
 
-/// Helper that splits an event count across the two sub-partitions with a
-/// stochastic imbalance, mimicking address-hash interleaving.
-#[derive(Debug, Clone, Copy)]
-pub struct SubpartitionSplit {
-    /// Fraction routed to sub-partition 0 (the rest goes to 1).
-    pub frac0: f64,
-}
-
-impl SubpartitionSplit {
-    /// A split with the given sub-partition-0 fraction, clamped to `[0, 1]`.
-    pub fn new(frac0: f64) -> Self {
-        SubpartitionSplit {
-            frac0: frac0.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Splits `total` into `(part0, part1)`.
-    pub fn split(&self, total: f64) -> (f64, f64) {
-        let p0 = total * self.frac0;
-        (p0, total - p0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,15 +213,5 @@ mod tests {
         assert_eq!(f.len(), 10);
         assert_eq!(f[9], 7.0);
         assert!(f[..9].iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn subpartition_split_conserves_total() {
-        let s = SubpartitionSplit::new(0.6);
-        let (a, b) = s.split(100.0);
-        assert!((a + b - 100.0).abs() < 1e-9);
-        assert!((a - 60.0).abs() < 1e-9);
-        // Clamping.
-        assert_eq!(SubpartitionSplit::new(1.7).frac0, 1.0);
     }
 }

@@ -45,7 +45,6 @@ pub mod fault;
 pub mod kernel;
 pub mod sm;
 pub mod timeline;
-pub mod watchdog;
 
 pub use cache::{CtxOccupancy, OccupancyL2, SetAssocCache};
 pub use config::GpuConfig;
@@ -55,4 +54,3 @@ pub use fault::{FaultPlan, RetryPolicy};
 pub use kernel::{KernelDesc, KernelFootprint};
 pub use sm::Occupancy;
 pub use timeline::{dominant_tag, CounterSlice, KernelRecord};
-pub use watchdog::{inspect, WatchdogConfig, WatchdogReport};

@@ -19,7 +19,7 @@
 //! |---|---|
 //! | [`gpu_sim`] | discrete-event GPU: SMs, contexts, time-sliced + MPS schedulers, L2 occupancy/eviction, DRAM sub-partitions, performance counters |
 //! | [`cupti_sim`] | CUPTI events/groups (Table IV), sampling sessions, driver-version gating + the §II-D downgrade bypass |
-//! | [`dnn_sim`] | TensorFlow-style substrate: the Table V/IX model zoo, training-step op planner, op→kernel lowering, timeline profiler |
+//! | [`dnn_sim`] | TensorFlow-style substrate: the Table V/IX model zoo, training-step op planner, op→kernel lowering with per-op ground-truth tags |
 //! | [`ml`] | from-scratch LSTM (BPTT), GBDT, losses, optimizers, metrics |
 //! | [`moscons`] | the attack: spy kernels, slow-down, Mgap/Mlong/Mop/Mhp, voting, syntax correction, end-to-end orchestration |
 //!
