@@ -15,14 +15,13 @@ use bench::{
     print_table7, print_table8, print_table9, train_moscons, train_zoo_moscons, zoo_family_session,
     Scale,
 };
-use cupti_sim::{table_iv_groups, CuptiSession};
 use dnn_sim::{zoo, OpClass, TrainingSession};
-use gpu_sim::{FaultPlan, Gpu, GpuConfig, SchedulerMode};
+use gpu_sim::{FaultPlan, GpuConfig};
 use moscons::attack::{Extraction, Moscons};
 use moscons::cache::counter_feature_matrix;
 use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_zoo};
 use moscons::syntax::{correct_graph, SyntaxConfig};
-use moscons::trace::spy_vm;
+use moscons::trace::spy_rig;
 use moscons::{score_structure, LabeledTrace, RawTrace, SlowdownConfig, SpyKernelKind};
 use rand::SeedableRng;
 use serde::Serialize;
@@ -114,27 +113,21 @@ fn ablation(moscons: &Moscons, scale: Scale) {
 /// Collects a ZFNet victim trace under a given defense configuration.
 fn collect_defended(scale: Scale, quantization: f64, slice_jitter: f64) -> RawTrace {
     let session = scale.session(zoo::zfnet());
-    let vm = spy_vm();
     let mut gpu_cfg = GpuConfig::gtx_1080_ti().with_seed(0xDEF);
     gpu_cfg.slice_jitter = slice_jitter;
-    let mut gpu = Gpu::new(gpu_cfg, SchedulerMode::TimeSliced);
-    let victim = gpu.add_context("victim");
-    let sampler = gpu.add_context("spy_sampler");
-    gpu.monitor(sampler);
-    SlowdownConfig::paper().launch(&mut gpu);
-    let cupti = CuptiSession::open(&vm, sampler, table_iv_groups(), 1_000.0)
-        .expect("CUPTI open")
-        .with_quantization(quantization.max(1.0));
-    gpu.set_auto_repeat(
-        sampler,
-        SpyKernelKind::Conv200.kernel(cupti.replay_factor(), gpu.config()),
+    let (mut gpu, victim, cupti) = spy_rig(
+        gpu_cfg,
+        SpyKernelKind::Conv200,
+        SlowdownConfig::paper(),
+        1_000.0,
     );
+    let cupti = cupti.with_quantization(quantization.max(1.0));
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xDEF);
     session.enqueue(&mut gpu, victim, &mut rng);
     gpu.run_until_queues_drain();
     let end = gpu.now_us();
     let (kernels, slices) = gpu.take_logs();
-    let samples = cupti.collect(&slices, 0.0, end);
+    let samples = cupti.collect(&slices, 0.0, end, &FaultPlan::none());
     RawTrace {
         victim_log: kernels.into_iter().filter(|r| r.ctx == victim).collect(),
         samples,

@@ -75,24 +75,32 @@ pub fn collect_trace(
     collection: &CollectionConfig,
     gpu_config: &GpuConfig,
 ) -> RawTrace {
-    let effective_gpu = gpu_config.clone().with_seed(collection.seed ^ 0x5119);
     let fingerprint = cupti_sim::session_fingerprint(
         &table_iv_groups(),
         collection.poll_period_us,
         1.0, // `CuptiSession::open` default; `with_quantization` is not used here
     );
-    let key = crate::cache::trace_key(session, collection, &effective_gpu, &fingerprint);
+    let key = crate::cache::trace_key(
+        session,
+        collection,
+        &collection_gpu(collection, gpu_config),
+        &fingerprint,
+    );
     crate::cache::trace_for(key, || {
         collect_trace_uncached(session, collection, gpu_config)
     })
 }
 
+/// The simulated GPU a collection runs on: `gpu_config` reseeded from the
+/// collection seed. [`collect_trace`]'s key hashes this config, so the key
+/// always describes the GPU that [`SpySession::start`] builds.
+fn collection_gpu(collection: &CollectionConfig, gpu_config: &GpuConfig) -> GpuConfig {
+    gpu_config.clone().with_seed(collection.seed ^ 0x5119)
+}
+
 /// The actual collection run behind [`collect_trace`], always simulating
 /// from scratch: a [`SpySession`] driven to completion, accumulating the
-/// incrementally emitted samples. The incremental CUPTI attribution is
-/// bitwise identical to the old one-shot `collect_faulted` over the full
-/// slice log (the [`cupti_sim::CuptiStream`] contract), so this refactor is
-/// invisible to the golden reports.
+/// samples its [`cupti_sim::CuptiStream`] emits as the engine runs.
 fn collect_trace_uncached(
     session: &TrainingSession,
     collection: &CollectionConfig,
@@ -118,11 +126,10 @@ fn collect_trace_uncached(
 /// the streaming attack engine ([`crate::stream`]) and the unit the fleet
 /// orchestrator ([`crate::fleet`]) multiplexes.
 ///
-/// Wiring (contexts, slow-down hogs, spy auto-repeat, retry policy, seeds)
-/// is identical to the batch collection path — [`collect_trace`] itself now
-/// runs on top of this — so driving a session to completion and
-/// concatenating its [`SpySession::poll`] outputs reproduces the batch
-/// [`RawTrace`] bitwise.
+/// The GPU side is [`spy_rig`]'s, on the collection's seeded GPU, and
+/// [`collect_trace`] is one session driven to completion: concatenating a
+/// session's [`SpySession::poll`] outputs and its [`SessionTail`] samples
+/// reproduces that [`RawTrace`] bitwise.
 #[derive(Debug)]
 pub struct SpySession {
     gpu: Gpu,
@@ -145,48 +152,26 @@ pub struct SessionTail {
     pub victim_log: Vec<KernelRecord>,
     /// Mean wall time of one victim iteration, microseconds.
     pub mean_iteration_us: f64,
-    /// Simulated end time of the run, microseconds.
-    pub end_us: f64,
 }
 
 impl SpySession {
-    /// Wires victim + sampler + hogs + CUPTI exactly like [`collect_trace`]
-    /// and enqueues the victim's training run, without stepping the engine.
+    /// Builds the [`spy_rig`] for `collection` on its seeded GPU and
+    /// enqueues the victim's training run, without stepping the engine.
     ///
     /// # Panics
     ///
-    /// Panics if the CUPTI session cannot be opened (see [`spy_vm`]).
+    /// Panics if the CUPTI session cannot be opened (see [`spy_rig`]).
     pub fn start(
         session: &TrainingSession,
         collection: &CollectionConfig,
         gpu_config: &GpuConfig,
     ) -> SpySession {
-        let vm = spy_vm();
-        let mut gpu = Gpu::new(
-            gpu_config.clone().with_seed(collection.seed ^ 0x5119),
-            SchedulerMode::TimeSliced,
+        let (mut gpu, victim, cupti) = spy_rig(
+            collection_gpu(collection, gpu_config),
+            collection.spy_kernel,
+            collection.slowdown,
+            collection.poll_period_us,
         );
-        // Context creation order: victim first (it is the MPS-priority
-        // context in the comparison experiments; irrelevant under time
-        // slicing).
-        let victim = gpu.add_context("victim");
-        let sampler = gpu.add_context("spy_sampler");
-        gpu.monitor(sampler);
-        collection.slowdown.launch(&mut gpu);
-
-        let cupti = CuptiSession::open(&vm, sampler, table_iv_groups(), collection.poll_period_us)
-            // Simulated CUPTI open cannot fail after spy_vm()'s driver
-            // downgrade; a failure here is a sim-harness bug worth a loud
-            // stop, not a serving condition. lint: allow(A2)
-            .expect("CUPTI accessible after driver downgrade");
-        let spy_kernel = collection
-            .spy_kernel
-            .kernel(cupti.replay_factor(), gpu.config());
-        gpu.set_auto_repeat(sampler, spy_kernel);
-        // Bounded-backoff retries for faulted spy launches; inert on the
-        // clean path (launches only fail under an active FaultPlan).
-        gpu.set_launch_retry(sampler, crate::spy::sampler_retry_policy());
-
         let mut rng = StdRng::seed_from_u64(collection.seed);
         session.enqueue(&mut gpu, victim, &mut rng);
 
@@ -207,11 +192,6 @@ impl SpySession {
     /// [`SpySession::finish`] releases the held-back remainder.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Current simulated time, microseconds.
-    pub fn now_us(&self) -> f64 {
-        self.gpu.now_us()
     }
 
     /// Advances the simulation by up to `max_steps` engine events and
@@ -281,7 +261,6 @@ impl SpySession {
             samples,
             victim_log,
             mean_iteration_us,
-            end_us: end,
         }
     }
 }
@@ -298,6 +277,45 @@ pub fn spy_vm() -> VmInstance {
     vm
 }
 
+/// The spy's side of the GPU, the same for every collection: a time-sliced
+/// [`Gpu`] with the `"victim"` context, then the monitored `"spy_sampler"`
+/// context, then `slowdown`'s hogs. The sampler auto-repeats `spy`,
+/// stretched by the Table IV replay factor, and retries faulted launches
+/// under [`crate::spy::sampler_retry_policy`]. Returns the GPU, the victim
+/// context (the caller adds its work) and the Table IV session on the
+/// sampler, opened on [`spy_vm`].
+///
+/// # Panics
+///
+/// Panics if the CUPTI session cannot be opened, which [`spy_vm`]'s driver
+/// downgrade rules out.
+pub fn spy_rig(
+    gpu_config: GpuConfig,
+    spy: SpyKernelKind,
+    slowdown: SlowdownConfig,
+    poll_period_us: f64,
+) -> (Gpu, ContextId, CuptiSession) {
+    let vm = spy_vm();
+    let mut gpu = Gpu::new(gpu_config, SchedulerMode::TimeSliced);
+    // Context creation order: victim first (it is the MPS-priority
+    // context in the comparison experiments; irrelevant under time
+    // slicing).
+    let victim = gpu.add_context("victim");
+    let sampler = gpu.add_context("spy_sampler");
+    gpu.monitor(sampler);
+    slowdown.launch(&mut gpu);
+    let cupti = CuptiSession::open(&vm, sampler, table_iv_groups(), poll_period_us)
+        // Simulated CUPTI open cannot fail after spy_vm()'s driver
+        // downgrade; a failure here is a sim-harness bug worth a loud
+        // stop, not a serving condition. lint: allow(A2)
+        .expect("CUPTI accessible after driver downgrade");
+    gpu.set_auto_repeat(sampler, spy.kernel(cupti.replay_factor(), gpu.config()));
+    // Bounded-backoff retries for faulted spy launches; inert on the
+    // clean path (launches only fail under an active FaultPlan).
+    gpu.set_launch_retry(sampler, crate::spy::sampler_retry_policy());
+    (gpu, victim, cupti)
+}
+
 /// Collects samples while the victim runs one fixed kernel in a loop (or
 /// idles, when `victim_kernel` is `None`) — the micro-benchmark harness
 /// behind Tables I and II. No slow-down hogs; one spy, one victim.
@@ -309,18 +327,12 @@ pub fn collect_microbench(
     gpu_config: &GpuConfig,
     seed: u64,
 ) -> Vec<CuptiSample> {
-    let vm = spy_vm();
-    let mut gpu = Gpu::new(
+    let (mut gpu, victim, cupti) = spy_rig(
         gpu_config.clone().with_seed(seed),
-        SchedulerMode::TimeSliced,
+        spy,
+        SlowdownConfig::off(),
+        poll_period_us,
     );
-    let victim = gpu.add_context("victim");
-    let sampler = gpu.add_context("spy_sampler");
-    gpu.monitor(sampler);
-    let cupti = CuptiSession::open(&vm, sampler, table_iv_groups(), poll_period_us)
-        .expect("CUPTI accessible after driver downgrade");
-    gpu.set_auto_repeat(sampler, spy.kernel(cupti.replay_factor(), gpu.config()));
-    gpu.set_launch_retry(sampler, crate::spy::sampler_retry_policy());
     if let Some(k) = victim_kernel {
         gpu.set_auto_repeat(victim, k);
     }
@@ -329,7 +341,7 @@ pub fn collect_microbench(
     let (_, slices) = gpu.take_logs();
     // Discard a warm-up prefix so steady-state statistics dominate.
     let warmup = duration_us * 0.2;
-    cupti.collect_faulted(&slices, warmup, duration_us, &faults)
+    cupti.collect(&slices, warmup, duration_us, &faults)
 }
 
 #[cfg(test)]

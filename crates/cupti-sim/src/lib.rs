@@ -5,8 +5,11 @@
 //!
 //! * [`events`] — the counter catalog and the three event groups of the
 //!   paper's Table IV, with the group-count ⇒ replay-overhead trade-off;
-//! * [`session`] — per-context sampling sessions that aggregate the GPU
-//!   engine's counter trace into fixed-period samples;
+//! * [`session`] — per-context sampling sessions (event groups, poll
+//!   period, precision);
+//! * [`stream`] — the sampler: it aggregates the GPU engine's counter trace
+//!   into fixed-period samples as the engine runs, and
+//!   [`CuptiSession::collect`] drains it over a finished run;
 //! * [`driver`] — driver versions, the post-418.40.04 CUPTI restriction and
 //!   the root-in-your-own-VM downgrade bypass of §II-D.
 //!

@@ -2,21 +2,21 @@
 //!
 //! A session is attached to one CUDA context (the spy's) with a set of
 //! enabled event groups and a host-side poll period. The engine records
-//! per-slice counter deltas for monitored contexts; [`CuptiSession::collect`]
-//! aggregates those deltas into fixed-period samples — the sample stream the
-//! MoSConS inference models consume.
+//! per-slice counter deltas for monitored contexts; a [`CuptiStream`] over
+//! the session aggregates those deltas into fixed-period samples — the
+//! sample stream the MoSConS inference models consume — and
+//! [`CuptiSession::collect`] drains one over a finished run.
 //!
 //! Fixed-period host polling is also what produces the paper's Table II
 //! `NOP` signature: while the victim idles, many back-to-back spy launches
 //! (plus the idle write-drain) aggregate into one very large sample.
 
-use gpu_sim::{ContextId, CounterId, CounterSlice, CounterValues, FaultPlan};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use gpu_sim::{ContextId, CounterSlice, CounterValues, FaultPlan};
 use serde::{Deserialize, Serialize};
 
 use crate::driver::{DriverError, VmInstance};
-use crate::events::{counters_of, replay_factor, EventGroup};
+use crate::events::{replay_factor, EventGroup};
+use crate::stream::CuptiStream;
 
 /// One aggregated counter sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,99 +121,50 @@ impl CuptiSession {
     /// sample stream: enabled groups, poll period and quantization step. Two
     /// sessions with equal fingerprints replay a recorded counter trace into
     /// identical samples, which is what makes cached traces reusable across
-    /// runs (`moscons::cache`).
+    /// collections in one process (`moscons::cache`).
     pub fn fingerprint(&self) -> String {
         session_fingerprint(&self.groups, self.poll_period_us, self.quantization)
     }
 
     /// Aggregates an engine counter trace into fixed-period samples over
-    /// `[t_start, t_end)`. Slices belonging to other contexts are ignored;
-    /// counters whose group is not enabled are zeroed. Windows with no
-    /// activity yield all-zero samples (they are meaningful: a starved or
-    /// idle spy).
-    pub fn collect(&self, trace: &[CounterSlice], t_start: f64, t_end: f64) -> Vec<CuptiSample> {
-        assert!(t_end >= t_start, "collect window is inverted");
-        let n = ((t_end - t_start) / self.poll_period_us).ceil() as usize;
-        let mut samples: Vec<CuptiSample> = (0..n)
-            .map(|i| CuptiSample {
-                start_us: t_start + i as f64 * self.poll_period_us,
-                end_us: (t_start + (i + 1) as f64 * self.poll_period_us).min(t_end),
-                counters: CounterValues::zero(),
-            })
-            .collect();
-        if samples.is_empty() {
-            return samples;
-        }
-        let enabled = counters_of(&self.groups);
-        for slice in trace {
-            if slice.ctx != self.ctx || slice.end_us <= t_start || slice.start_us >= t_end {
-                continue;
-            }
-            // Attribute the slice to the window containing its end (the
-            // moment the host read would observe it).
-            let t = slice.end_us.min(t_end - 1e-9).max(t_start);
-            let idx = (((t - t_start) / self.poll_period_us) as usize).min(samples.len() - 1);
-            for &c in &enabled {
-                samples[idx].counters.add_to(c, slice.delta.get(c));
-            }
-        }
-        if self.quantization > 1.0 {
-            for s in samples.iter_mut() {
-                let mut q = CounterValues::zero();
-                for c in CounterId::ALL {
-                    let v = s.counters.get(c);
-                    q.add_to(c, (v / self.quantization).round() * self.quantization);
-                }
-                s.counters = q;
-            }
-        }
-        samples
-    }
-
-    /// Like [`CuptiSession::collect`], but applies the host-poll fault of
-    /// `plan`: each poll boundary is missed with `poll_miss_prob`, merging
-    /// the window into its successor (the next host read covers both, so
-    /// sample *timestamps* go missing while counter mass is conserved; the
-    /// gap splitter does not repair the merged windows). Deterministic in
-    /// `plan.seed`; with `poll_miss_prob == 0` this is `collect` exactly,
-    /// with zero fault draws.
-    pub fn collect_faulted(
+    /// `[t_start, t_end)` under the host-poll faults of `plan`. Slices
+    /// belonging to other contexts are ignored; counters whose group is not
+    /// enabled are zeroed. Windows with no activity yield all-zero samples
+    /// (they are meaningful: a starved or idle spy). Each poll boundary is
+    /// missed with `plan.poll_miss_prob`, merging the window into its
+    /// successor: the next host read covers both, so sample *timestamps* go
+    /// missing while counter mass is conserved (the gap splitter does not
+    /// repair the merged windows). The final window is always read.
+    /// Deterministic in `plan.seed`.
+    ///
+    /// This is a [`CuptiStream`] drained in one push: a watermark of
+    /// `t_start` finalizes no window, so [`CuptiStream::finish`] attributes,
+    /// quantizes and faults the whole run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_end` is before `t_start`.
+    pub fn collect(
         &self,
         trace: &[CounterSlice],
         t_start: f64,
         t_end: f64,
         plan: &FaultPlan,
     ) -> Vec<CuptiSample> {
-        let samples = self.collect(trace, t_start, t_end);
-        if plan.poll_miss_prob <= 0.0 || samples.len() < 2 {
-            return samples;
-        }
-        // Domain-separated from the engine's fault stream: both derive from
-        // the plan seed but must not replay each other's draws.
-        let mut rng = StdRng::seed_from_u64(plan.seed ^ 0x9011_c0de);
-        let mut out: Vec<CuptiSample> = Vec::with_capacity(samples.len());
-        let mut carry: Option<CuptiSample> = None;
-        let last = samples.len() - 1;
-        for (i, mut s) in samples.into_iter().enumerate() {
-            if let Some(missed) = carry.take() {
-                s.start_us = missed.start_us;
-                s.counters += missed.counters;
-            }
-            // The final window is always read (session teardown flushes it).
-            if i < last && rng.gen_bool(plan.poll_miss_prob) {
-                carry = Some(s);
-            } else {
-                out.push(s);
-            }
-        }
-        out
+        let mut stream = CuptiStream::open(self.clone(), t_start, *plan);
+        let early = stream.push(trace, t_start);
+        debug_assert!(
+            early.is_empty(),
+            "a watermark of t_start finalizes no window"
+        );
+        stream.finish(t_end)
     }
 }
 
 /// Free-function form of [`CuptiSession::fingerprint`], usable before a
-/// session (and the context it binds to) exists. The format is versioned:
-/// any change to sample semantics must bump the leading tag so persisted
-/// caches keyed on the fingerprint invalidate.
+/// session (and the context it binds to) exists: `moscons::collect_trace`
+/// hashes it into the key of its in-process trace memo. The leading tag
+/// names the sample semantics; a change to them bumps it.
 pub fn session_fingerprint(
     groups: &[EventGroup],
     poll_period_us: f64,
@@ -243,6 +194,7 @@ mod tests {
     use super::*;
     use crate::driver::DriverVersion;
     use crate::events::table_iv_groups;
+    use gpu_sim::CounterId;
 
     fn vm() -> VmInstance {
         VmInstance::new("spy", DriverVersion::UNPATCHED, true)
@@ -280,7 +232,7 @@ mod tests {
             slice(0, 140.0, 160.0, 11.0),
             slice(1, 0.0, 10.0, 999.0), // other context: ignored
         ];
-        let samples = s.collect(&trace, 0.0, 200.0);
+        let samples = s.collect(&trace, 0.0, 200.0, &FaultPlan::none());
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].counters.get(CounterId::FbSubp0ReadSectors), 12.0);
         assert_eq!(samples[1].counters.get(CounterId::FbSubp0ReadSectors), 11.0);
@@ -290,7 +242,7 @@ mod tests {
     fn disabled_groups_read_zero() {
         let groups = vec![table_iv_groups()[1].clone()]; // FB group only
         let s = CuptiSession::open(&vm(), ContextId::test_value(0), groups, 100.0).unwrap();
-        let samples = s.collect(&[slice(0, 0.0, 10.0, 8.0)], 0.0, 100.0);
+        let samples = s.collect(&[slice(0, 0.0, 10.0, 8.0)], 0.0, 100.0, &FaultPlan::none());
         assert_eq!(samples[0].counters.get(CounterId::FbSubp0ReadSectors), 8.0);
         assert_eq!(
             samples[0].counters.get(CounterId::Tex0CacheSectorQueries),
@@ -302,7 +254,7 @@ mod tests {
     fn empty_windows_are_emitted_as_zero_samples() {
         let s =
             CuptiSession::open(&vm(), ContextId::test_value(0), table_iv_groups(), 50.0).unwrap();
-        let samples = s.collect(&[], 0.0, 200.0);
+        let samples = s.collect(&[], 0.0, 200.0, &FaultPlan::none());
         assert_eq!(samples.len(), 4);
         assert!(samples.iter().all(|x| x.counters.total() == 0.0));
         // Window boundaries are contiguous.
@@ -331,12 +283,22 @@ mod tests {
             .unwrap()
             .with_quantization(1000.0);
         assert_eq!(s.quantization(), 1000.0);
-        let samples = s.collect(&[slice(0, 0.0, 10.0, 1499.0)], 0.0, 100.0);
+        let samples = s.collect(
+            &[slice(0, 0.0, 10.0, 1499.0)],
+            0.0,
+            100.0,
+            &FaultPlan::none(),
+        );
         assert_eq!(
             samples[0].counters.get(CounterId::FbSubp0ReadSectors),
             1000.0
         );
-        let samples = s.collect(&[slice(0, 0.0, 10.0, 1501.0)], 0.0, 100.0);
+        let samples = s.collect(
+            &[slice(0, 0.0, 10.0, 1501.0)],
+            0.0,
+            100.0,
+            &FaultPlan::none(),
+        );
         assert_eq!(
             samples[0].counters.get(CounterId::FbSubp0ReadSectors),
             2000.0
@@ -374,12 +336,12 @@ mod tests {
         let trace: Vec<CounterSlice> = (0..20)
             .map(|i| slice(0, i as f64 * 50.0, i as f64 * 50.0 + 10.0, 5.0))
             .collect();
-        let clean = s.collect(&trace, 0.0, 1000.0);
+        let clean = s.collect(&trace, 0.0, 1000.0, &FaultPlan::none());
 
         let mut plan = FaultPlan::none();
         plan.poll_miss_prob = 0.4;
         plan.seed = 17;
-        let faulted = s.collect_faulted(&trace, 0.0, 1000.0, &plan);
+        let faulted = s.collect(&trace, 0.0, 1000.0, &plan);
         assert!(faulted.len() < clean.len(), "misses must drop samples");
         let mass = |ss: &[CuptiSample]| -> f64 { ss.iter().map(|x| x.counters.total()).sum() };
         assert!(
@@ -391,19 +353,16 @@ mod tests {
             assert!((w[0].end_us - w[1].start_us).abs() < 1e-9);
         }
         // Determinism and the zero-prob identity.
-        let again = s.collect_faulted(&trace, 0.0, 1000.0, &plan);
+        let again = s.collect(&trace, 0.0, 1000.0, &plan);
         assert_eq!(faulted, again);
-        assert_eq!(
-            s.collect_faulted(&trace, 0.0, 1000.0, &FaultPlan::none()),
-            clean
-        );
+        assert_eq!(s.collect(&trace, 0.0, 1000.0, &FaultPlan::none()), clean);
     }
 
     #[test]
     fn feature_vector_has_ten_dims() {
         let s =
             CuptiSession::open(&vm(), ContextId::test_value(0), table_iv_groups(), 100.0).unwrap();
-        let samples = s.collect(&[slice(0, 0.0, 10.0, 3.0)], 0.0, 100.0);
+        let samples = s.collect(&[slice(0, 0.0, 10.0, 3.0)], 0.0, 100.0, &FaultPlan::none());
         assert_eq!(samples[0].to_features().len(), 10);
     }
 }

@@ -1,35 +1,38 @@
-//! Incremental CUPTI sampling — the streaming twin of
-//! [`CuptiSession::collect_faulted`].
+//! Incremental CUPTI sampling — the one sampler behind every sample the
+//! spy reads.
 //!
 //! A [`CuptiStream`] consumes the engine's counter slices *as they are
 //! produced* (between [`gpu_sim::Gpu::step_once`] calls) and emits each
 //! fixed-period sample as soon as it can no longer change, instead of
-//! requiring the whole run's slice log up front. Draining a stream over any
-//! interleaving of pushes is **bitwise identical** to one batch
-//! `collect_faulted` call over the concatenated slices — the window
-//! arithmetic, per-window summation order, quantization and poll-miss fault
-//! draws are the exact same code paths evaluated in the exact same order.
+//! requiring the whole run's slice log up front. [`CuptiSession::collect`]
+//! is the same stream given the whole log in one push: its watermark of
+//! `t_start` finalizes no window, so [`CuptiStream::finish`] builds every
+//! sample. Draining a stream over any interleaving of pushes is **bitwise
+//! identical** to that one-push drain: interior windows emitted early and
+//! the windows `finish` builds share the window arithmetic, per-window
+//! summation order, quantization and poll-miss fault draws, evaluated in
+//! the same order.
 //!
 //! # Why emission can be early
 //!
-//! Batch collection attributes a slice to the window containing its end
-//! (clamped into the final window near `t_end`). Two facts make incremental
-//! emission sound:
+//! `finish` attributes a slice to the window containing its end, the moment
+//! the host read would observe it (clamped into the final window near
+//! `t_end`). Two facts make incremental emission sound:
 //!
 //! 1. *Causality*: the caller's watermark is a lower bound on every future
 //!    slice's end time (for the GPU engine, `now_us()` after the step that
 //!    produced the drained slices — slices never end in the past).
 //! 2. *Interior windows take no clamp*: once the watermark strictly exceeds
-//!    a window's right boundary (plus the batch path's `1e-9` guard band),
-//!    the final `t_end` — whatever it turns out to be — is beyond that
-//!    boundary too, so neither the `min(t_end - 1e-9)` clamp nor the
-//!    `min(n-1)` index clamp can ever pull a slice back into the window.
+//!    a window's right boundary (plus `finish`'s `1e-9` guard band), the
+//!    final `t_end` — whatever it turns out to be — is beyond that boundary
+//!    too, so neither the `min(t_end - 1e-9)` clamp nor the `min(n-1)`
+//!    index clamp can ever pull a slice back into the window.
 //!
 //! The poll-miss fault stage ("each boundary missed with `poll_miss_prob`,
 //! the final window is always read") needs one sample of lookahead: the
 //! draw for sample *i* happens only once sample *i+1* exists, because the
-//! batch path never draws for the last sample. The stream therefore holds
-//! back one ready sample, which bounds its added latency at one poll period.
+//! last sample takes no draw. The stream therefore holds back one ready
+//! sample, which bounds its added latency at one poll period.
 
 use gpu_sim::{CounterId, CounterSlice, CounterValues, FaultPlan};
 use rand::rngs::StdRng;
@@ -44,11 +47,11 @@ pub struct CuptiStream {
     session: CuptiSession,
     plan: FaultPlan,
     t_start: f64,
-    /// Counters enabled by the session's groups, in catalog order (the batch
-    /// path's summation order).
+    /// Counters enabled by the session's groups, in catalog order (the
+    /// per-window summation order).
     enabled: Vec<CounterId>,
-    /// Fault rng, created iff the plan can miss polls; draw order matches
-    /// the batch path draw for draw.
+    /// Fault rng, created iff the plan can miss polls; one draw per sample
+    /// except the last, in sample order.
     rng: Option<StdRng>,
     /// Relevant slices not yet attributed to an emitted window, in arrival
     /// (= trace) order. Bounded: only slices at or beyond the emission
@@ -70,6 +73,8 @@ impl CuptiStream {
     /// by [`CuptiStream::finish`].
     pub fn open(session: CuptiSession, t_start: f64, plan: FaultPlan) -> Self {
         let enabled = counters_of(session.groups());
+        // Domain-separated from the engine's fault stream: both derive from
+        // the plan seed but must not replay each other's draws.
         let rng =
             (plan.poll_miss_prob > 0.0).then(|| StdRng::seed_from_u64(plan.seed ^ 0x9011_c0de));
         CuptiStream {
@@ -99,10 +104,10 @@ impl CuptiStream {
     pub fn push(&mut self, slices: &[CounterSlice], watermark_us: f64) -> Vec<CuptiSample> {
         let ctx = self.session.context();
         for s in slices {
-            // The batch path's relevance filter, minus the `start_us >=
-            // t_end` half — t_end is unknown until finish, and such slices
-            // can only sit at the run's extreme tail where they stay
-            // pending until finish applies the full filter.
+            // The relevance filter, minus the `start_us >= t_end` half —
+            // t_end is unknown until finish, and such slices can only sit
+            // at the run's extreme tail where they stay pending until
+            // finish applies the full filter.
             if s.ctx != ctx || s.end_us <= self.t_start {
                 continue;
             }
@@ -115,7 +120,7 @@ impl CuptiStream {
     }
 
     /// Emits every window whose right boundary the watermark has strictly
-    /// cleared (with the batch path's guard band).
+    /// cleared (with `finish`'s guard band).
     fn advance(&mut self, out: &mut Vec<CuptiSample>) {
         let poll = self.session.poll_period_us();
         loop {
@@ -124,8 +129,9 @@ impl CuptiStream {
             if self.watermark <= win_end + 1e-9 {
                 break;
             }
-            // Interior window: no clamp can apply (module docs), so the
-            // batch attribution reduces to a plain floor on the slice end.
+            // Interior window: no clamp can apply (module docs), so
+            // `finish`'s attribution reduces to a plain floor on the slice
+            // end.
             let mut counters = CounterValues::zero();
             let mut i = 0;
             while i < self.pending.len() {
@@ -151,8 +157,8 @@ impl CuptiStream {
         }
     }
 
-    /// Applies the session's precision step — the batch path's
-    /// post-aggregation rounding, verbatim.
+    /// Applies the session's precision step: every aggregated reading is
+    /// rounded to a multiple of it.
     fn quantized(&self, mut sample: CuptiSample) -> CuptiSample {
         if self.session.quantization() > 1.0 {
             let mut q = CounterValues::zero();
@@ -169,9 +175,9 @@ impl CuptiStream {
     }
 
     /// The poll-miss fault stage with one sample of lookahead: deciding the
-    /// previous sample only now that a successor exists reproduces the batch
-    /// rule that the final window is always read — and keeps the rng draw
-    /// sequence identical (one draw per sample except the last, in order).
+    /// previous sample only now that a successor exists keeps the rule that
+    /// the final window is always read — and fixes the rng draw sequence at
+    /// one draw per sample except the last, in order.
     fn push_ready(&mut self, mut sample: CuptiSample, out: &mut Vec<CuptiSample>) {
         let Some(rng) = self.rng.as_mut() else {
             out.push(sample);
@@ -195,8 +201,8 @@ impl CuptiStream {
     /// the remaining windows (including the clamped final one) and the
     /// held-back sample. The full output of the stream — every `push`
     /// return value followed by this one — equals
-    /// `session.collect_faulted(&all_slices, t_start, t_end, &plan)`
-    /// bitwise.
+    /// `session.collect(&all_slices, t_start, t_end, &plan)`, the drain
+    /// whose one push leaves every window to this function, bitwise.
     ///
     /// # Panics
     ///
@@ -211,8 +217,8 @@ impl CuptiStream {
         let n = ((t_end - self.t_start) / poll).ceil() as usize;
         let mut out = Vec::new();
         if n > 0 {
-            // Remaining windows take the full batch attribution — clamps
-            // and all — because the final window is now known.
+            // Remaining windows take the full attribution — clamps and
+            // all — because the final window is now known.
             let mut tail: Vec<CuptiSample> = (self.next_window..n)
                 .map(|k| CuptiSample {
                     start_us: self.t_start + k as f64 * poll,
@@ -319,18 +325,20 @@ mod tests {
         out
     }
 
+    /// Chunked pushes emit interior windows from `advance`; the one-push
+    /// drain of `CuptiSession::collect` builds every window in `finish`.
     #[test]
     fn streamed_samples_equal_batch_collect_over_any_chunking() {
         for seed in [1u64, 7, 42] {
             for poll in [50.0, 130.0] {
                 let s = session(poll);
                 let (trace, t_end) = random_trace(seed, poll);
-                let batch = s.collect(&trace, 0.0, t_end);
+                let drained = s.collect(&trace, 0.0, t_end, &FaultPlan::none());
                 for chunk_seed in [3u64, 9, 27] {
                     let stream = CuptiStream::open(s.clone(), 0.0, FaultPlan::none());
                     let streamed = drain_in_chunks(stream, &trace, t_end, chunk_seed);
                     assert_eq!(
-                        streamed, batch,
+                        streamed, drained,
                         "seed {} poll {} chunks {}",
                         seed, poll, chunk_seed
                     );
@@ -339,38 +347,49 @@ mod tests {
         }
     }
 
+    /// Poll misses with and without quantization: a step of 50 sectors puts
+    /// the random traces' window sums across steps, so rounding and the
+    /// merge of missed windows both act on every run.
     #[test]
     fn streamed_poll_miss_faults_equal_batch_collect_faulted() {
         let mut plan = FaultPlan::none();
         plan.poll_miss_prob = 0.35;
         plan.seed = 17;
-        for seed in [1u64, 5, 23] {
-            let s = session(50.0);
-            let (trace, t_end) = random_trace(seed, 50.0);
-            let batch = s.collect_faulted(&trace, 0.0, t_end, &plan);
-            for chunk_seed in [2u64, 11] {
-                let stream = CuptiStream::open(s.clone(), 0.0, plan);
-                let streamed = drain_in_chunks(stream, &trace, t_end, chunk_seed);
-                assert_eq!(streamed, batch, "seed {} chunks {}", seed, chunk_seed);
+        for s in [session(50.0), session(50.0).with_quantization(50.0)] {
+            for seed in [1u64, 5, 23] {
+                let (trace, t_end) = random_trace(seed, 50.0);
+                let drained = s.collect(&trace, 0.0, t_end, &plan);
+                for chunk_seed in [2u64, 11] {
+                    let stream = CuptiStream::open(s.clone(), 0.0, plan);
+                    let streamed = drain_in_chunks(stream, &trace, t_end, chunk_seed);
+                    assert_eq!(
+                        streamed,
+                        drained,
+                        "quant {} seed {} chunks {}",
+                        s.quantization(),
+                        seed,
+                        chunk_seed
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn single_window_run_is_never_fault_dropped() {
-        // Fewer than two samples: the batch path skips faulting entirely;
-        // the stream must too (no successor ever arrives, so no draw).
+        // One sample: no successor ever arrives, so no draw, in the
+        // one-push drain and in the chunked stream alike.
         let mut plan = FaultPlan::none();
         plan.poll_miss_prob = 1.0;
         plan.seed = 3;
         let s = session(100.0);
         let trace = vec![slice(0, 0.0, 30.0, 5.0)];
-        let batch = s.collect_faulted(&trace, 0.0, 80.0, &plan);
-        assert_eq!(batch.len(), 1);
+        let drained = s.collect(&trace, 0.0, 80.0, &plan);
+        assert_eq!(drained.len(), 1);
         let mut stream = CuptiStream::open(s, 0.0, plan);
         let mut out = stream.push(&trace, 30.0);
         out.extend(stream.finish(80.0));
-        assert_eq!(out, batch);
+        assert_eq!(out, drained);
     }
 
     #[test]
@@ -378,7 +397,7 @@ mod tests {
         let s = session(100.0);
         let stream = CuptiStream::open(s.clone(), 0.0, FaultPlan::none());
         assert!(stream.finish(0.0).is_empty());
-        assert!(s.collect(&[], 0.0, 0.0).is_empty());
+        assert!(s.collect(&[], 0.0, 0.0, &FaultPlan::none()).is_empty());
     }
 
     #[test]
@@ -389,14 +408,14 @@ mod tests {
             slice(0, 120.0, 180.0, 1501.0),
             slice(0, 250.0, 260.0, 700.0),
         ];
-        let batch = s.collect(&trace, 0.0, 300.0);
+        let drained = s.collect(&trace, 0.0, 300.0, &FaultPlan::none());
         let mut stream = CuptiStream::open(s, 0.0, FaultPlan::none());
         let mut out = Vec::new();
         for sl in &trace {
             out.extend(stream.push(std::slice::from_ref(sl), sl.end_us));
         }
         out.extend(stream.finish(300.0));
-        assert_eq!(out, batch);
+        assert_eq!(out, drained);
     }
 
     #[test]

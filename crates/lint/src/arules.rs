@@ -42,7 +42,7 @@ use crate::facts::{Callee, FoldFact, IterRoot};
 use crate::graph::{module_path, FileUnit, Graph};
 use crate::rules::Waivers;
 
-/// One semantic rule's identity, for `--explain` and SARIF metadata.
+/// One semantic rule's identity, for `--explain`.
 pub struct SemRuleDef {
     pub id: &'static str,
     pub name: &'static str,

@@ -105,7 +105,7 @@ pub fn render_json_full(diags: &[Diagnostic], stats: &crate::RunStats) -> String
 }
 
 /// Escapes a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -28,7 +28,6 @@
 //! ```text
 //! cargo run -p lint                  # human-readable report
 //! cargo run -p lint -- --json        # machine-readable, for the CI jq gate
-//! cargo run -p lint -- --sarif       # SARIF 2.1.0 for code scanning
 //! cargo run -p lint -- --explain A1  # what a rule means and why
 //! cargo run -p lint -- --check-config  # audit lint.toml for stale entries and dead roots
 //! ```
@@ -46,7 +45,6 @@ pub mod graph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod sarif;
 pub mod walk;
 
 use std::collections::BTreeMap;

@@ -9,7 +9,6 @@ use lint::config::Severity;
 
 struct Args {
     json: bool,
-    sarif: bool,
     explain: Option<String>,
     check_config: bool,
     root: Option<PathBuf>,
@@ -20,13 +19,12 @@ const USAGE: &str = "\
 leaky-lint — determinism & simulator-invariant static analysis
 
 USAGE:
-    leaky-lint [--json | --sarif] [--root <dir>] [--config <lint.toml>]
+    leaky-lint [--json] [--root <dir>] [--config <lint.toml>]
     leaky-lint --explain <rule>
     leaky-lint --check-config [--root <dir>] [--config <lint.toml>]
 
 OPTIONS:
     --json             machine-readable output (diagnostics + counts + run stats)
-    --sarif            SARIF 2.1.0 output (GitHub code scanning)
     --explain <rule>   print what a rule (D1..D8, A1..A4) means and how to fix it
     --check-config     audit lint.toml for stale allowlist entries and roots that
                        match no function; exit 1 if any
@@ -42,7 +40,6 @@ EXIT STATUS:
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         json: false,
-        sarif: false,
         explain: None,
         check_config: false,
         root: None,
@@ -52,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => args.json = true,
-            "--sarif" => args.sarif = true,
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain needs a rule id argument")?)
             }
@@ -73,9 +69,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument `{}`", other)),
         }
-    }
-    if args.json && args.sarif {
-        return Err("--json and --sarif are mutually exclusive".into());
     }
     Ok(args)
 }
@@ -171,8 +164,6 @@ fn main() -> ExitCode {
     };
     if args.json {
         println!("{}", lint::diag::render_json_full(&out.diags, &out.stats));
-    } else if args.sarif {
-        print!("{}", lint::sarif::render_sarif(&out.diags));
     } else {
         print!("{}", lint::diag::render_human(&out.diags));
     }

@@ -145,48 +145,6 @@ fn workspace_config_enables_all_rules() {
     }
 }
 
-/// SARIF output on the bad corpus: the 2.1.0 shape GitHub code-scanning
-/// ingests — schema pointer, tool driver with rule metadata, results with
-/// ruleId/level/physicalLocation.
-#[test]
-fn cli_sarif_shape() {
-    let bin = env!("CARGO_BIN_EXE_leaky-lint");
-    let root = fixtures_root();
-    let out = Command::new(bin)
-        .args(["--sarif", "--root"])
-        .arg(&root)
-        .arg("--config")
-        .arg(root.join("lint-bad.toml"))
-        .output()
-        .expect("spawn leaky-lint");
-    assert_eq!(out.status.code(), Some(1), "bad corpus still exits 1");
-    let sarif = String::from_utf8(out.stdout).expect("utf8");
-    for needle in [
-        "sarif-schema-2.1.0",
-        "\"version\": \"2.1.0\"",
-        "\"driver\"",
-        "\"ruleId\"",
-        "\"level\"",
-        "\"artifactLocation\"",
-        "\"startLine\"",
-    ] {
-        assert!(
-            sarif.contains(needle),
-            "SARIF missing {}: {}",
-            needle,
-            sarif
-        );
-    }
-    // Every rule family that fired in JSON shows up as a SARIF result too.
-    for id in ["A1", "A2", "A3", "A4", "D1"] {
-        assert!(
-            sarif.contains(&format!("\"ruleId\": \"{}\"", id)),
-            "no SARIF result for {}",
-            id
-        );
-    }
-}
-
 /// `--explain` prints the rationale for token and semantic rules alike, and
 /// exits 2 on an unknown id.
 #[test]

@@ -728,6 +728,7 @@ mod tests {
         // bitwise equal to the naive triple loop, for every k % 8 residue
         // and at every worker count. On hosts without AVX2 both arms are
         // the scalar path and the sweep degenerates to the PR 5 property.
+        let _simd = crate::simd::test_lock();
         let shape = testkit::gen::zip3(tile_boundary_dim(), lane_boundary_k(), tile_boundary_dim());
         testkit::check("gemm_simd_lane_boundaries", &shape, |&(m, k, n)| {
             let mut rng = shape_rng(0x51d0, (m, k, n));

@@ -17,9 +17,9 @@
 //! *process-wide* — process-wide rather than thread-local on purpose,
 //! because [`crate::par::par_map`] runs on persistent pool workers that
 //! never inherit the caller's thread-locals. Cross-thread visibility of the
-//! flag is harmless: both paths produce bitwise-identical results, so which
-//! one a concurrent caller observes is a scheduling detail, never an
-//! arithmetic one.
+//! flag changes no result, because both paths are bitwise identical. It
+//! does change what a concurrent caller of [`enabled`] sees, so the tests
+//! that set the flag or read it to pick a path hold one lock (`test_lock`).
 
 use crate::matrix::{TILE_M, TILE_N};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,9 +52,10 @@ pub fn enabled() -> bool {
 /// probe (`true`), restoring the previous setting afterwards (also on
 /// panic).
 ///
-/// The flag is process-wide (see the module docs for why); since both
-/// dispatch targets are bitwise-equal, concurrent tests observing each
-/// other's setting can change timing only, never results.
+/// The flag is process-wide (see the module docs for why). Both dispatch
+/// targets are bitwise-equal, so another thread's setting changes no
+/// result; but a test that asserts [`enabled`] sees the settings of tests
+/// running beside it unless both hold the module's test lock.
 pub fn with_simd<R>(enable: bool, f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -233,12 +234,24 @@ mod avx2 {
     }
 }
 
+/// Serialises the tests that set [`with_simd`] or read [`enabled`] to pick
+/// a path: the flag is process-wide and `cargo test` runs tests on parallel
+/// threads. A test that panics while holding it does not poison it for the
+/// others.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn with_simd_restores_override() {
+        let _simd = test_lock();
         let auto = enabled();
         with_simd(false, || {
             assert!(!enabled(), "override must force the scalar path");
@@ -250,6 +263,7 @@ mod tests {
 
     #[test]
     fn with_simd_restores_override_on_panic() {
+        let _simd = test_lock();
         let before = enabled();
         let result = std::panic::catch_unwind(|| with_simd(false, || panic!("boom")));
         assert!(result.is_err());
@@ -258,6 +272,7 @@ mod tests {
 
     #[test]
     fn gemm_tile_matches_scalar_bitwise() {
+        let _simd = test_lock();
         for k_dim in 1..=17usize {
             let a_data: Vec<Vec<f32>> = (0..TILE_M)
                 .map(|t| {
@@ -281,6 +296,7 @@ mod tests {
 
     #[test]
     fn gemm_t_tile_matches_scalar_bitwise() {
+        let _simd = test_lock();
         for k_dim in 1..=17usize {
             let a_cols = TILE_M + 2;
             let a: Vec<f32> = (0..k_dim * a_cols)
