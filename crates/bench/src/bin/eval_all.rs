@@ -15,6 +15,7 @@ use bench::{
     print_table7, print_table8, print_table9, train_moscons, train_zoo_moscons, zoo_family_session,
     Scale,
 };
+use dnn_sim::trainer::mean_iteration_us;
 use dnn_sim::{zoo, OpClass, TrainingSession};
 use gpu_sim::{FaultPlan, GpuConfig};
 use moscons::attack::{Extraction, Moscons};
@@ -22,7 +23,7 @@ use moscons::cache::counter_feature_matrix;
 use moscons::opseq::{collapse, forward_boundary, parse_forward_layers_zoo};
 use moscons::syntax::{correct_graph, SyntaxConfig};
 use moscons::trace::spy_rig;
-use moscons::{score_structure, LabeledTrace, RawTrace, SlowdownConfig, SpyKernelKind};
+use moscons::{score_structure, CollectionConfig, LabeledTrace, RawTrace};
 use rand::SeedableRng;
 use serde::Serialize;
 
@@ -110,29 +111,34 @@ fn ablation(moscons: &Moscons, scale: Scale) {
     println!("the paper motivates both stages (§IV-B voting, §IV-D syntax).");
 }
 
-/// Collects a ZFNet victim trace under a given defense configuration.
+/// Collects a ZFNet victim trace under a given defense configuration. The
+/// trace records the paper's collection with seed `0xDEF`, which also seeds
+/// the GPU unmixed; quantization and slice jitter are not part of
+/// [`CollectionConfig`].
 fn collect_defended(scale: Scale, quantization: f64, slice_jitter: f64) -> RawTrace {
+    let collection = CollectionConfig::paper().with_seed(0xDEF);
     let session = scale.session(zoo::zfnet());
-    let mut gpu_cfg = GpuConfig::gtx_1080_ti().with_seed(0xDEF);
+    let mut gpu_cfg = GpuConfig::gtx_1080_ti().with_seed(collection.seed);
     gpu_cfg.slice_jitter = slice_jitter;
     let (mut gpu, victim, cupti) = spy_rig(
         gpu_cfg,
-        SpyKernelKind::Conv200,
-        SlowdownConfig::paper(),
-        1_000.0,
+        collection.spy_kernel,
+        collection.slowdown,
+        collection.poll_period_us,
     );
     let cupti = cupti.with_quantization(quantization.max(1.0));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xDEF);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(collection.seed);
     session.enqueue(&mut gpu, victim, &mut rng);
     gpu.run_until_queues_drain();
     let end = gpu.now_us();
     let (kernels, slices) = gpu.take_logs();
     let samples = cupti.collect(&slices, 0.0, end, &FaultPlan::none());
+    let victim_log: Vec<_> = kernels.into_iter().filter(|r| r.ctx == victim).collect();
     RawTrace {
-        victim_log: kernels.into_iter().filter(|r| r.ctx == victim).collect(),
         samples,
-        collection: moscons::CollectionConfig::paper(),
-        mean_iteration_us: 0.0,
+        mean_iteration_us: mean_iteration_us(&victim_log, session.ops().len()),
+        victim_log,
+        collection,
     }
 }
 

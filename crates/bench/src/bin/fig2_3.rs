@@ -4,6 +4,7 @@
 //! spy samples at fine grain inside each iteration).
 
 use bench::Scale;
+use dnn_sim::trainer::iteration_spans;
 use dnn_sim::zoo;
 use gpu_sim::{Gpu, GpuConfig, SchedulerMode};
 use moscons::SpyKernelKind;
@@ -48,20 +49,16 @@ fn run(mode: SchedulerMode) -> Series {
         .filter(|r| r.ctx == spy)
         .cloned()
         .collect();
-    let iters = victim_log.len() / per_iter;
-    let mut spy_per_iteration = Vec::new();
-    for i in 0..iters {
-        let start = victim_log[i * per_iter].start_us;
-        let end = victim_log[(i + 1) * per_iter - 1].end_us;
-        // Completions while the victim is actually computing (the gaps
-        // between iterations are excluded — both schedulers sample freely
-        // there).
-        let n = spy_log
-            .iter()
-            .filter(|r| r.end_us >= start && r.end_us <= end)
-            .count();
-        spy_per_iteration.push(n);
-    }
+    // Completions while the victim is actually computing (the gaps between
+    // iterations are excluded — both schedulers sample freely there).
+    let spy_per_iteration = iteration_spans(&victim_log, per_iter)
+        .map(|(start, end)| {
+            spy_log
+                .iter()
+                .filter(|r| r.end_us >= start && r.end_us <= end)
+                .count()
+        })
+        .collect();
     Series {
         spy_per_iteration,
         spy_durations_us: spy_log.iter().map(|r| r.duration_us()).collect(),

@@ -4,6 +4,7 @@
 //! ground-truth timeline.
 
 use cupti_sim::{table_iv_groups, CuptiSample, CuptiSession, CuptiStream, VmInstance};
+use dnn_sim::trainer::mean_iteration_us;
 use dnn_sim::TrainingSession;
 use gpu_sim::{ContextId, Gpu, GpuConfig, KernelDesc, KernelRecord, SchedulerMode};
 use rand::rngs::StdRng;
@@ -245,22 +246,10 @@ impl SpySession {
         samples.extend(stream.finish(end));
         let victim_log: Vec<KernelRecord> =
             kernels.into_iter().filter(|r| r.ctx == victim).collect();
-
-        let iters = victim_log.len() / per_iter.max(1);
-        let mean_iteration_us = if iters > 0 {
-            (0..iters)
-                .map(|i| {
-                    victim_log[(i + 1) * per_iter - 1].end_us - victim_log[i * per_iter].start_us
-                })
-                .sum::<f64>()
-                / iters as f64
-        } else {
-            0.0
-        };
         SessionTail {
             samples,
+            mean_iteration_us: mean_iteration_us(&victim_log, per_iter),
             victim_log,
-            mean_iteration_us,
         }
     }
 }

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use gpu_sim::{ContextId, Gpu};
+use gpu_sim::{ContextId, Gpu, KernelRecord};
 
 use crate::kernels::lower_op;
 use crate::model::Model;
@@ -125,15 +125,35 @@ impl TrainingSession {
         let log = gpu.kernel_log();
         assert!(!log.is_empty(), "no kernels executed");
         let per_iter = session.ops.len();
-        let iters = log.len() / per_iter;
-        assert!(iters >= 1, "fewer kernels than one iteration");
-        // Average over complete iterations, excluding the host gaps.
-        let mut total = 0.0;
-        for i in 0..iters {
-            let first = &log[i * per_iter];
-            let last = &log[(i + 1) * per_iter - 1];
-            total += last.end_us - first.start_us;
-        }
+        assert!(log.len() >= per_iter, "fewer kernels than one iteration");
+        mean_iteration_us(log, per_iter)
+    }
+}
+
+/// The `(start_us, end_us)` of each complete iteration in a victim's kernel
+/// log: consecutive runs of `ops_per_iteration` kernels, from the first
+/// one's launch to the last one's completion, so the host gaps between
+/// iterations are excluded. A trailing partial iteration yields nothing; an
+/// `ops_per_iteration` of 0 counts as 1.
+pub fn iteration_spans(
+    log: &[KernelRecord],
+    ops_per_iteration: usize,
+) -> impl Iterator<Item = (f64, f64)> + '_ {
+    log.chunks_exact(ops_per_iteration.max(1))
+        .map(|iter| (iter[0].start_us, iter[iter.len() - 1].end_us))
+}
+
+/// Mean wall time of the complete iterations in `log`
+/// ([`iteration_spans`]), summed in log order; 0.0 when there is none.
+pub fn mean_iteration_us(log: &[KernelRecord], ops_per_iteration: usize) -> f64 {
+    let (mut total, mut iters) = (0.0, 0usize);
+    for (start, end) in iteration_spans(log, ops_per_iteration) {
+        total += end - start;
+        iters += 1;
+    }
+    if iters == 0 {
+        0.0
+    } else {
         total / iters as f64
     }
 }
@@ -205,6 +225,31 @@ mod tests {
         let n = session.ops().len();
         let gap = log[n].start_us - log[n - 1].end_us;
         assert!(gap >= 19_000.0, "inter-iteration gap was {}", gap);
+    }
+
+    #[test]
+    fn iteration_spans_skip_the_partial_tail_and_gaps() {
+        // Two complete 2-op iterations separated by a host gap, then the
+        // first op of a third.
+        let log = [
+            (0.0, 4.0),
+            (4.0, 10.0),
+            (50.0, 55.0),
+            (55.0, 58.0),
+            (90.0, 99.0),
+        ]
+        .map(|(start_us, end_us)| KernelRecord {
+            ctx: ContextId::test_value(0),
+            name: "k".into(),
+            op_tag: None,
+            start_us,
+            end_us,
+        });
+        let spans: Vec<(f64, f64)> = iteration_spans(&log, 2).collect();
+        assert_eq!(spans, vec![(0.0, 10.0), (50.0, 58.0)]);
+        assert_eq!(mean_iteration_us(&log, 2), 9.0);
+        assert_eq!(iteration_spans(&[], 2).count(), 0);
+        assert_eq!(mean_iteration_us(&[], 2), 0.0);
     }
 
     #[test]

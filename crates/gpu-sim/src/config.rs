@@ -19,9 +19,6 @@ pub struct GpuConfig {
     pub threads_per_sm: u32,
     /// Total L2 capacity in bytes.
     pub l2_bytes: f64,
-    /// Number of L2 slices / DRAM sub-partitions (counters are reported per
-    /// sub-partition, e.g. `fb_subp0_read_sectors`).
-    pub subpartitions: usize,
     /// Sector size in bytes (CUPTI sector counters count these).
     pub sector_bytes: f64,
     /// Aggregate DRAM bandwidth, bytes per microsecond.
@@ -61,7 +58,6 @@ impl GpuConfig {
             num_sms: 28,
             threads_per_sm: 2048,
             l2_bytes: 2816.0 * 1024.0,
-            subpartitions: 2,
             sector_bytes: 32.0,
             // ~484 GB/s peak at ~60% achievable ≈ 290e3 bytes/us.
             mem_bandwidth: 290_000.0,
@@ -101,9 +97,6 @@ impl GpuConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.num_sms == 0 {
             return Err("num_sms must be positive".into());
-        }
-        if self.subpartitions == 0 {
-            return Err("subpartitions must be positive".into());
         }
         if not_positive(self.l2_bytes) {
             return Err("l2_bytes must be positive".into());
@@ -153,7 +146,6 @@ mod tests {
     fn default_config_is_valid() {
         assert!(GpuConfig::default().validate().is_ok());
         assert_eq!(GpuConfig::gtx_1080_ti().num_sms, 28);
-        assert_eq!(GpuConfig::gtx_1080_ti().subpartitions, 2);
     }
 
     #[test]

@@ -953,13 +953,13 @@ mod tests {
     fn bindings_from_params_lets_and_inference() {
         let (_, f) = facts_of(
             "fn a(xs: &[f32], n: usize) { let mut acc: Vec<f32> = Vec::new(); \
-             let pool = WorkspacePool::new(4); let s = 0.5; }",
+             let pool = ScratchPool::new(4); let s = 0.5; }",
         );
         let b = &f.fns[0].bindings;
         assert_eq!(b.get("xs").unwrap(), "& [ f32 ]");
         assert_eq!(b.get("n").unwrap(), "usize");
         assert!(b.get("acc").unwrap().starts_with("Vec"));
-        assert_eq!(b.get("pool").unwrap(), "WorkspacePool");
+        assert_eq!(b.get("pool").unwrap(), "ScratchPool");
         assert_eq!(b.get("s").unwrap(), "f64", "float-literal init inferred");
     }
 }

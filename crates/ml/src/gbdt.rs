@@ -93,17 +93,9 @@ impl GbdtBinaryClassifier {
             let tree = RegressionTree::fit(&binned, &mapper, &grads, &hess, &indices, &config.tree);
             // Per-round score refresh is embarrassingly parallel; results
             // come back in row order, so scores are thread-count invariant.
-            // The serial path updates scores directly — same per-row order,
-            // no per-round prediction buffer.
-            if crate::par::threads() <= 1 {
-                for (s, row) in scores.iter_mut().zip(binned.iter()) {
-                    *s += config.learning_rate * tree.predict_binned(row);
-                }
-            } else {
-                let preds = crate::par::par_map(&binned, |_, row| tree.predict_binned(row));
-                for (s, p) in scores.iter_mut().zip(preds) {
-                    *s += config.learning_rate * p;
-                }
+            let preds = crate::par::par_map(&binned, |_, row| tree.predict_binned(row));
+            for (s, p) in scores.iter_mut().zip(preds) {
+                *s += config.learning_rate * p;
             }
             trees.push(tree);
         }

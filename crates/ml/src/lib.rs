@@ -18,7 +18,7 @@
 //!   data-parallel training and inference paths;
 //! * [`simd`] — explicit-lane AVX2 kernels behind runtime dispatch, bitwise
 //!   pinned to the scalar microkernel (the only `core::arch` user, lint D8);
-//! * [`workspace`] — pooled, reusable training buffers behind the
+//! * [`workspace`] — caller-owned, reusable training buffers behind the
 //!   allocation-free epoch loop;
 //! * [`scale`] — MinMax scaling (§IV-A pre-processing);
 //! * [`metrics`] — `mean(σ)` summaries;

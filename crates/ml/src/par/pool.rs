@@ -6,10 +6,10 @@
 //!
 //! Spawning fresh threads per call costs tens of microseconds per worker,
 //! and the hot loops here — one fleet lockstep round
-//! (`moscons::fleet::run_fleet`), one GEMM row block, one fit minibatch —
-//! issue thousands of small dispatches. The pool spawns workers once, parks
-//! them on a condvar, and amortizes thread startup across the whole attack:
-//! a dispatch is an enqueue + wake, not N `clone(2)` syscalls.
+//! (`moscons::fleet::run_fleet`), one GEMM row block — issue thousands of
+//! small dispatches. The pool spawns workers once, parks them on a condvar,
+//! and amortizes thread startup across the whole attack: a dispatch is an
+//! enqueue + wake, not N `clone(2)` syscalls.
 //!
 //! # Determinism by static partition
 //!
@@ -350,20 +350,37 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // writes target disjoint per-chunk slots, see the `Send` argument.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Converts a fully-initialized `MaybeUninit` buffer into the result vector.
-///
-/// # Safety
-///
-/// Every element of `buf` must be initialized.
-// SAFETY: unsafe-fn declaration — the obligation is the `# Safety` doc
-// contract above, discharged at each call site.
-unsafe fn assume_init_vec<R>(buf: Vec<MaybeUninit<R>>) -> Vec<R> {
-    let mut buf = std::mem::ManuallyDrop::new(buf);
-    let (ptr, len, cap) = (buf.as_mut_ptr(), buf.len(), buf.capacity());
-    // SAFETY: caller guarantees initialization; `MaybeUninit<R>` has the
-    // same layout as `R`, and `ManuallyDrop` forfeits the old ownership so
-    // the allocation is owned exactly once.
-    unsafe { Vec::from_raw_parts(ptr.cast::<R>(), len, cap) }
+/// The one pooled map body behind [`par_map_pooled`] and
+/// [`par_map_mut_pooled`]: calls `produce(i)` exactly once for every `i` in
+/// `0..n`, over the static chunk partition, and returns the results in
+/// index order — bitwise identical to the serial loop.
+fn pooled_map<R, P>(n: usize, workers: usize, produce: P) -> Vec<R>
+where
+    R: Send,
+    P: Fn(usize) -> R + Sync,
+{
+    let (size, chunks) = chunk_layout(workers, n);
+    let mut out: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    let run = move |ci: usize| {
+        let start = ci * size;
+        let end = (start + size).min(n);
+        for i in start..end {
+            let value = produce(i);
+            // SAFETY: chunk `ci` exclusively owns slots `start..end` (the
+            // static partition is disjoint by construction) and `out` lives
+            // until `dispatch` returns, which is after every chunk ran.
+            unsafe { out_ptr.get().add(i).write(MaybeUninit::new(value)) };
+        }
+    };
+    dispatch(workers, chunks, &run);
+    // A chunk panic would have propagated out of `dispatch` above, leaking
+    // (not dropping) any initialized slots — safe, and unreachable here.
+    let mut out = std::mem::ManuallyDrop::new(out);
+    // SAFETY: dispatch returned normally, so every slot `0..n` is initialized;
+    // `MaybeUninit<R>` has `R`'s layout, and `ManuallyDrop` forfeits the old
+    // ownership, so the allocation is owned exactly once.
+    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) }
 }
 
 /// Pool backend of [`super::par_map`]: static chunk partition, results
@@ -374,27 +391,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let (size, chunks) = chunk_layout(workers, n);
-    let mut out: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let run = move |ci: usize| {
-        let start = ci * size;
-        let end = (start + size).min(n);
-        for i in start..end {
-            let value = f(i, &items[i]);
-            // SAFETY: chunk `ci` exclusively owns slots `start..end` (the
-            // static partition is disjoint by construction) and `out` lives
-            // until `dispatch` returns, which is after every chunk ran.
-            unsafe { out_ptr.get().add(i).write(MaybeUninit::new(value)) };
-        }
-    };
-    dispatch(workers, chunks, &run);
-    // A chunk panic would have propagated out of `dispatch` above, leaking
-    // (not dropping) any initialized slots — safe, and unreachable here.
-    // SAFETY: dispatch returned normally, so all `chunks` chunks ran to
-    // completion and every slot `0..n` is initialized.
-    unsafe { assume_init_vec(out) }
+    pooled_map(items.len(), workers, |i| f(i, &items[i]))
 }
 
 /// Pool backend of [`super::par_map_mut`]: same static partition over
@@ -405,27 +402,14 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let n = items.len();
-    let (size, chunks) = chunk_layout(workers, n);
-    let mut out: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-    let out_ptr = SendPtr(out.as_mut_ptr());
     let items_ptr = SendPtr(items.as_mut_ptr());
-    let run = move |ci: usize| {
-        let start = ci * size;
-        let end = (start + size).min(n);
-        for i in start..end {
-            // SAFETY: chunk `ci` exclusively owns items `start..end` — the
-            // static partition is disjoint, so no element is aliased — and
-            // the slice outlives `dispatch` (JobGuard argument).
-            let item = unsafe { &mut *items_ptr.get().add(i) };
-            let value = f(i, item);
-            // SAFETY: disjoint output slots, same argument as par_map_pooled.
-            unsafe { out_ptr.get().add(i).write(MaybeUninit::new(value)) };
-        }
-    };
-    dispatch(workers, chunks, &run);
-    // SAFETY: dispatch returned normally ⇒ every slot is initialized.
-    unsafe { assume_init_vec(out) }
+    pooled_map(items.len(), workers, move |i| {
+        // SAFETY: `pooled_map` calls this exactly once per `i < items.len()`,
+        // so no element is aliased, and the exclusively borrowed slice
+        // outlives the dispatch (JobGuard argument).
+        let item = unsafe { &mut *items_ptr.get().add(i) };
+        f(i, item)
+    })
 }
 
 /// Pool backend of [`super::join`]: `b` is shipped to the pool as a

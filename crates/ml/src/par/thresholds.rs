@@ -11,25 +11,18 @@
 //! `MIN_PARALLEL_*` constant declared anywhere else in the workspace is a
 //! lint error.
 //!
+//! A fan-out that no workload reaches is deleted, not gated:
+//! `SequenceClassifier::fit`, whose pipeline minibatches hold 4 sequences,
+//! runs each minibatch on the calling thread.
+//!
 //! Tuning provenance: the values below were retuned for the pool-era
 //! dispatch cost measured by the `pool` section of `BENCH_pipeline.json` on
 //! the 1-core CI reference box — ~0.6 us per tiny `par_map` dispatch and
 //! ~2 us per `join`, versus ~85 us per dispatch (tens of microseconds per
-//! spawned worker) on the retired scoped-spawn backend the previous,
-//! roughly 8x-higher values were calibrated against. DESIGN.md §15 has the
+//! spawned worker) on the retired scoped-spawn backend the previous, 4-8x
+//! higher values were calibrated against. DESIGN.md §15 has the
 //! before/after table. The gates trade nothing but scheduling overhead, so
 //! retuning them can never change any result bitwise.
-
-/// Minimum number of sequences in a training minibatch before
-/// `ml::seq::SequenceClassifier::fit`'s bucket fan-out dispatches to the
-/// worker pool.
-///
-/// A batch-4 fit was 0.81x *slower* at 8 threads under scoped spawning,
-/// which pushed this gate to 32 and the thread win out to coarse
-/// cross-model parallelism. A pool dispatch costs ~0.6 us — under the cost
-/// of one sequence step even at quick scale — so the gate now only skips
-/// near-trivial batches where chunk bookkeeping is comparable to the work.
-pub const MIN_PARALLEL_FIT_SEQS: usize = 8;
 
 /// Minimum number of feature rows in the base iteration before extraction
 /// fans the five `Mhp` heads out over the worker pool (`moscons::attack`).
@@ -63,12 +56,6 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)] // asserting consts is the point
     fn thresholds_are_in_sane_ranges() {
-        assert!(MIN_PARALLEL_FIT_SEQS >= 2, "gate must skip trivial batches");
-        assert!(
-            MIN_PARALLEL_FIT_SEQS <= 32,
-            "scoped-era gate magnitude would serialize small-batch fits the \
-             pool dispatches profitably"
-        );
         assert!((64..=2048).contains(&MIN_PARALLEL_EXTRACT_ROWS));
         assert!((1 << 10..=1 << 15).contains(&MIN_PARALLEL_GEMM_FLOPS));
     }

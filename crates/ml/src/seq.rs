@@ -15,12 +15,7 @@ use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into, uniform_wei
 use crate::lstm::{LstmGrads, LstmLayer};
 use crate::matrix::Matrix;
 use crate::optim::{clip_global_norm, Adam};
-use crate::workspace::{BatchWorkspace, BatchWorkspacePool, Workspace, WorkspacePool};
-
-// All work-size gates live in one audited module (leaky-lint rule A4);
-// re-exported here so the historical `ml::seq::MIN_PARALLEL_FIT_SEQS` path
-// keeps working.
-pub use crate::par::thresholds::MIN_PARALLEL_FIT_SEQS;
+use crate::workspace::{BatchWorkspace, Workspace};
 
 /// Training/topology configuration for a [`SequenceClassifier`].
 #[derive(Debug, Clone)]
@@ -42,11 +37,12 @@ pub struct SeqClassifierConfig {
     pub seed: u64,
     /// Per-class loss weights; `None` = uniform.
     pub class_weights: Option<Vec<f32>>,
-    /// Examples per Adam step. Per-example BPTT within a batch runs on the
-    /// worker pool and the batch-mean gradient takes one optimizer step.
-    /// `1` (the default) reproduces the classic per-example schedule
-    /// exactly; larger batches trade schedule for step stability and
-    /// parallel speedup. The result is identical for any thread count.
+    /// Examples per Adam step. A batch's equal-length sequences share one
+    /// packed BPTT pass, its buckets run in order on the calling thread, and
+    /// the batch-mean gradient takes one optimizer step. `1` (the default)
+    /// reproduces the classic per-example schedule exactly; larger batches
+    /// trade schedule for step stability and wider packed GEMMs. The result
+    /// is identical for any thread count.
     pub batch_size: usize,
 }
 
@@ -139,15 +135,20 @@ impl FitOptimizers {
     }
 }
 
-/// Reused gradient accumulators and bucketing scratch for
+/// Reused gradient accumulators, bucketing scratch and workspaces for
 /// [`SequenceClassifier::fit_epoch`]; allocated once per `fit` call and
 /// threaded through every epoch.
 struct FitScratch {
     acc_lstm: LstmGrads,
     acc_head: DenseGrads,
+    /// (length, position-in-batch) pairs, stably sorted by length.
     len_pos: Vec<(usize, usize)>,
+    /// Half-open spans of `len_pos`'s equal-length runs: one per bucket.
     bucket_spans: Vec<(usize, usize)>,
-    slots: Vec<Option<Workspace>>,
+    /// The packed buffers every bucket reuses.
+    bws: BatchWorkspace,
+    /// One per-example workspace per batch position.
+    slots: Vec<Workspace>,
 }
 
 impl SequenceClassifier {
@@ -201,9 +202,9 @@ impl SequenceClassifier {
     /// `t * B + b` holds sequence `b`'s timestep `t`), so every timestep of
     /// the forward recurrence, the head, and the BPTT carry runs as one
     /// fused GEMM over the whole bucket instead of `B` per-sequence matvec
-    /// loops. Each example's losses and gradients come back in its own
-    /// pooled [`Workspace`] (tagged with its batch position), bitwise
-    /// identical to running that example through the naive reference pass
+    /// loops. Each example's losses and gradients land in `slots[pos]`, the
+    /// [`Workspace`] of its batch position, bitwise identical to running
+    /// that example through the naive reference pass
     /// ([`SequenceClassifier::example_pass`]) alone: packed GEMM rows are
     /// independent and keep the naive kernels' ascending-`k` per-element
     /// chains, and parameter gradients are accumulated per example, from
@@ -220,8 +221,8 @@ impl SequenceClassifier {
         batch: &[usize],
         weights: &[f32],
         bws: &mut BatchWorkspace,
-        pool: &WorkspacePool,
-    ) -> Vec<(usize, Workspace)> {
+        slots: &mut [Workspace],
+    ) {
         let b_n = bucket.len();
         let t_len = bucket[0].0;
         debug_assert!(bucket.iter().all(|&(len, _)| len == t_len));
@@ -242,13 +243,9 @@ impl SequenceClassifier {
         // the per-example loss vectors match the reference pass exactly.
         bws.dlogits
             .resize_zeroed(bws.logits.rows(), bws.logits.cols());
-        // Bookkeeping of pool-acquired workspaces (≤ batch_size pairs); the
-        // workspaces inside are reused, only this thin index is per-bucket.
-        // lint: allow(A1)
-        let mut passes: Vec<(usize, Workspace)> = Vec::with_capacity(b_n);
         for (bi, &(_, pos)) in bucket.iter().enumerate() {
             let ex = &data[batch[pos]];
-            let mut ws = pool.acquire();
+            let ws = &mut slots[pos];
             ws.losses.clear();
             ws.correct = 0;
             for t in 0..t_len {
@@ -268,7 +265,6 @@ impl SequenceClassifier {
                     }
                 }
             }
-            passes.push((pos, ws));
         }
 
         // Backward: the head's input gradient and the LSTM's BPTT carry are
@@ -283,7 +279,8 @@ impl SequenceClassifier {
             &mut bws.da_packed,
             &mut bws.scratch,
         );
-        for (bi, (_, ws)) in passes.iter_mut().enumerate() {
+        for (bi, &(_, pos)) in bucket.iter().enumerate() {
+            let ws = &mut slots[pos];
             extract_example_rows(&bws.cache.h, b_n, bi, &mut bws.h_ex);
             extract_example_rows(&bws.dlogits, b_n, bi, &mut bws.da_ex);
             head.param_grads_into(&bws.h_ex, &bws.da_ex, &mut ws.head_grads);
@@ -297,7 +294,6 @@ impl SequenceClassifier {
                 &mut ws.scratch,
             );
         }
-        passes
     }
 
     /// Reference full forward + backward pass for one example through the
@@ -366,9 +362,9 @@ impl SequenceClassifier {
     /// the final epoch.
     ///
     /// The epoch loop is allocation-free in steady state: per-example
-    /// buffers live in pooled [`Workspace`]s, gradient accumulators persist
-    /// across batches, and example feature matrices are materialized once up
-    /// front. The result is bitwise identical to
+    /// buffers live in one [`Workspace`] per batch position, gradient
+    /// accumulators persist across batches, and example feature matrices
+    /// are materialized once up front. The result is bitwise identical to
     /// [`SequenceClassifier::fit_reference`] at any thread count
     /// (property-tested).
     ///
@@ -384,21 +380,19 @@ impl SequenceClassifier {
             .map(|ex| Self::features_to_matrix(&ex.features))
             .collect();
         let mut opts = FitOptimizers::new(&self.lstm, &self.head, self.config.learning_rate);
-        let pool = WorkspacePool::new();
-        let batch_pool = BatchWorkspacePool::new();
+        let batch_size = self.config.batch_size.max(1);
         let mut scratch = FitScratch {
             acc_lstm: LstmGrads::empty(),
             acc_head: DenseGrads::empty(),
-            // Reusable bucketing scratch: (length, position-in-batch) pairs
-            // and the half-open spans of equal-length runs after the stable
-            // sort.
             len_pos: Vec::new(),
             bucket_spans: Vec::new(),
-            slots: Vec::new(),
+            bws: BatchWorkspace::new(),
+            slots: (0..batch_size.min(data.len()))
+                .map(|_| Workspace::new())
+                .collect(),
         };
 
         self.history.clear();
-        let batch_size = self.config.batch_size.max(1);
         let mut last = EpochStats {
             mean_loss: 0.0,
             accuracy: 0.0,
@@ -411,8 +405,6 @@ impl SequenceClassifier {
                 &weights,
                 &order,
                 batch_size,
-                &pool,
-                &batch_pool,
                 &mut opts,
                 &mut scratch,
             );
@@ -425,8 +417,8 @@ impl SequenceClassifier {
     /// over a pre-shuffled `order`. Extracted so the steady-state training
     /// loop is a call-graph root for the A1 hot-path-allocation rule
     /// (lint.toml `rules.A1.roots`): everything reachable from here must
-    /// reuse the pools and accumulators threaded in — a fresh allocation
-    /// per batch is a regression the linter catches.
+    /// reuse the workspaces and accumulators threaded in — a fresh
+    /// allocation per batch is a regression the linter catches.
     #[allow(clippy::too_many_arguments)]
     fn fit_epoch(
         &mut self,
@@ -435,8 +427,6 @@ impl SequenceClassifier {
         weights: &[f32],
         order: &[usize],
         batch_size: usize,
-        pool: &WorkspacePool,
-        batch_pool: &BatchWorkspacePool,
         opts: &mut FitOptimizers,
         scratch: &mut FitScratch,
     ) -> EpochStats {
@@ -445,6 +435,7 @@ impl SequenceClassifier {
             acc_head,
             len_pos,
             bucket_spans,
+            bws,
             slots,
         } = scratch;
         let mut tally = EpochTally::default();
@@ -452,10 +443,9 @@ impl SequenceClassifier {
             // Bucket the batch by exact sequence length: each bucket runs as
             // one packed pass (one fused GEMM per timestep over the whole
             // bucket). The sort is stable, so batch order is preserved
-            // within every bucket; results carry their batch position and
-            // are scattered back below, so bucket composition cannot affect
-            // the reduction order. Buckets only fan out over the worker pool
-            // when the batch is big enough to pay for the dispatch.
+            // within every bucket; each pass writes the workspace of its
+            // batch position, so bucket composition cannot affect the
+            // reduction order below.
             len_pos.clear();
             len_pos.extend(
                 batch
@@ -472,36 +462,18 @@ impl SequenceClassifier {
                     start = end;
                 }
             }
-            let lstm = &self.lstm;
-            let head = &self.head;
-            let len_pos_ref: &[(usize, usize)] = len_pos;
-            let bucket_results = crate::par::par_map_if_work(
-                batch.len(),
-                MIN_PARALLEL_FIT_SEQS,
-                bucket_spans,
-                |_, &(s, e)| {
-                    let mut bws = batch_pool.acquire();
-                    let passes = Self::bucket_pass_into(
-                        lstm,
-                        head,
-                        data,
-                        inputs,
-                        &len_pos_ref[s..e],
-                        batch,
-                        weights,
-                        &mut bws,
-                        pool,
-                    );
-                    batch_pool.release(bws);
-                    passes
-                },
-            );
-            slots.clear();
-            slots.resize_with(batch.len(), || None);
-            for bucket in bucket_results {
-                for (pos, ws) in bucket {
-                    slots[pos] = Some(ws);
-                }
+            for &(s, e) in bucket_spans.iter() {
+                Self::bucket_pass_into(
+                    &self.lstm,
+                    &self.head,
+                    data,
+                    inputs,
+                    &len_pos[s..e],
+                    batch,
+                    weights,
+                    bws,
+                    slots,
+                );
             }
 
             // Fixed-order reduce over batch positions: the first pass's
@@ -509,10 +481,9 @@ impl SequenceClassifier {
             // identical to seeding the sum with them, unlike adding onto
             // zeros) and the remaining passes added in batch order — the
             // same order as before bucketing, whatever the bucket layout was.
-            let mut results = slots
-                .iter_mut()
-                .map(|slot| slot.take().expect("every batch position filled"));
-            let first = results.next().expect("chunks yields non-empty batches");
+            let (first, rest) = slots[..batch.len()]
+                .split_first()
+                .expect("chunks yields non-empty batches");
             acc_lstm.wx.copy_from(&first.lstm_grads.wx);
             acc_lstm.wh.copy_from(&first.lstm_grads.wh);
             acc_lstm.b.clear();
@@ -521,11 +492,9 @@ impl SequenceClassifier {
             acc_head.b.clear();
             acc_head.b.extend_from_slice(&first.head_grads.b);
             tally.add(&first.losses, first.correct);
-            pool.release(first);
-            for pass in results {
+            for pass in rest {
                 add_grads(acc_lstm, acc_head, &pass.lstm_grads, &pass.head_grads);
                 tally.add(&pass.losses, pass.correct);
-                pool.release(pass);
             }
             self.apply_step(opts, acc_lstm, acc_head, batch.len());
         }
@@ -1038,8 +1007,9 @@ mod tests {
 
     #[test]
     fn fit_is_bitwise_thread_count_invariant() {
+        // Batch 16 holds all ten equal-length sequences: one 10-wide bucket.
         let data = quadrant_dataset(10, 6, 13);
-        for batch_size in [1usize, 4] {
+        for batch_size in [1usize, 4, 16] {
             let mut cfg = SeqClassifierConfig::new(2, 8, 4);
             cfg.epochs = 4;
             cfg.batch_size = batch_size;
@@ -1054,33 +1024,13 @@ mod tests {
             };
             let one = run(1);
             let eight = run(8);
-            assert_eq!(
-                one.history(),
-                eight.history(),
-                "history differs (batch {})",
-                batch_size
-            );
-            assert_eq!(
-                one.lstm.wx, eight.lstm.wx,
-                "wx differs (batch {})",
-                batch_size
-            );
-            assert_eq!(
-                one.lstm.wh, eight.lstm.wh,
-                "wh differs (batch {})",
-                batch_size
-            );
-            assert_eq!(one.lstm.b, eight.lstm.b, "b differs (batch {})", batch_size);
-            assert_eq!(
-                one.head.w, eight.head.w,
-                "head differs (batch {})",
-                batch_size
-            );
-            assert_eq!(
-                one.head.b, eight.head.b,
-                "head bias differs (batch {})",
-                batch_size
-            );
+            let batch = format!("batch {batch_size}");
+            assert_eq!(one.history(), eight.history(), "history differs ({batch})");
+            assert_eq!(one.lstm.wx, eight.lstm.wx, "wx differs ({batch})");
+            assert_eq!(one.lstm.wh, eight.lstm.wh, "wh differs ({batch})");
+            assert_eq!(one.lstm.b, eight.lstm.b, "b differs ({batch})");
+            assert_eq!(one.head.w, eight.head.w, "head differs ({batch})");
+            assert_eq!(one.head.b, eight.head.b, "head bias differs ({batch})");
         }
     }
 
@@ -1095,27 +1045,27 @@ mod tests {
             testkit::gen::usize_in(1, 5), // timesteps per sequence
         );
         testkit::check(
-            "seq_fit_pooled_vs_reference",
+            "seq_fit_vs_reference",
             &shapes,
             |&(batch_size, threads, t_len)| {
                 let data = quadrant_dataset(6, t_len, 13);
                 let mut cfg = SeqClassifierConfig::new(2, 6, 4);
                 cfg.epochs = 3;
                 cfg.batch_size = batch_size;
-                let (pooled, reference) = crate::par::with_threads(threads, || {
+                let (fitted, reference) = crate::par::with_threads(threads, || {
                     let mut a = SequenceClassifier::new(cfg.clone());
                     a.fit(&data);
                     let mut b = SequenceClassifier::new(cfg.clone());
                     b.fit_reference(&data);
                     (a, b)
                 });
-                testkit::prop::holds(pooled.history() == reference.history(), "history differs")?;
-                let (a, b) = (&pooled.lstm, &reference.lstm);
+                testkit::prop::holds(fitted.history() == reference.history(), "history differs")?;
+                let (a, b) = (&fitted.lstm, &reference.lstm);
                 testkit::prop::holds(a.wx == b.wx, "wx differs")?;
                 testkit::prop::holds(a.wh == b.wh, "wh differs")?;
                 testkit::prop::holds(a.b == b.b, "b differs")?;
-                testkit::prop::holds(pooled.head.w == reference.head.w, "head w differs")?;
-                testkit::prop::holds(pooled.head.b == reference.head.b, "head b differs")
+                testkit::prop::holds(fitted.head.w == reference.head.w, "head w differs")?;
+                testkit::prop::holds(fitted.head.b == reference.head.b, "head b differs")
             },
         );
     }
@@ -1300,33 +1250,6 @@ mod tests {
             );
             assert_eq!(joint_states[i], state, "stream {i} carry state diverged");
         }
-    }
-
-    #[test]
-    fn fit_gates_parallelism_but_large_batches_stay_invariant() {
-        // A batch larger than MIN_PARALLEL_FIT_SEQS actually fans out; the
-        // result must still be bitwise identical to the serial run.
-        let data = quadrant_dataset(MIN_PARALLEL_FIT_SEQS + 8, 5, 23);
-        let mut cfg = SeqClassifierConfig::new(2, 6, 4);
-        cfg.epochs = 2;
-        cfg.batch_size = MIN_PARALLEL_FIT_SEQS + 8;
-        let run = |threads: usize| {
-            let cfg = cfg.clone();
-            let data = &data;
-            crate::par::with_threads(threads, move || {
-                let mut clf = SequenceClassifier::new(cfg);
-                clf.fit(data);
-                clf
-            })
-        };
-        let one = run(1);
-        let eight = run(8);
-        assert_eq!(one.history(), eight.history());
-        assert_eq!(one.lstm.wx, eight.lstm.wx);
-        assert_eq!(one.lstm.wh, eight.lstm.wh);
-        assert_eq!(one.lstm.b, eight.lstm.b);
-        assert_eq!(one.head.w, eight.head.w);
-        assert_eq!(one.head.b, eight.head.b);
     }
 
     #[test]

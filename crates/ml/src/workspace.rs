@@ -3,19 +3,18 @@
 //! [`SequenceClassifier::fit`](crate::seq::SequenceClassifier::fit) used to
 //! allocate every forward activation, gate buffer, gradient matrix and
 //! softmax scratch vector afresh for every example of every epoch (~24 sites
-//! in the LSTM alone). A [`Workspace`] owns all of those buffers; the `_into`
-//! kernels in [`matrix`](crate::matrix), [`lstm`](crate::lstm),
+//! in the LSTM alone). A [`Workspace`] owns one example's share of those
+//! buffers and a [`BatchWorkspace`] one packed bucket's; the `_into` kernels
+//! in [`matrix`](crate::matrix), [`lstm`](crate::lstm),
 //! [`dense`](crate::dense) and [`loss`](crate::loss) resize-and-fill them in
 //! place, so the steady-state epoch loop performs no heap allocation.
 //!
-//! Workspaces are recycled through a [`WorkspacePool`] — a mutex-protected
-//! free list — rather than thread-locals, because [`crate::par::par_map`]
-//! dispatches to shared pool workers whose thread-local storage would
-//! leak buffers across unrelated callers. Every pass fully overwrites whatever buffer
-//! state it later reads, so results never depend on *which* workspace an
-//! example happens to draw, keeping training bitwise thread-count invariant.
-
-use std::sync::Mutex;
+//! The caller owns its workspaces: `fit` builds one `BatchWorkspace` and one
+//! `Workspace` per batch position before its first epoch and threads them
+//! through every batch on the calling thread. Every pass fully overwrites
+//! whatever buffer state it later reads, so reusing a workspace across
+//! batches and buckets of any size and length is bitwise identical to
+//! starting from fresh buffers.
 
 use crate::dense::DenseGrads;
 use crate::lstm::{LstmCache, LstmGrads, LstmScratch};
@@ -51,40 +50,6 @@ impl Workspace {
             losses: Vec::new(),
             correct: 0,
         }
-    }
-}
-
-/// A free list of [`Workspace`]s shared by the training workers.
-///
-/// At most one workspace per in-flight example exists; once the pool is warm
-/// no pass allocates. `acquire`/`release` take a mutex, but the critical
-/// section is a `Vec` pop/push — nanoseconds against the milliseconds of a
-/// BPTT pass.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    free: Mutex<Vec<Workspace>>,
-}
-
-impl WorkspacePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        WorkspacePool::default()
-    }
-
-    /// Pops a warm workspace, or builds a cold one when the pool is empty.
-    pub fn acquire(&self) -> Workspace {
-        let ws = self.free.lock().expect("workspace pool poisoned").pop();
-        ws.unwrap_or_else(Workspace::new)
-    }
-
-    /// Returns a workspace to the free list for reuse.
-    pub fn release(&self, ws: Workspace) {
-        self.free.lock().expect("workspace pool poisoned").push(ws);
-    }
-
-    /// Number of idle workspaces currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free.lock().expect("workspace pool poisoned").len()
     }
 }
 
@@ -132,75 +97,5 @@ impl BatchWorkspace {
             x_ex: Matrix::zeros(1, 1),
             h_ex: Matrix::zeros(1, 1),
         }
-    }
-}
-
-/// A free list of [`BatchWorkspace`]s shared by the bucket workers, same
-/// recycling discipline as [`WorkspacePool`].
-#[derive(Debug, Default)]
-pub struct BatchWorkspacePool {
-    free: Mutex<Vec<BatchWorkspace>>,
-}
-
-impl BatchWorkspacePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        BatchWorkspacePool::default()
-    }
-
-    /// Pops a warm batch workspace, or builds a cold one when the pool is
-    /// empty.
-    pub fn acquire(&self) -> BatchWorkspace {
-        let ws = self
-            .free
-            .lock()
-            .expect("batch workspace pool poisoned")
-            .pop();
-        ws.unwrap_or_else(BatchWorkspace::new)
-    }
-
-    /// Returns a batch workspace to the free list for reuse.
-    pub fn release(&self, ws: BatchWorkspace) {
-        self.free
-            .lock()
-            .expect("batch workspace pool poisoned")
-            .push(ws);
-    }
-
-    /// Number of idle batch workspaces currently pooled.
-    pub fn idle(&self) -> usize {
-        self.free
-            .lock()
-            .expect("batch workspace pool poisoned")
-            .len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn batch_pool_recycles_workspaces() {
-        let pool = BatchWorkspacePool::new();
-        assert_eq!(pool.idle(), 0);
-        let a = pool.acquire();
-        pool.release(a);
-        assert_eq!(pool.idle(), 1);
-        let _b = pool.acquire();
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn pool_recycles_workspaces() {
-        let pool = WorkspacePool::new();
-        assert_eq!(pool.idle(), 0);
-        let a = pool.acquire();
-        let b = pool.acquire();
-        pool.release(a);
-        pool.release(b);
-        assert_eq!(pool.idle(), 2);
-        let _c = pool.acquire();
-        assert_eq!(pool.idle(), 1);
     }
 }
