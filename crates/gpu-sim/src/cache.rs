@@ -49,22 +49,6 @@ impl CtxOccupancy {
     }
 }
 
-/// Dirty bytes evicted from contexts during one insertion, which their owners
-/// must write back (and pay for) on their next slice.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EvictionReport {
-    /// `(context index, dirty bytes evicted)` — includes the inserting
-    /// context itself if self-eviction reached its dirty pool.
-    pub dirty_evicted: Vec<(usize, f64)>,
-}
-
-impl EvictionReport {
-    /// Total dirty bytes evicted across all contexts.
-    pub fn total_dirty(&self) -> f64 {
-        self.dirty_evicted.iter().map(|(_, b)| b).sum()
-    }
-}
-
 /// Aggregate per-context L2 occupancy model.
 #[derive(Debug, Clone)]
 pub struct OccupancyL2 {
@@ -128,21 +112,32 @@ impl OccupancyL2 {
     /// 3. the inserting context's own clean pools,
     /// 4. the inserting context's own dirty pool.
     ///
-    /// Returns which contexts lost dirty bytes (they owe write-backs).
+    /// Clears `dirty_evicted`, then appends `(context, dirty bytes)` for
+    /// every dirty pool the insert evicted from, which its owner must write
+    /// back: phase 1 in context order, then phase 2 in context order, then
+    /// the inserting context's own dirty pool (phase 4). The engine books
+    /// write-backs and draws counter noise in this order. The caller owns
+    /// the buffer, so a warm one makes an insert allocation-free.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` is unknown or `bytes` is negative/non-finite.
-    pub fn insert(&mut self, ctx: usize, kind: InsertKind, bytes: f64) -> EvictionReport {
+    pub fn insert(
+        &mut self,
+        ctx: usize,
+        kind: InsertKind,
+        bytes: f64,
+        dirty_evicted: &mut Vec<(usize, f64)>,
+    ) {
         assert!(ctx < self.contexts.len(), "unknown context {}", ctx);
         assert!(
             bytes.is_finite() && bytes >= 0.0,
             "invalid insert size {}",
             bytes
         );
-        let mut report = EvictionReport::default();
+        dirty_evicted.clear();
         if bytes == 0.0 {
-            return report;
+            return;
         }
         // An insertion can never exceed the whole cache.
         let bytes = bytes.min(self.capacity);
@@ -152,11 +147,11 @@ impl OccupancyL2 {
 
         if need > 0.0 {
             // Phase 1: other contexts, same kind.
-            need = self.evict_phase(ctx, kind, need, &mut report, EvictPhase::OthersSameKind);
+            need = self.evict_phase(ctx, kind, need, dirty_evicted, EvictPhase::OthersSameKind);
         }
         if need > 0.0 {
             // Phase 2: other contexts, any kind.
-            need = self.evict_phase(ctx, kind, need, &mut report, EvictPhase::OthersAnyKind);
+            need = self.evict_phase(ctx, kind, need, dirty_evicted, EvictPhase::OthersAnyKind);
         }
         if need > 0.0 {
             // Phase 3: own clean pools.
@@ -176,7 +171,7 @@ impl OccupancyL2 {
             let take = occ.global_dirty.min(need);
             if take > 0.0 {
                 occ.global_dirty -= take;
-                report.dirty_evicted.push((ctx, take));
+                dirty_evicted.push((ctx, take));
             }
             need -= take;
         }
@@ -191,58 +186,55 @@ impl OccupancyL2 {
             InsertKind::GlobalDirty => occ.global_dirty += placed,
             InsertKind::Tex => occ.tex += placed,
         }
-        report
     }
 
+    /// Evicts up to `need` bytes from the other contexts' pools that
+    /// `phase` makes eligible, proportionally to their sizes, and appends
+    /// the dirty takes to `dirty_evicted`. Returns the bytes still needed.
+    ///
+    /// Two passes walk the same (context, pool) order. The first sums the
+    /// non-empty pools left to right from 0.0. The second reads each pool
+    /// once, just before taking from it, and a take never touches another
+    /// pool, so it reads the sizes the sum saw.
     fn evict_phase(
         &mut self,
         ctx: usize,
         kind: InsertKind,
         mut need: f64,
-        report: &mut EvictionReport,
+        dirty_evicted: &mut Vec<(usize, f64)>,
         phase: EvictPhase,
     ) -> f64 {
-        // Snapshot pool sizes eligible in this phase.
-        let mut eligible: Vec<(usize, PoolRef, f64)> = Vec::new();
+        let pools = phase.pools(kind);
+        let mut total = 0.0;
         for (i, occ) in self.contexts.iter().enumerate() {
             if i == ctx {
                 continue;
             }
-            let pools: &[(PoolRef, f64)] = match phase {
-                EvictPhase::OthersSameKind => match kind {
-                    InsertKind::Tex => &[(PoolRef::Tex, occ.tex)],
-                    InsertKind::GlobalClean | InsertKind::GlobalDirty => &[
-                        (PoolRef::GlobalClean, occ.global_clean),
-                        (PoolRef::GlobalDirty, occ.global_dirty),
-                    ],
-                },
-                EvictPhase::OthersAnyKind => &[
-                    (PoolRef::GlobalClean, occ.global_clean),
-                    (PoolRef::GlobalDirty, occ.global_dirty),
-                    (PoolRef::Tex, occ.tex),
-                ],
-            };
-            for &(p, sz) in pools {
+            for &p in pools {
+                let sz = p.size(occ);
                 if sz > 0.0 {
-                    eligible.push((i, p, sz));
+                    total += sz;
                 }
             }
         }
-        let total: f64 = eligible.iter().map(|(_, _, s)| s).sum();
         if total <= 0.0 {
             return need;
         }
         let take_total = need.min(total);
-        for (i, pool, sz) in eligible {
-            let take = take_total * (sz / total);
-            let occ = &mut self.contexts[i];
-            match pool {
-                PoolRef::GlobalClean => occ.global_clean = (occ.global_clean - take).max(0.0),
-                PoolRef::GlobalDirty => occ.global_dirty = (occ.global_dirty - take).max(0.0),
-                PoolRef::Tex => occ.tex = (occ.tex - take).max(0.0),
+        for (i, occ) in self.contexts.iter_mut().enumerate() {
+            if i == ctx {
+                continue;
             }
-            if matches!(pool, PoolRef::GlobalDirty) && take > 0.0 {
-                report.dirty_evicted.push((i, take));
+            for &p in pools {
+                let pool = p.size_mut(occ);
+                let sz = *pool;
+                if sz > 0.0 {
+                    let take = take_total * (sz / total);
+                    *pool = (sz - take).max(0.0);
+                    if p == PoolRef::GlobalDirty && take > 0.0 {
+                        dirty_evicted.push((i, take));
+                    }
+                }
             }
         }
         need -= take_total;
@@ -256,11 +248,47 @@ enum EvictPhase {
     OthersAnyKind,
 }
 
+impl EvictPhase {
+    /// The pools of another context this phase may evict from, in the
+    /// order the phase walks them.
+    fn pools(self, kind: InsertKind) -> &'static [PoolRef] {
+        match self {
+            EvictPhase::OthersSameKind => match kind {
+                InsertKind::Tex => &[PoolRef::Tex],
+                InsertKind::GlobalClean | InsertKind::GlobalDirty => {
+                    &[PoolRef::GlobalClean, PoolRef::GlobalDirty]
+                }
+            },
+            EvictPhase::OthersAnyKind => {
+                &[PoolRef::GlobalClean, PoolRef::GlobalDirty, PoolRef::Tex]
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PoolRef {
     GlobalClean,
     GlobalDirty,
     Tex,
+}
+
+impl PoolRef {
+    fn size(self, occ: &CtxOccupancy) -> f64 {
+        match self {
+            PoolRef::GlobalClean => occ.global_clean,
+            PoolRef::GlobalDirty => occ.global_dirty,
+            PoolRef::Tex => occ.tex,
+        }
+    }
+
+    fn size_mut(self, occ: &mut CtxOccupancy) -> &mut f64 {
+        match self {
+            PoolRef::GlobalClean => &mut occ.global_clean,
+            PoolRef::GlobalDirty => &mut occ.global_dirty,
+            PoolRef::Tex => &mut occ.tex,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -421,15 +449,16 @@ mod tests {
     #[test]
     fn occupancy_insert_and_evict_proportionally() {
         let mut l2 = OccupancyL2::new(1000.0);
+        let mut evicted = Vec::new();
         let a = l2.add_context();
         let b = l2.add_context();
         let c = l2.add_context();
-        l2.insert(a, InsertKind::GlobalClean, 600.0);
-        l2.insert(b, InsertKind::GlobalClean, 300.0);
+        l2.insert(a, InsertKind::GlobalClean, 600.0, &mut evicted);
+        l2.insert(b, InsertKind::GlobalClean, 300.0, &mut evicted);
         assert!((l2.total() - 900.0).abs() < 1e-9);
         // c inserts 300: 100 free, 200 must come from a and b 2:1.
-        let rep = l2.insert(c, InsertKind::GlobalClean, 300.0);
-        assert!(rep.dirty_evicted.is_empty());
+        l2.insert(c, InsertKind::GlobalClean, 300.0, &mut evicted);
+        assert!(evicted.is_empty());
         let oa = l2.occupancy(a).total();
         let ob = l2.occupancy(b).total();
         assert!((oa - (600.0 - 200.0 * 2.0 / 3.0)).abs() < 1e-6, "{}", oa);
@@ -440,12 +469,12 @@ mod tests {
     #[test]
     fn dirty_eviction_is_reported_to_owner() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut evicted = Vec::new();
         let spy = l2.add_context();
         let victim = l2.add_context();
-        l2.insert(spy, InsertKind::GlobalDirty, 80.0);
-        let rep = l2.insert(victim, InsertKind::GlobalClean, 60.0);
-        let spy_dirty_lost: f64 = rep
-            .dirty_evicted
+        l2.insert(spy, InsertKind::GlobalDirty, 80.0, &mut evicted);
+        l2.insert(victim, InsertKind::GlobalClean, 60.0, &mut evicted);
+        let spy_dirty_lost: f64 = evicted
             .iter()
             .filter(|(c, _)| *c == spy)
             .map(|(_, b)| b)
@@ -457,12 +486,13 @@ mod tests {
     #[test]
     fn tex_insert_prefers_tex_victims() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut evicted = Vec::new();
         let spy = l2.add_context();
         let victim = l2.add_context();
-        l2.insert(spy, InsertKind::Tex, 50.0);
-        l2.insert(spy, InsertKind::GlobalClean, 50.0);
+        l2.insert(spy, InsertKind::Tex, 50.0, &mut evicted);
+        l2.insert(spy, InsertKind::GlobalClean, 50.0, &mut evicted);
         // Victim inserts 30 tex; all must come from spy's tex pool first.
-        l2.insert(victim, InsertKind::Tex, 30.0);
+        l2.insert(victim, InsertKind::Tex, 30.0, &mut evicted);
         let occ = l2.occupancy(spy);
         assert!((occ.tex - 20.0).abs() < 1e-6, "tex {}", occ.tex);
         assert!((occ.global_clean - 50.0).abs() < 1e-6);
@@ -471,20 +501,57 @@ mod tests {
     #[test]
     fn self_eviction_reaches_own_dirty_last() {
         let mut l2 = OccupancyL2::new(100.0);
+        let mut evicted = Vec::new();
         let only = l2.add_context();
-        l2.insert(only, InsertKind::GlobalDirty, 60.0);
-        l2.insert(only, InsertKind::GlobalClean, 40.0);
+        l2.insert(only, InsertKind::GlobalDirty, 60.0, &mut evicted);
+        l2.insert(only, InsertKind::GlobalClean, 40.0, &mut evicted);
         // Insert 50 more clean: evicts own clean 40 then own dirty 10.
-        let rep = l2.insert(only, InsertKind::GlobalClean, 50.0);
-        assert!((rep.total_dirty() - 10.0).abs() < 1e-6, "{:?}", rep);
+        l2.insert(only, InsertKind::GlobalClean, 50.0, &mut evicted);
+        let dirty: f64 = evicted.iter().map(|(_, b)| b).sum();
+        assert!((dirty - 10.0).abs() < 1e-6, "{:?}", evicted);
         assert!(l2.total() <= 100.0 + 1e-9);
+    }
+
+    #[test]
+    fn dirty_evictions_are_listed_phase_by_phase_in_context_order() {
+        // Context 1 inserts; 0, 2 and 3 hold dirty and texture pools.
+        let mut l2 = OccupancyL2::new(64.0);
+        let mut evicted = Vec::new();
+        for _ in 0..4 {
+            l2.add_context();
+        }
+        for (ctx, dirty, other) in [(0, 1.0, 1.0), (1, 4.0, 2.0), (2, 13.0, 1.0), (3, 9.0, 1.0)] {
+            l2.insert(ctx, InsertKind::GlobalDirty, dirty, &mut evicted);
+            let kind = if ctx == 1 {
+                InsertKind::GlobalClean
+            } else {
+                InsertKind::Tex
+            };
+            l2.insert(ctx, kind, other, &mut evicted);
+        }
+        assert!(evicted.is_empty(), "the set-up fits: {evicted:?}");
+
+        // 61 bytes with 32 free: phase 1 takes the other dirty pools (23),
+        // phase 2 the texture pools (3), phase 3 the own clean pool (2) and
+        // phase 4 one byte of the own dirty pool. 23 * (13 / 23) rounds one
+        // ulp short of 13, so context 2 keeps a residue that phase 2 takes:
+        // it owes two write-backs, which the engine adds in this order.
+        l2.insert(1, InsertKind::GlobalClean, 61.0, &mut evicted);
+        let phase_1 = [(0, 1.0), (2, 12.999999999999998), (3, 9.0)];
+        let phase_2 = [(2, 1.7763568394002505e-15)];
+        let phase_4 = [(1, 0.9999999999999982)];
+        assert_eq!(evicted, [&phase_1[..], &phase_2, &phase_4].concat());
+
+        // The buffer is cleared even when an insert evicts nothing.
+        l2.insert(3, InsertKind::Tex, 0.0, &mut evicted);
+        assert!(evicted.is_empty(), "{evicted:?}");
     }
 
     #[test]
     fn drain_converts_dirty_to_clean() {
         let mut l2 = OccupancyL2::new(100.0);
         let c = l2.add_context();
-        l2.insert(c, InsertKind::GlobalDirty, 30.0);
+        l2.insert(c, InsertKind::GlobalDirty, 30.0, &mut Vec::new());
         let drained = l2.drain_dirty(c, 20.0);
         assert!((drained - 20.0).abs() < 1e-9);
         let occ = l2.occupancy(c);
@@ -498,7 +565,7 @@ mod tests {
     fn oversized_insert_is_capped_at_capacity() {
         let mut l2 = OccupancyL2::new(100.0);
         let c = l2.add_context();
-        l2.insert(c, InsertKind::GlobalClean, 1e9);
+        l2.insert(c, InsertKind::GlobalClean, 1e9, &mut Vec::new());
         assert!(l2.total() <= 100.0 + 1e-6);
     }
 

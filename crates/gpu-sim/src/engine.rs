@@ -159,6 +159,10 @@ pub struct Gpu {
     rr_next: usize,
     kernel_log: Vec<KernelRecord>,
     counter_trace: Vec<CounterSlice>,
+    /// The dirty bytes the last L2 insert evicted, `(owner, bytes)` in
+    /// eviction order. One buffer serves every insert, so a step allocates
+    /// nothing once it has grown to the largest eviction.
+    evicted: Vec<(usize, f64)>,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -195,6 +199,7 @@ impl Gpu {
             rr_next: 0,
             kernel_log: Vec::new(),
             counter_trace: Vec::new(),
+            evicted: Vec::new(),
         }
     }
 
@@ -425,18 +430,12 @@ impl Gpu {
     fn next_wake(&self) -> Option<f64> {
         let mut wake: Option<f64> = None;
         for c in &self.contexts {
-            let mut candidates = Vec::new();
-            if let Some(t) = c.gap_until {
-                candidates.push(t);
-            }
-            if c.auto.is_some()
+            let relaunch_at = (c.auto.is_some()
                 && c.running.is_none()
                 && c.queue.is_empty()
-                && c.gap_until.is_none()
-            {
-                candidates.push(c.next_auto_launch_at);
-            }
-            for t in candidates {
+                && c.gap_until.is_none())
+            .then_some(c.next_auto_launch_at);
+            for t in [c.gap_until, relaunch_at].into_iter().flatten() {
                 if t > self.now_us {
                     wake = Some(wake.map_or(t, |w: f64| w.min(t)));
                 }
@@ -451,30 +450,38 @@ impl Gpu {
         for i in 0..self.contexts.len() {
             self.poll_host_at(i, self.now_us);
         }
-        let runnable: Vec<usize> = (0..self.contexts.len())
-            .filter(|&i| self.is_runnable(i))
-            .collect();
-        if runnable.is_empty() {
-            match self.next_wake() {
+        // One pass: how many contexts can run, the first of them, and the
+        // first at or after the round-robin cursor.
+        let mut runnable = 0usize;
+        let mut first = None;
+        let mut first_from_cursor = None;
+        for i in 0..self.contexts.len() {
+            if self.is_runnable(i) {
+                runnable += 1;
+                first.get_or_insert(i);
+                if i >= self.rr_next {
+                    first_from_cursor.get_or_insert(i);
+                }
+            }
+        }
+        let Some(first) = first else {
+            return match self.next_wake() {
                 Some(t) if t < deadline_us => {
                     self.now_us = t;
-                    return true;
+                    true
                 }
                 Some(_) => {
                     self.now_us = deadline_us;
-                    return false;
+                    false
                 }
-                None => return false,
-            }
-        }
+                None => false,
+            };
+        };
 
         let (idx, budget) = match self.mode {
             SchedulerMode::TimeSliced => {
                 // Round-robin: first runnable context at or after rr_next.
-                let idx = *runnable
-                    .iter()
-                    .find(|&&i| i >= self.rr_next)
-                    .unwrap_or(&runnable[0]);
+                let idx = first_from_cursor.unwrap_or(first);
                 self.rr_next = idx + 1;
                 if self.rr_next >= self.contexts.len() {
                     self.rr_next = 0;
@@ -490,7 +497,7 @@ impl Gpu {
             SchedulerMode::Mps => {
                 // Leftover policy: earliest-created runnable context wins and
                 // runs until a higher-priority context wakes.
-                let idx = runnable[0];
+                let idx = first;
                 let mut budget = deadline_us - self.now_us;
                 if let Some(wake) = self.next_wake() {
                     // Only yield to higher-priority contexts.
@@ -504,7 +511,7 @@ impl Gpu {
             }
         };
 
-        let sole_runner = runnable.len() == 1;
+        let sole_runner = runnable == 1;
         let used = self.execute_slice(idx, budget.max(1.0), sole_runner);
         self.now_us += used.max(0.05);
         true
@@ -540,18 +547,20 @@ impl Gpu {
             return c.running.is_some();
         }
         let (desc, from_auto) = match c.queue.front() {
-            Some(WorkItem::Kernel(_)) => {
-                let Some(WorkItem::Kernel(k)) = c.queue.pop_front() else {
-                    unreachable!()
-                };
-                (Some(k), false)
-            }
-            None if c.auto.is_some() && at + 1e-9 >= c.next_auto_launch_at => {
-                (c.auto.clone(), true)
-            }
-            _ => (None, false),
+            Some(WorkItem::Kernel(_)) => match c.queue.pop_front() {
+                Some(WorkItem::Kernel(k)) => (k, false),
+                // The front was a kernel a line above.
+                _ => return false,
+            },
+            None => match &c.auto {
+                // A refcount bump: the running launch owns its description,
+                // because `stop_auto_repeat` may clear `auto` mid-launch.
+                // lint: allow(A1)
+                Some(k) if at + 1e-9 >= c.next_auto_launch_at => (k.clone(), true),
+                _ => return false,
+            },
+            Some(WorkItem::HostGap(_)) => return false,
         };
-        let Some(desc) = desc else { return false };
         // Fault: the driver rejects an auto-repeat (spy/hog) launch; back off
         // and retry. Queued victim kernels are never failed — their launch
         // sequence is the ground-truth label stream.
@@ -576,6 +585,8 @@ impl Gpu {
             let occ = self.l2.occupancy(idx);
             c.peak_global = occ.global();
             c.peak_tex = occ.tex;
+            // A refcount bump: the name outlives the launch to compare with
+            // the next one. lint: allow(A1)
             c.last_kernel_name = Some(desc.name.clone());
         }
         c.running = Some(Running {
@@ -613,6 +624,12 @@ impl Gpu {
             if !self.start_next_kernel(idx, slice_start + used) {
                 break;
             }
+            // Phases 1 and 2 never touch the running launch, so one read
+            // serves the whole turn.
+            let Some(r) = self.contexts[idx].running.as_ref() else {
+                break;
+            };
+            let (fp, nominal_us, remaining_us) = (r.desc.footprint, r.nominal_us, r.remaining_us);
 
             // Phase 1: pending write-backs (dirty sectors other contexts
             // evicted since we last ran).
@@ -632,11 +649,10 @@ impl Gpu {
             // context-switching penalty).
             let (ws_target, tex_target) = {
                 let c = &self.contexts[idx];
-                let r = c.running.as_ref().expect("running kernel");
                 let cap = self.l2.capacity() * MAX_L2_SHARE;
                 (
-                    r.desc.footprint.working_set.min(cap).min(c.peak_global),
-                    r.desc.footprint.tex_working_set.min(cap).min(c.peak_tex),
+                    fp.working_set.min(cap).min(c.peak_global),
+                    fp.tex_working_set.min(cap).min(c.peak_tex),
                 )
             };
             let occ = self.l2.occupancy(idx);
@@ -649,14 +665,12 @@ impl Gpu {
                 let rt = lost_tex * scale;
                 if rg > 0.0 {
                     self.count_reads(&mut delta, rg);
-                    let rep = self.l2.insert(idx, InsertKind::GlobalClean, rg);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.l2_insert(idx, InsertKind::GlobalClean, rg, &mut delta);
                 }
                 if rt > 0.0 {
                     self.count_tex(&mut delta, rt);
                     self.count_reads(&mut delta, rt);
-                    let rep = self.l2.insert(idx, InsertKind::Tex, rt);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.l2_insert(idx, InsertKind::Tex, rt, &mut delta);
                 }
                 used += (rg + rt) / bw;
                 if used >= budget {
@@ -665,20 +679,11 @@ impl Gpu {
             }
 
             // Phase 3: forward progress.
-            let (dt, finished) = {
-                let r = self.contexts[idx].running.as_ref().expect("running kernel");
-                let dt = r.remaining_us.min(budget - used);
-                (dt, dt + 1e-9 >= r.remaining_us)
-            };
+            let dt = remaining_us.min(budget - used);
+            let finished = dt + 1e-9 >= remaining_us;
             if dt > 0.0 {
-                let (frac, fp, dirty_cap) = {
-                    let r = self.contexts[idx].running.as_ref().expect("running kernel");
-                    (
-                        dt / r.nominal_us,
-                        r.desc.footprint,
-                        (r.desc.footprint.write_bytes).min(self.l2.capacity() * DIRTY_CAP_FRAC),
-                    )
-                };
+                let frac = dt / nominal_us;
+                let dirty_cap = fp.write_bytes.min(self.l2.capacity() * DIRTY_CAP_FRAC);
                 let reads = fp.read_bytes * frac;
                 let writes = fp.write_bytes * frac;
                 let tex = fp.tex_read_bytes * frac;
@@ -694,34 +699,31 @@ impl Gpu {
                 .max(0.0)
                 .min(reads);
                 if grow_global > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::GlobalClean, grow_global);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.l2_insert(idx, InsertKind::GlobalClean, grow_global, &mut delta);
                 }
                 let grow_tex = (fp.tex_working_set.min(self.l2.capacity() * MAX_L2_SHARE)
                     - occ.tex)
                     .max(0.0)
                     .min(tex);
                 if grow_tex > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::Tex, grow_tex);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.l2_insert(idx, InsertKind::Tex, grow_tex, &mut delta);
                 }
                 // Transient streaming occupancy (flows through L2).
                 let stream_excess = (reads - grow_global).max(0.0) + (tex - grow_tex).max(0.0);
                 let transient = (stream_excess * STREAM_OCCUPANCY_FRAC).min(STREAM_OCCUPANCY_CAP);
                 if transient > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::GlobalClean, transient);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.l2_insert(idx, InsertKind::GlobalClean, transient, &mut delta);
                 }
                 // Dirty generation (bounded by the in-place output buffer).
                 let occ = self.l2.occupancy(idx);
                 let grow_dirty = (dirty_cap - occ.global_dirty).max(0.0).min(writes);
                 if grow_dirty > 0.0 {
-                    let rep = self.l2.insert(idx, InsertKind::GlobalDirty, grow_dirty);
-                    self.apply_evictions(idx, &rep.dirty_evicted, &mut delta);
+                    self.l2_insert(idx, InsertKind::GlobalDirty, grow_dirty, &mut delta);
                 }
 
-                let r = self.contexts[idx].running.as_mut().expect("running kernel");
-                r.remaining_us -= dt;
+                if let Some(r) = self.contexts[idx].running.as_mut() {
+                    r.remaining_us -= dt;
+                }
                 used += dt;
             }
 
@@ -736,12 +738,14 @@ impl Gpu {
             if finished {
                 let now = slice_start + used;
                 let c = &mut self.contexts[idx];
-                let r = c.running.take().expect("running kernel");
+                let Some(r) = c.running.take() else {
+                    break;
+                };
                 c.kernels_completed += 1;
                 self.kernel_log.push(KernelRecord {
                     ctx: ContextId(idx),
-                    name: r.desc.name.clone(),
-                    op_tag: r.desc.op_tag.clone(),
+                    name: r.desc.name,
+                    op_tag: r.desc.op_tag,
                     start_us: r.started_at,
                     end_us: now,
                 });
@@ -790,13 +794,15 @@ impl Gpu {
         used
     }
 
-    fn apply_evictions(
-        &mut self,
-        actor: usize,
-        dirty_evicted: &[(usize, f64)],
-        delta: &mut CounterValues,
-    ) {
-        for &(owner, bytes) in dirty_evicted {
+    /// Inserts `bytes` into context `actor`'s L2 pool `kind` and books the
+    /// dirty bytes the insert evicted, in eviction order: other owners owe
+    /// them as pending write-backs, and the actor's own pay now.
+    fn l2_insert(&mut self, actor: usize, kind: InsertKind, bytes: f64, delta: &mut CounterValues) {
+        // Taken out and put back, so the loop can borrow `self` mutably;
+        // the empty Vec left in its place holds no heap.
+        let mut evicted = std::mem::take(&mut self.evicted);
+        self.l2.insert(actor, kind, bytes, &mut evicted);
+        for &(owner, bytes) in &evicted {
             if owner == actor {
                 // Self-eviction writes back immediately on our own account.
                 self.count_writes(delta, bytes);
@@ -804,6 +810,7 @@ impl Gpu {
                 self.contexts[owner].pending_writeback_bytes += bytes;
             }
         }
+        self.evicted = evicted;
     }
 
     fn subp_frac(&mut self) -> f64 {

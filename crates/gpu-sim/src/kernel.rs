@@ -85,9 +85,8 @@ impl KernelFootprint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelDesc {
     /// Kernel name (e.g. a cuDNN entry point). Interned: cloning a
-    /// description (the engine clones one per auto-repeat launch and per
-    /// completed-launch record) bumps a refcount instead of copying a heap
-    /// string.
+    /// description (the engine clones one per auto-repeat launch) bumps a
+    /// refcount instead of copying a heap string.
     pub name: Arc<str>,
     /// Ground-truth operation tag attached by the framework layer (e.g.
     /// `"Conv2D"`); this is what the TensorFlow-timeline profiler exposes and

@@ -18,6 +18,7 @@ fn occupancy_model_invariants_hold_under_any_op_sequence() {
     testkit::check("occupancy_invariants", &vec_of(op, 1, 59), |ops| {
         let capacity = 1_000_000.0;
         let mut l2 = OccupancyL2::new(capacity);
+        let mut evicted = Vec::new();
         for _ in 0..3 {
             l2.add_context();
         }
@@ -34,11 +35,10 @@ fn occupancy_model_invariants_hold_under_any_op_sequence() {
                     1 => InsertKind::GlobalDirty,
                     _ => InsertKind::Tex,
                 };
-                let report = l2.insert(ctx, kind, bytes);
+                l2.insert(ctx, kind, bytes, &mut evicted);
                 // Evicted dirty bytes are non-negative and bounded.
                 holds(
-                    report
-                        .dirty_evicted
+                    evicted
                         .iter()
                         .all(|&(_, b)| b >= 0.0 && b <= capacity + 1.0),
                     "dirty eviction out of bounds",

@@ -37,9 +37,20 @@ fn analytical_eviction_matches_reference_proportions() {
     let mut model = OccupancyL2::new(capacity);
     let a = model.add_context();
     let b = model.add_context();
-    model.insert(a, InsertKind::GlobalClean, a_sectors as f64 * 32.0);
+    let mut evicted = Vec::new();
+    model.insert(
+        a,
+        InsertKind::GlobalClean,
+        a_sectors as f64 * 32.0,
+        &mut evicted,
+    );
     let m_before = model.occupancy(a).total();
-    model.insert(b, InsertKind::GlobalClean, (a_sectors / 2) as f64 * 32.0);
+    model.insert(
+        b,
+        InsertKind::GlobalClean,
+        (a_sectors / 2) as f64 * 32.0,
+        &mut evicted,
+    );
     let m_after = model.occupancy(a).total();
     let model_loss = (m_before - m_after) / m_before;
 
@@ -78,10 +89,10 @@ fn dirty_writebacks_happen_in_both_models() {
     let mut model = OccupancyL2::new(capacity as f64);
     let a = model.add_context();
     let b = model.add_context();
-    model.insert(a, InsertKind::GlobalDirty, capacity as f64);
-    let report = model.insert(b, InsertKind::GlobalClean, capacity as f64);
-    let model_wb: f64 = report
-        .dirty_evicted
+    let mut evicted = Vec::new();
+    model.insert(a, InsertKind::GlobalDirty, capacity as f64, &mut evicted);
+    model.insert(b, InsertKind::GlobalClean, capacity as f64, &mut evicted);
+    let model_wb: f64 = evicted
         .iter()
         .filter(|(c, _)| *c == a)
         .map(|(_, x)| x)
@@ -112,8 +123,19 @@ fn small_working_sets_survive_streams_in_both_models() {
     let mut model = OccupancyL2::new(capacity as f64);
     let a = model.add_context();
     let b = model.add_context();
-    model.insert(a, InsertKind::GlobalClean, hot_sectors as f64 * 32.0);
-    model.insert(b, InsertKind::GlobalClean, capacity as f64 / 4.0);
+    let mut evicted = Vec::new();
+    model.insert(
+        a,
+        InsertKind::GlobalClean,
+        hot_sectors as f64 * 32.0,
+        &mut evicted,
+    );
+    model.insert(
+        b,
+        InsertKind::GlobalClean,
+        capacity as f64 / 4.0,
+        &mut evicted,
+    );
     // Cache not full -> no eviction at all in the analytical model.
     let kept = model.occupancy(a).total() / (hot_sectors as f64 * 32.0);
     assert!(kept > 0.99, "analytical survival {:.2}", kept);
